@@ -12,6 +12,17 @@ unitary and second-order accurate in the slice width.  Slices resolve the
 fastest scale present (static level spread and every drive frequency) with
 at least `steps_per_shortest_period` points per period.
 
+The drive selects how much of the pulse is sliced.  Without tones the
+lab-frame Hamiltonian is constant and the propagator is one exact
+exponential.  A single lab-frame tone of frequency Omega makes H periodic
+with T = 2 pi / |Omega|, so U(n T) = U(T)^n (Floquet; Shirley, Phys. Rev.
+138, B979, 1965): once the pulse lasts at least two periods, only one
+period is sliced, its propagator is raised to n = floor(duration / T) by
+repeated squaring with every product projected back onto the nearest
+unitary (the polar factor of its SVD), and the sliced remainder is applied
+last.  The cost is then independent of the pulse length.  Multi-tone and
+rotating-frame drives are sliced uniformly over the whole pulse.
+
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
 co-rotating component gammaHrf, which is what the idealized rotation-angle
@@ -43,8 +54,6 @@ LAB_FRAME = "lab"
 ROTATING_FRAME = "rotating-at-omega0"
 FRAMES = (LAB_FRAME, ROTATING_FRAME)
 
-PIECEWISE_CONSTANT = "piecewise-constant-exponential"
-
 MIN_STEPS_PER_PERIOD = 20
 
 _SLICE_CHUNK = 1 << 15
@@ -60,8 +69,12 @@ class DriveTone:
     axis: str = "X"
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise InputError(f"drive amplitude must be positive, got {self.amplitude}")
+        if not (math.isfinite(self.frequency) and math.isfinite(self.phase)):
+            raise InputError(f"drive frequency and phase must be finite, "
+                             f"got {self.frequency} and {self.phase}")
+        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
+            raise InputError(f"drive amplitude must be positive and finite, "
+                             f"got {self.amplitude}")
         if self.axis not in AXES:
             raise InputError(f"drive axis must be one of {AXES}, got {self.axis!r}")
 
@@ -76,8 +89,9 @@ class DriveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
-        if self.duration < 0:
-            raise InputError(f"duration must be non-negative, got {self.duration}")
+        if not (self.duration >= 0 and math.isfinite(self.duration)):
+            raise InputError(f"duration must be finite and non-negative, "
+                             f"got {self.duration}")
         if self.frame not in FRAMES:
             raise InputError(f"frame must be one of {FRAMES}, got {self.frame!r}")
 
@@ -87,7 +101,6 @@ class IntegrationConfig:
     """Time-slicing control for the piecewise-constant-exponential integrator."""
 
     steps_per_shortest_period: int = 32
-    method: str = PIECEWISE_CONSTANT
 
     def __post_init__(self):
         if self.steps_per_shortest_period < MIN_STEPS_PER_PERIOD:
@@ -95,8 +108,6 @@ class IntegrationConfig:
                 f"steps_per_shortest_period = {self.steps_per_shortest_period} "
                 f"under-resolves the shortest oscillation period; "
                 f"need at least {MIN_STEPS_PER_PERIOD}")
-        if self.method != PIECEWISE_CONSTANT:
-            raise InputError(f"unknown integration method {self.method!r}")
 
 
 def evolve(sys: SpinSystem, drive: DriveSpec,
@@ -110,15 +121,37 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     if drive.duration == 0:
         return np.eye(DIM, dtype=complex)
 
-    ops = sys.ops
     h_static = build_hamiltonian(sys)
+    lab = drive.frame == LAB_FRAME
+    if lab and not drive.tones:
+        # the Hamiltonian is constant: one slice is exact
+        return _slice_product(sys, h_static, drive, drive.duration, math.inf)
+
     evals = np.linalg.eigvalsh(h_static)
     omega_max = max(float(evals[-1] - evals[0]),
                     max((abs(t.frequency) for t in drive.tones), default=0.0),
                     sys.omega0)
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
-    n_slices = max(1, math.ceil(drive.duration / dt_max))
-    dt = drive.duration / n_slices
+    if lab and len(drive.tones) == 1 and drive.tones[0].frequency != 0:
+        period = 2 * np.pi / abs(drive.tones[0].frequency)
+        n_periods = math.floor(drive.duration / period)
+        if n_periods >= 2:
+            u_total = _unitary_power(_slice_product(sys, h_static, drive, period, dt_max),
+                                     n_periods)
+            remainder = drive.duration - n_periods * period
+            if remainder > 0:
+                u_total = _polar_unitary(
+                    _slice_product(sys, h_static, drive, remainder, dt_max) @ u_total)
+            return u_total
+    return _slice_product(sys, h_static, drive, drive.duration, dt_max)
+
+
+def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
+                   span: float, dt_max: float) -> np.ndarray:
+    """Midpoint-sampled exact exponentials over [0, span] in slices of at most dt_max."""
+    ops = sys.ops
+    n_slices = max(1, math.ceil(span / dt_max))
+    dt = span / n_slices
 
     rotating = drive.frame == ROTATING_FRAME
     if rotating:
@@ -153,6 +186,23 @@ def _time_ordered_product(props: np.ndarray) -> np.ndarray:
         paired = props[1:2 * half:2] @ props[0:2 * half:2]
         props = np.concatenate([paired, props[2 * half:]], axis=0) if n % 2 else paired
     return props[0]
+
+
+def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
+    """u**n by repeated squaring, each product projected back onto the unitaries."""
+    result = np.eye(DIM, dtype=complex)
+    while n:
+        if n & 1:
+            result = _polar_unitary(u @ result)
+        u = _polar_unitary(u @ u)
+        n >>= 1
+    return result
+
+
+def _polar_unitary(m: np.ndarray) -> np.ndarray:
+    """Nearest unitary to m in the Frobenius norm: the polar factor of its SVD."""
+    left, _, right = np.linalg.svd(m)
+    return left @ right
 
 
 def rotating_frame_transform(sys: SpinSystem, u_lab: np.ndarray,

@@ -19,7 +19,6 @@ ordering.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AmbiguousLabelingError
 from .operators import DIM, M_VALUES, make_spin_operators
@@ -81,10 +80,12 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
 
     Labels are assigned by maximal overlap with the perturbative states
     (not by energy sort), so they track the adiabatic continuation of each
-    level.  Raises AmbiguousLabelingError when, for some perturbative state,
-    the two largest overlaps differ by less than a factor of two; this
-    signals a level crossing / strong mixing regime where labels would be
-    arbitrary.
+    level.  Raises AmbiguousLabelingError when two perturbative states pick
+    the same exact state, or when, for some perturbative state, the two
+    largest overlaps differ by less than a factor of two; either signals a
+    level crossing / strong mixing regime where labels would be arbitrary.
+    Under that dominance rule the row-wise best match is the unique optimal
+    assignment, so no assignment solver is needed.
     """
     h = build_hamiltonian(sys)
     evals, evecs = np.linalg.eigh(h)
@@ -92,9 +93,14 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
     reference = perturbative_spectrum(sys).states
     overlap = np.abs(reference.conj().T @ evecs)  # overlap[M, j]
 
-    rows, cols = linear_sum_assignment(-(overlap ** 2))
-    assignment = np.empty(DIM, dtype=int)
-    assignment[rows] = cols
+    assignment = overlap.argmax(axis=1)
+    shared = int(np.bincount(assignment, minlength=DIM).argmax())
+    rivals = np.flatnonzero(assignment == shared)
+    if rivals.size > 1:
+        raise AmbiguousLabelingError(
+            f"cannot label exact eigenstates: perturbative states "
+            f"M={rivals[0]} and M={rivals[1]} both overlap exact state {shared} most; "
+            f"omegaQ/omega0 = {sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
 
     for m_label in range(DIM):
         best = overlap[m_label, assignment[m_label]]

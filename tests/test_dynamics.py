@@ -10,6 +10,7 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          make_spin_operators, pulse_strength_tradeoff,
                          rotating_frame_transform, rwa_deviation,
                          simulate_schedule)
+from virtualspin import dynamics
 
 # weak-coupling system used by most drive tests
 SYS = SpinSystem(omega0=1.0, omegaQ=0.05, theta=np.pi / 6)
@@ -18,8 +19,6 @@ SYS = SpinSystem(omega0=1.0, omegaQ=0.05, theta=np.pi / 6)
 def test_integration_config_validation():
     with pytest.raises(ResolutionError):
         IntegrationConfig(steps_per_shortest_period=10)
-    with pytest.raises(InputError):
-        IntegrationConfig(method="runge-kutta")
     assert IntegrationConfig().steps_per_shortest_period >= 20
 
 
@@ -32,6 +31,15 @@ def test_drive_validation():
         DriveSpec(tones=(), duration=-1.0)
     with pytest.raises(InputError):
         DriveSpec(tones=(), duration=1.0, frame="interaction")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            DriveSpec(tones=(), duration=bad)
+        with pytest.raises(InputError):
+            DriveTone(frequency=bad, amplitude=1e-3)
+        with pytest.raises(InputError):
+            DriveTone(frequency=1.0, amplitude=1e-3, phase=bad)
+        with pytest.raises(InputError):
+            DriveTone(frequency=1.0, amplitude=bad)
 
 
 def test_free_evolution_matches_matrix_exponential():
@@ -54,6 +62,51 @@ def test_integrator_unitarity():
     tone = DriveTone(frequency=0.9, amplitude=2e-3, phase=0.4)
     u = evolve(SYS, DriveSpec(tones=(tone,), duration=200.0))
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
+
+
+def _sliced(system, drive, span):
+    """Product of midpoint slices over [0, span] at evolve's default slice width."""
+    h_static = build_hamiltonian(system)
+    evals = np.linalg.eigvalsh(h_static)
+    omega_max = max(evals[-1] - evals[0], system.omega0,
+                    *(abs(t.frequency) for t in drive.tones))
+    return dynamics._slice_product(system, h_static, drive, span,
+                                   2 * np.pi / omega_max / 32)
+
+
+def test_stroboscopic_matches_uniform_slices_on_pi_pulse():
+    spec = exact_spectrum(SYS)
+    gamma = 1e-3
+    drive_tone, duration = _realized(spec, Tone(upper=6, lower=7, angle=np.pi), gamma)
+    drive = DriveSpec(tones=(drive_tone,), duration=duration)
+    u = evolve(SYS, drive)
+    assert np.abs(u - _sliced(SYS, drive, duration)).max() < 1e-6
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+def test_stroboscopic_period_boundaries():
+    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
+    period = 2 * np.pi / tone.frequency
+    # under two periods the whole drive is sliced uniformly
+    short = DriveSpec(tones=(tone,), duration=1.9 * period)
+    assert np.array_equal(evolve(SYS, short), _sliced(SYS, short, short.duration))
+    u_period = _sliced(SYS, short, period)
+    for periods, whole in ((2, 2), (7, 7), (2.01, 2), (7.5, 7)):
+        drive = DriveSpec(tones=(tone,), duration=periods * period)
+        expected = np.linalg.matrix_power(u_period, whole)
+        if periods != whole:
+            expected = _sliced(SYS, drive, (periods - whole) * period) @ expected
+        u = evolve(SYS, drive)
+        assert np.abs(u - expected).max() < 1e-12
+        assert np.abs(u - _sliced(SYS, drive, drive.duration)).max() < 1e-6
+        assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+def test_stroboscopic_unitarity_over_a_million_periods():
+    tone = DriveTone(frequency=0.9, amplitude=2e-3, phase=0.4)
+    duration = (1e6 + 0.3) * 2 * np.pi / tone.frequency
+    u = evolve(SYS, DriveSpec(tones=(tone,), duration=duration))
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
 
 
 def test_step_doubling_convergence():
@@ -243,3 +296,10 @@ def test_simulate_schedule_multi_tone_group():
     table = {label: out for label, (out, _) in result.transfer.items()}
     assert table == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
     assert all(prob > 0.9 for _, prob in result.transfer.values())
+
+
+def test_simulate_schedule_q_targeted_toffoli():
+    # one forbidden-transition tone, (3,7), lasting about 1.2e5 drive periods
+    result = simulate_schedule(SYS, compile_gate("CCNOT:RS->Q"), gamma_hrf=1e-3)
+    assert result.transfer[3][0] == 7
+    assert min(prob for _, prob in result.transfer.values()) > 0.99

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from virtualspin import (DIM, SPIN, AmbiguousLabelingError, SpinSystem,
-                         exact_spectrum, make_spin_operators,
+                         build_hamiltonian, exact_spectrum, make_spin_operators,
                          perturbative_spectrum, transition_table)
+from virtualspin.spectrum import OVERLAP_DOMINANCE
 
 m = np.arange(DIM) - SPIN
 
@@ -96,6 +98,29 @@ def test_strong_mixing_is_labeled_or_fails_loudly():
     sys = SpinSystem(omega0=1.0, omegaQ=0.5, theta=np.pi / 3)
     with pytest.raises(AmbiguousLabelingError):
         exact_spectrum(sys)
+
+
+def test_labels_match_optimal_assignment():
+    # reference: the optimal assignment of perturbative to exact states,
+    # trusted only where every chosen overlap dominates its row 2:1
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(400):
+        sys = SpinSystem(omegaQ=float(10 ** rng.uniform(-3, 0)),
+                         theta=float(rng.uniform(0, np.pi)),
+                         phi=float(rng.uniform(0, 2 * np.pi)))
+        evals, evecs = np.linalg.eigh(build_hamiltonian(sys))
+        overlap = np.abs(perturbative_spectrum(sys).states.conj().T @ evecs)
+        _, cols = linear_sum_assignment(-(overlap ** 2))
+        labelable = all(overlap[m, cols[m]] >= OVERLAP_DOMINANCE
+                        * np.delete(overlap[m], cols[m]).max() for m in range(DIM))
+        outcomes.add(labelable)
+        if labelable:
+            assert np.array_equal(exact_spectrum(sys).energies, evals[cols])
+        else:
+            with pytest.raises(AmbiguousLabelingError):
+                exact_spectrum(sys)
+    assert outcomes == {True, False}
 
 
 def test_transition_table_has_28_ordered_pairs():
