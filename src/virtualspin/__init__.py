@@ -16,8 +16,8 @@ from .compiler import (EquivalenceReport, PulseSchedule, compile_gate,
 from .dynamics import (DriveSpec, DriveTone, IntegrationConfig, ScalingFit,
                        ScheduleSimulation, TradeoffRow, evolve,
                        forbidden_scaling, interaction_propagator,
-                       pulse_strength_tradeoff, rotating_frame_transform,
-                       rwa_deviation, simulate_schedule)
+                       pulse_strength_tradeoff, rwa_deviation,
+                       simulate_schedule)
 from .errors import (AmbiguousLabelingError, DegenerateFitError,
                      ForbiddenTransitionError, GateGrammarError, InputError,
                      OverlappingTonesError, ResolutionError,
@@ -27,7 +27,7 @@ from .gates import (GateSpec, VirtualLabel, decode, encode, is_involution,
 from .operators import DIM, SPIN, SpinOperators, make_spin_operators
 from .pulses import (PulseParams, Projector, Tone, multi_tone_propagator,
                      projector, pulse_duration, pulse_propagator)
-from .spectrum import (Spectrum, Transition, exact_spectrum,
+from .spectrum import (Spectrum, Transition, drive_elements, exact_spectrum,
                        perturbative_spectrum, transition_table)
 from .system import SpinSystem, build_hamiltonian, quadrupole_hamiltonian
 
@@ -42,13 +42,12 @@ __all__ = [
     "ScheduleSimulation", "SPIN", "SpinOperators", "SpinSystem", "Spectrum",
     "Tone", "TradeoffRow", "Transition", "TruthTableError",
     "VirtualLabel", "VirtualSpinError", "build_hamiltonian", "compile_gate",
-    "decode", "encode", "evolve", "exact_spectrum", "forbidden_scaling",
-    "format_schedule", "interaction_propagator", "is_involution",
-    "make_spin_operators", "multi_tone_propagator", "parse_gate",
-    "parse_gate_sequence", "parse_schedule", "perturbative_spectrum",
-    "projector", "pulse_duration", "pulse_propagator",
+    "decode", "drive_elements", "encode", "evolve", "exact_spectrum",
+    "forbidden_scaling", "format_schedule", "interaction_propagator",
+    "is_involution", "make_spin_operators", "multi_tone_propagator",
+    "parse_gate", "parse_gate_sequence", "parse_schedule",
+    "perturbative_spectrum", "projector", "pulse_duration", "pulse_propagator",
     "pulse_strength_tradeoff", "quadrupole_hamiltonian", "resolve_schedule",
-    "rotating_frame_transform", "rwa_deviation", "schedule_propagator",
-    "simulate_schedule", "target_gate", "transition_table", "truth_table",
-    "verify",
+    "rwa_deviation", "schedule_propagator", "simulate_schedule", "target_gate",
+    "transition_table", "truth_table", "verify",
 ]

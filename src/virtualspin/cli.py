@@ -21,8 +21,7 @@ from . import __version__
 from .compiler import (OK_VERDICTS, compile_gate, format_schedule,
                        parse_schedule, schedule_propagator, verify)
 from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
-from .errors import (AmbiguousLabelingError, DegenerateFitError, InputError,
-                     ResolutionError, VirtualSpinError)
+from .errors import InputError, ResolutionError, VirtualSpinError
 from .gates import parse_gate_sequence
 from .spectrum import exact_spectrum, perturbative_spectrum, transition_table
 from .system import Q2_FORMS, SpinSystem
@@ -95,7 +94,12 @@ def _merge_config(args, file_defaults: dict) -> RunConfig:
     if values["format"] not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {values['format']!r}")
     for key in ("omega0", "omegaQ", "theta", "phi", "gammaHrf"):
-        values[key] = float(values[key])
+        try:
+            values[key] = float(values[key])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{key} must be a number, got {values[key]!r}") from exc
+        if not np.isfinite(values[key]):
+            raise InputError(f"{key} must be finite, got {values[key]}")
     if not values["omega0"] > 0:
         raise InputError(f"omega0 must be positive, got {values['omega0']}")
     if not values["gammaHrf"] > 0:
@@ -374,13 +378,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (InputError, DegenerateFitError, AmbiguousLabelingError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except VirtualSpinError as exc:
+    except (VirtualSpinError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

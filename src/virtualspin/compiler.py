@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .errors import (InputError, OverlappingTonesError, ScheduleFormatError,
-                     TruthTableError)
+from .errors import InputError, ScheduleFormatError, TruthTableError
 from .gates import GateSpec, parse_gate_sequence, target_gate
-from .operators import DIM, make_spin_operators
-from .pulses import AXES, PulseParams, Tone, multi_tone_propagator, pulse_duration
-from .spectrum import Spectrum
+from .operators import DIM
+from .pulses import (AXES, PulseParams, Tone, check_disjoint, multi_tone_propagator,
+                     pulse_duration)
+from .spectrum import Spectrum, drive_elements
 
 EXACT_MATCH = "exact"
 UP_TO_I = "equal-up-to-i"
@@ -60,14 +60,7 @@ class PulseSchedule:
 
     def __post_init__(self):
         for group in self.groups:
-            seen: set[int] = set()
-            for tone in group:
-                for level in (tone.upper, tone.lower):
-                    if level in seen:
-                        raise OverlappingTonesError(
-                            f"level {level} is addressed by more than one "
-                            f"simultaneous tone within a group")
-                    seen.add(level)
+            check_disjoint(group)
         if not self.omegas:
             object.__setattr__(self, "omegas",
                                tuple(tuple(None for _ in g) for g in self.groups))
@@ -81,22 +74,6 @@ class PulseSchedule:
 
     def gate_string(self) -> str:
         return ";".join(str(g) for g in self.gates)
-
-    def then(self, other: "PulseSchedule") -> "PulseSchedule":
-        """Ordered concatenation: self plays first, then other.
-
-        Phase bookkeeping across gates is not absorbed; verify() on the
-        combined schedule reports how the accumulated i factors relate the
-        product to the textbook target.
-        """
-        return PulseSchedule(
-            gates=self.gates + other.gates,
-            groups=self.groups + other.groups,
-            spectrum_method=self.spectrum_method,
-            parameters=self.parameters,
-            omegas=self.omegas + other.omegas,
-            durations=self.durations + other.durations,
-        )
 
 
 def _as_gates(gate) -> tuple:
@@ -135,31 +112,28 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
 
 
 def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
-                     gamma_hrf: float | None = None,
-                     parameters: dict | None = None) -> PulseSchedule:
+                     gamma_hrf: float | None = None) -> PulseSchedule:
     """Re-resolve an existing schedule's frequencies against another Spectrum.
 
     The symbolic level pairs stay fixed; only the per-tone omega (and
     duration, when gamma_hrf is given) are recomputed, so the same schedule
     can be expressed against the perturbative or the exact level scheme.
     """
-    elements = _ix_elements(spectrum)
+    elements = {axis: np.abs(drive_elements(spectrum, axis))
+                for axis in {t.axis for group in sched.groups for t in group}}
     omegas = tuple(
         tuple(float(spectrum.energies[t.upper] - spectrum.energies[t.lower])
               for t in group)
         for group in sched.groups)
-    if gamma_hrf is None:
-        durations = tuple(tuple(None for _ in group) for group in sched.groups)
-    else:
+    durations = ()  # PulseSchedule fills in None
+    if gamma_hrf is not None:
         params = PulseParams(gammaHrf=gamma_hrf)
         durations = tuple(
-            tuple(float(pulse_duration(t.angle, params, elements[t.upper, t.lower]))
+            tuple(float(pulse_duration(t.angle, params, elements[t.axis][t.upper, t.lower]))
                   for t in group)
             for group in sched.groups)
     return PulseSchedule(gates=sched.gates, groups=sched.groups,
-                         spectrum_method=spectrum.method,
-                         parameters=dict(parameters) if parameters is not None
-                         else sched.parameters,
+                         spectrum_method=spectrum.method, parameters=sched.parameters,
                          omegas=omegas, durations=durations)
 
 
@@ -339,7 +313,10 @@ def parse_schedule(text: str) -> PulseSchedule:
     parameters = doc.get("parameters")
     if parameters is not None:
         _require(isinstance(parameters, dict), "parameters must be a mapping or null")
-        parameters = {str(k): float(v) for k, v in parameters.items()}
+        try:
+            parameters = {str(k): float(v) for k, v in parameters.items()}
+        except (TypeError, ValueError) as exc:
+            raise ScheduleFormatError(f"invalid parameters: {exc}") from exc
 
     raw_groups = doc["groups"]
     _require(isinstance(raw_groups, list) and
@@ -353,16 +330,17 @@ def parse_schedule(text: str) -> PulseSchedule:
             missing = [k for k in _TONE_KEYS if k not in entry]
             _require(not missing, f"tone is missing fields {missing}")
             _require(entry["axis"] in AXES, f"tone axis must be one of {AXES}")
+            # InputError from Tone is a ValueError too
             try:
                 tones.append(Tone(upper=int(entry["upper"]), lower=int(entry["lower"]),
                                   angle=float(entry["angle_rad"]),
                                   phase=float(entry["phase_rad"]),
                                   axis=str(entry["axis"])))
-            except InputError as exc:
+                for raw, bucket in ((entry["omega"], g_omegas),
+                                    (entry["duration"], g_durations)):
+                    bucket.append(None if raw is None else float(raw))
+            except (TypeError, ValueError) as exc:
                 raise ScheduleFormatError(f"invalid tone: {exc}") from exc
-            for raw, bucket in ((entry["omega"], g_omegas),
-                                (entry["duration"], g_durations)):
-                bucket.append(None if raw is None else float(raw))
         groups.append(tuple(tones))
         omegas.append(tuple(g_omegas))
         durations.append(tuple(g_durations))
@@ -372,8 +350,3 @@ def parse_schedule(text: str) -> PulseSchedule:
                              omegas=tuple(omegas), durations=tuple(durations))
     except InputError as exc:
         raise ScheduleFormatError(f"invalid schedule: {exc}") from exc
-
-
-def _ix_elements(spectrum: Spectrum) -> np.ndarray:
-    ix = make_spin_operators().Ix
-    return np.abs(spectrum.states.conj().T @ ix @ spectrum.states)

@@ -13,15 +13,15 @@ fastest scale present (static level spread and every drive frequency) with
 at least `steps_per_shortest_period` points per period.
 
 The drive selects how much of the pulse is sliced.  Without tones the
-lab-frame Hamiltonian is constant and the propagator is one exact
-exponential.  A single lab-frame tone of frequency Omega makes H periodic
+Hamiltonian is constant and the propagator is one exact exponential.  A
+single tone of frequency Omega makes H periodic
 with T = 2 pi / |Omega|, so U(n T) = U(T)^n (Floquet; Shirley, Phys. Rev.
 138, B979, 1965): once the pulse lasts at least two periods, only one
 period is sliced, its propagator is raised to n = floor(duration / T) by
 repeated squaring with every product projected back onto the nearest
 unitary (the polar factor of its SVD), and the sliced remainder is applied
-last.  The cost is then independent of the pulse length.  Multi-tone and
-rotating-frame drives are sliced uniformly over the whole pulse.
+last.  The cost is then independent of the pulse length.  Multi-tone
+drives are sliced uniformly over the whole pulse.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -43,16 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import PulseSchedule, schedule_propagator, truth_table
-from .errors import (DegenerateFitError, ForbiddenTransitionError, InputError,
-                     ResolutionError)
-from .operators import DIM, M_VALUES, make_spin_operators
+from .errors import DegenerateFitError, InputError, ResolutionError
+from .operators import DIM
 from .pulses import AXES, PulseParams, Tone, pulse_duration, pulse_propagator
-from .spectrum import Spectrum, exact_spectrum
+from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import SpinSystem, build_hamiltonian
-
-LAB_FRAME = "lab"
-ROTATING_FRAME = "rotating-at-omega0"
-FRAMES = (LAB_FRAME, ROTATING_FRAME)
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -85,15 +80,12 @@ class DriveSpec:
 
     tones: tuple
     duration: float
-    frame: str = LAB_FRAME
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
         if not (self.duration >= 0 and math.isfinite(self.duration)):
             raise InputError(f"duration must be finite and non-negative, "
                              f"got {self.duration}")
-        if self.frame not in FRAMES:
-            raise InputError(f"frame must be one of {FRAMES}, got {self.frame!r}")
 
 
 @dataclass(frozen=True)
@@ -112,27 +104,20 @@ class IntegrationConfig:
 
 def evolve(sys: SpinSystem, drive: DriveSpec,
            cfg: IntegrationConfig = IntegrationConfig()) -> np.ndarray:
-    """Time-ordered propagator of the driven spin over drive.duration.
-
-    Returns the unitary in the bare Zeeman basis, either in the lab frame
-    or in the frame rotating at omega0 about z (which removes the Zeeman
-    term and shifts every drive component by +-omega0).
-    """
+    """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis."""
     if drive.duration == 0:
         return np.eye(DIM, dtype=complex)
 
     h_static = build_hamiltonian(sys)
-    lab = drive.frame == LAB_FRAME
-    if lab and not drive.tones:
+    if not drive.tones:
         # the Hamiltonian is constant: one slice is exact
         return _slice_product(sys, h_static, drive, drive.duration, math.inf)
 
     evals = np.linalg.eigvalsh(h_static)
-    omega_max = max(float(evals[-1] - evals[0]),
-                    max((abs(t.frequency) for t in drive.tones), default=0.0),
-                    sys.omega0)
+    omega_max = max(float(evals[-1] - evals[0]), sys.omega0,
+                    *(abs(t.frequency) for t in drive.tones))
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
-    if lab and len(drive.tones) == 1 and drive.tones[0].frequency != 0:
+    if len(drive.tones) == 1 and drive.tones[0].frequency != 0:
         period = 2 * np.pi / abs(drive.tones[0].frequency)
         n_periods = math.floor(drive.duration / period)
         if n_periods >= 2:
@@ -149,29 +134,18 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
 def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
                    span: float, dt_max: float) -> np.ndarray:
     """Midpoint-sampled exact exponentials over [0, span] in slices of at most dt_max."""
-    ops = sys.ops
     n_slices = max(1, math.ceil(span / dt_max))
     dt = span / n_slices
 
-    rotating = drive.frame == ROTATING_FRAME
-    if rotating:
-        # H_rot(t) = e^{-i w0 t Iz} (H_static + w0 Iz + V(t)) e^{+i w0 t Iz}
-        h_base = h_static + sys.omega0 * ops.Iz
-        dm = M_VALUES[:, None] - M_VALUES[None, :]
-    else:
-        h_base = h_static
-
-    axis_ops = {"X": ops.Ix, "Y": ops.Iy}
+    axis_ops = {"X": sys.ops.Ix, "Y": sys.ops.Iy}
     u_total = np.eye(DIM, dtype=complex)
     for start in range(0, n_slices, _SLICE_CHUNK):
         count = min(_SLICE_CHUNK, n_slices - start)
         t_mid = (np.arange(start, start + count) + 0.5) * dt
-        h_slices = np.broadcast_to(h_base, (count, DIM, DIM)).copy()
+        h_slices = np.broadcast_to(h_static, (count, DIM, DIM)).copy()
         for tone in drive.tones:
             envelope = -tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
             h_slices += envelope[:, None, None] * axis_ops[tone.axis]
-        if rotating:
-            h_slices *= np.exp(-1j * sys.omega0 * t_mid[:, None, None] * dm)
         w, v = np.linalg.eigh(h_slices)
         props = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
         u_total = _time_ordered_product(props) @ u_total
@@ -205,13 +179,6 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return left @ right
 
 
-def rotating_frame_transform(sys: SpinSystem, u_lab: np.ndarray,
-                             duration: float) -> np.ndarray:
-    """Re-express a lab-frame propagator in the rotating-at-omega0 frame."""
-    phases = np.exp(-1j * sys.omega0 * duration * M_VALUES)
-    return phases[:, None] * u_lab
-
-
 def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
                            duration: float) -> np.ndarray:
     """Lab propagator re-expressed in the eigenbasis with free phases removed."""
@@ -220,33 +187,27 @@ def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
     return np.exp(1j * spectrum.energies * duration)[:, None] * u_eig
 
 
-def _drive_for_tone(spectrum: Spectrum, tone: Tone, gamma_hrf: float,
-                    sys: SpinSystem, duration: float | None = None):
-    """Physical drive tone realizing an idealized tone, and its duration."""
-    ops = sys.ops
-    axis_op = ops.Ix if tone.axis == "X" else ops.Iy
-    psi = spectrum.states
-    element = complex(psi[:, tone.upper].conj() @ axis_op @ psi[:, tone.lower])
-    magnitude = abs(element)
-    if magnitude == 0:
-        raise ForbiddenTransitionError(
-            f"transition ({tone.upper},{tone.lower}) has zero "
-            f"I{tone.axis.lower()} matrix element")
-    omega = float(spectrum.energies[tone.upper] - spectrum.energies[tone.lower])
-    # a negative rotation angle is a positive one with the phase advanced by pi
-    angle, phase = abs(tone.angle), tone.phase + (np.pi if tone.angle < 0 else 0.0)
-    if duration is None:
-        duration = pulse_duration(angle, PulseParams(gammaHrf=gamma_hrf), magnitude)
-        rotating_amp = gamma_hrf if angle > 0 else 0.0
-    else:
-        # fit the requested angle into the imposed duration
-        rotating_amp = angle / (2 * duration * magnitude) if duration > 0 else 0.0
-    f_drive = float(np.angle(element)) - phase - (np.pi / 2 if tone.axis == "Y" else 0.0)
-    drive_tone = None
-    if rotating_amp > 0:
-        drive_tone = DriveTone(frequency=omega, amplitude=2 * rotating_amp,
-                               phase=f_drive, axis=tone.axis)
-    return drive_tone, duration
+def _group_drive(spectrum: Spectrum, group, params: PulseParams) -> tuple[float, tuple]:
+    """Common duration of simultaneous idealized tones and the drive tones playing them.
+
+    The slowest tone at params.gammaHrf sets the duration; faster tones get
+    proportionally weaker amplitudes, and zero-angle tones play no drive.
+    """
+    elements = [drive_elements(spectrum, t.axis)[t.upper, t.lower] for t in group]
+    duration = max((pulse_duration(abs(t.angle), params, abs(e))
+                    for t, e in zip(group, elements)), default=0.0)
+    drive = []
+    for tone, element in zip(group, elements):
+        if tone.angle == 0:
+            continue
+        omega = float(spectrum.energies[tone.upper] - spectrum.energies[tone.lower])
+        # a negative rotation angle is a positive one with the phase advanced by pi
+        phase = tone.phase + (np.pi if tone.angle < 0 else 0.0)
+        f_drive = float(np.angle(element)) - phase - (np.pi / 2 if tone.axis == "Y" else 0.0)
+        amplitude = abs(tone.angle) / (duration * abs(element))
+        drive.append(DriveTone(frequency=omega, amplitude=amplitude, phase=f_drive,
+                               axis=tone.axis))
+    return duration, tuple(drive)
 
 
 def rwa_deviation(sys: SpinSystem, tone: Tone, params: PulseParams,
@@ -261,11 +222,11 @@ def rwa_deviation(sys: SpinSystem, tone: Tone, params: PulseParams,
     transitions).
     """
     spectrum = exact_spectrum(sys)
-    drive_tone, duration = _drive_for_tone(spectrum, tone, params.gammaHrf, sys)
-    if duration == 0 or drive_tone is None:
+    duration, drive = _group_drive(spectrum, (tone,), params)
+    if duration == 0:
         u_int = np.eye(DIM, dtype=complex)
     else:
-        u_lab = evolve(sys, DriveSpec(tones=(drive_tone,), duration=duration), cfg)
+        u_lab = evolve(sys, DriveSpec(tones=drive, duration=duration), cfg)
         u_int = interaction_propagator(spectrum, u_lab, duration)
     return float(np.abs(u_int - pulse_propagator(tone)).max())
 
@@ -285,41 +246,20 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
                       cfg: IntegrationConfig = IntegrationConfig()) -> ScheduleSimulation:
     """Integrate the physical drive realizing a schedule and compare to the ideal.
 
-    Tones within a group play simultaneously for a common duration (set by
-    the slowest tone at the requested gammaHrf; faster tones get
-    proportionally weaker amplitudes).  Each group is analyzed in its own
-    interaction picture and the groups compose in order.
+    Tones within a group play simultaneously for a common duration (see
+    _group_drive).  Each group is analyzed in its own interaction picture
+    and the groups compose in order.
     """
-    if not gamma_hrf > 0:
-        raise InputError(f"gammaHrf must be positive, got {gamma_hrf}")
-    spectrum = exact_spectrum(sys)
     params = PulseParams(gammaHrf=gamma_hrf)
+    spectrum = exact_spectrum(sys)
     u_actual = np.eye(DIM, dtype=complex)
     durations = []
-    ix = sys.ops.Ix
-    iy = sys.ops.Iy
-    psi = spectrum.states
     for group in sched.groups:
-        tone_lengths = []
-        for tone in group:
-            axis_op = ix if tone.axis == "X" else iy
-            magnitude = abs(psi[:, tone.upper].conj() @ axis_op @ psi[:, tone.lower])
-            if magnitude == 0:
-                raise ForbiddenTransitionError(
-                    f"transition ({tone.upper},{tone.lower}) has zero drive element")
-            tone_lengths.append(pulse_duration(abs(tone.angle), params, magnitude))
-        group_duration = max(tone_lengths, default=0.0)
+        group_duration, drive = _group_drive(spectrum, group, params)
         durations.append(group_duration)
         if group_duration == 0:
             continue
-        drive_tones = []
-        for tone in group:
-            drive_tone, _ = _drive_for_tone(spectrum, tone, gamma_hrf, sys,
-                                            duration=group_duration)
-            if drive_tone is not None:
-                drive_tones.append(drive_tone)
-        u_lab = evolve(sys, DriveSpec(tones=tuple(drive_tones),
-                                      duration=group_duration), cfg)
+        u_lab = evolve(sys, DriveSpec(tones=drive, duration=group_duration), cfg)
         u_actual = interaction_propagator(spectrum, u_lab, group_duration) @ u_actual
 
     u_ideal = schedule_propagator(sched)
@@ -364,14 +304,11 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size < 2:
         raise InputError("need at least two sweep points to fit a slope")
-    ix = make_spin_operators().Ix
     elements = np.empty_like(ratios)
     for i, ratio in enumerate(ratios):
         swept = SpinSystem(omega0=sys.omega0, omegaQ=ratio * sys.omega0,
                            theta=sys.theta, phi=sys.phi, q2_form=sys.q2_form)
-        spectrum = exact_spectrum(swept)
-        psi = spectrum.states
-        elements[i] = abs(psi[:, n_label].conj() @ ix @ psi[:, m_label])
+        elements[i] = abs(drive_elements(exact_spectrum(swept))[n_label, m_label])
     if np.all(elements < 1e-14):
         message = (f"all |<psi_{n_label}|Ix|psi_{m_label}>| elements are below "
                    f"1e-14 over the sweep; the scaling fit is degenerate")
@@ -408,10 +345,7 @@ def pulse_strength_tradeoff(sys: SpinSystem, pair: tuple[int, int],
     flagged.  A zero matrix element raises ForbiddenTransitionError.
     """
     m_label, n_label = pair
-    spectrum = exact_spectrum(sys)
-    ix = make_spin_operators().Ix
-    psi = spectrum.states
-    element = abs(psi[:, n_label].conj() @ ix @ psi[:, m_label])
+    element = abs(drive_elements(exact_spectrum(sys))[n_label, m_label])
     rows = []
     for gamma_hrf in amplitudes:
         duration = pulse_duration(target_angle, PulseParams(gammaHrf=gamma_hrf), element)

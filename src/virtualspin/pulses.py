@@ -61,8 +61,9 @@ class Tone:
                              f"got ({self.upper}, {self.lower})")
         if self.upper == self.lower:
             raise InputError("tone must address two distinct levels")
-        if not np.isfinite(self.angle):
-            raise InputError(f"tone angle must be finite, got {self.angle}")
+        for name in ("angle", "phase"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"tone {name} must be finite, got {getattr(self, name)}")
         if self.axis not in AXES:
             raise InputError(f"tone axis must be one of {AXES}, got {self.axis!r}")
 
@@ -73,26 +74,38 @@ class Tone:
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Drive amplitude gammaHrf (gamma * H_rf, angular frequency units) and start time."""
+    """Drive amplitude gammaHrf (gamma * H_rf, angular frequency units)."""
 
     gammaHrf: float
-    t0: float = 0.0
 
     def __post_init__(self):
-        if not self.gammaHrf > 0:
-            raise InputError(f"gammaHrf must be positive, got {self.gammaHrf}")
+        if not (self.gammaHrf > 0 and np.isfinite(self.gammaHrf)):
+            raise InputError(f"gammaHrf must be positive and finite, got {self.gammaHrf}")
 
 
 def pulse_propagator(tone: Tone) -> np.ndarray:
-    """Idealized unitary propagator of one resonant tone (8x8 complex)."""
+    """Idealized unitary propagator of one resonant tone: the projector form, entry by entry."""
     m, n = tone.upper, tone.lower
     f_eff = tone.phase + (np.pi / 2 if tone.axis == "Y" else 0.0)
     half = tone.angle / 2
-    v = (np.eye(DIM, dtype=complex)
-         + (projector(n, n).matrix + projector(m, m).matrix) * (np.cos(half) - 1)
-         + 1j * (projector(m, n).matrix * np.exp(1j * f_eff)
-                 + projector(n, m).matrix * np.exp(-1j * f_eff)) * np.sin(half))
+    v = np.eye(DIM, dtype=complex)
+    # 1 + (cos - 1) rounds as the projector sum does; a plain cos would not
+    v[m, m] = v[n, n] = 1 + (np.cos(half) - 1)
+    v[m, n] = 1j * np.exp(1j * f_eff) * np.sin(half)
+    v[n, m] = 1j * np.exp(-1j * f_eff) * np.sin(half)
     return v
+
+
+def check_disjoint(tones):
+    """Raise OverlappingTonesError unless the simultaneous tones share no level."""
+    seen: set[int] = set()
+    for tone in tones:
+        for level in (tone.upper, tone.lower):
+            if level in seen:
+                raise OverlappingTonesError(
+                    f"level {level} is addressed by more than one "
+                    f"simultaneous tone within a group")
+            seen.add(level)
 
 
 def multi_tone_propagator(tones) -> np.ndarray:
@@ -102,13 +115,7 @@ def multi_tone_propagator(tones) -> np.ndarray:
     not matter; overlapping pairs are rejected because the product form
     would silently misrepresent the physics there.
     """
-    seen: set[int] = set()
-    for tone in tones:
-        for level in (tone.upper, tone.lower):
-            if level in seen:
-                raise OverlappingTonesError(
-                    f"level {level} is addressed by more than one simultaneous tone")
-            seen.add(level)
+    check_disjoint(tones)
     u = np.eye(DIM, dtype=complex)
     for tone in tones:
         u = pulse_propagator(tone) @ u

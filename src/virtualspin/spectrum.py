@@ -135,14 +135,23 @@ class Transition:
         return "allowed" if self.allowed else "weak/forbidden"
 
 
+def drive_elements(spec: Spectrum, axis: str = "X") -> np.ndarray:
+    """Drive matrix elements <psi_M|I_axis|psi_N> (complex 8x8) for coil axis "X" or "Y".
+
+    Every pulse angle, duration and drive phase derives from this product.
+    """
+    ops = make_spin_operators()
+    axis_op = {"X": ops.Ix, "Y": ops.Iy}[axis]
+    return spec.states.conj().T @ axis_op @ spec.states
+
+
 def transition_table(spec: Spectrum) -> list[Transition]:
     """All 28 level pairs with transition frequency and |Ix| matrix element.
 
     The seven delta-m = +-1 pairs are flagged allowed; quadrupole mixing
     makes the remaining ones weakly allowed at theta != 0.
     """
-    ix = make_spin_operators().Ix
-    elements = np.abs(spec.states.conj().T @ ix @ spec.states)
+    elements = np.abs(drive_elements(spec))
     rows = []
     for upper in range(DIM):
         for lower in range(upper + 1, DIM):

@@ -41,6 +41,9 @@ class SpinSystem:
     ops: SpinOperators = field(default_factory=make_spin_operators)
 
     def __post_init__(self):
+        for name in ("omega0", "omegaQ", "phi"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega0 > 0:
             raise InputError(f"omega0 must be positive, got {self.omega0}")
         if self.omegaQ < 0:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,42 @@ def test_argparse_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--format", "json"])
     assert exc.value.code == 2
+
+
+def assert_input_error(code, out, err):
+    # exit 2 with one "error:" line, never a traceback
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (r"upper: 6", 'upper: "x"'),
+    (r"omega: .*", "omega: [1]"),
+    (r"duration: .*", 'duration: "long"'),
+    (r"omegaQ: .*", 'omegaQ: "abc"'),
+])
+def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement):
+    path = tmp_path / "sched.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    path.write_text(re.sub(pattern, replacement, path.read_text(), count=1))
+    assert_input_error(*run(capsys, "verify", "--schedule", str(path)))
+    assert_input_error(*run(capsys, "simulate", str(path)))
+
+
+@pytest.mark.parametrize("line", ["omegaQ: abc", "theta: [1]", "gammaHrf: .inf"])
+def test_malformed_config_values_exit_2(capsys, tmp_path, line):
+    config = tmp_path / "config.yml"
+    config.write_text(line + "\n")
+    assert_input_error(*run(capsys, "compile", "NOT:S", "--config", str(config)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--omegaQ", "nan"),
+    ("spectrum", "--omega0", "inf"),
+    ("compile", "NOT:S", "--phi", "inf"),
+    ("compile", "NOT:S", "--gammaHrf", "inf"),
+    ("verify", "NOT:S", "--theta", "nan"),
+])
+def test_non_finite_flags_exit_2(capsys, argv):
+    assert_input_error(*run(capsys, *argv))

@@ -164,10 +164,6 @@ def test_gate_sequences_concatenate_and_track_phases():
     assert np.abs(u + np.eye(DIM)).max() < 1e-12
     report = verify("NOT:S;NOT:S", u)
     assert report.verdict == "equal-up-to-global-phase"
-    # .then() concatenation agrees with compiling the sequence string
-    joined = compile_gate("NOT:S").then(compile_gate("CCNOT:QR->S"))
-    direct = compile_gate("NOT:S;CCNOT:QR->S")
-    assert np.abs(schedule_propagator(joined) - schedule_propagator(direct)).max() == 0
     # a CNOT equals two CCNOTs sharing the target pair structure: sanity only
     report2 = verify("CCNOT:QR->S;CCNOT:QR->S",
                      schedule_propagator(compile_gate("CCNOT:QR->S;CCNOT:QR->S")))

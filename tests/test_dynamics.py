@@ -8,8 +8,7 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          compile_gate, evolve, exact_spectrum,
                          forbidden_scaling, interaction_propagator,
                          make_spin_operators, pulse_strength_tradeoff,
-                         rotating_frame_transform, rwa_deviation,
-                         simulate_schedule)
+                         rwa_deviation, simulate_schedule)
 from virtualspin import dynamics
 
 # weak-coupling system used by most drive tests
@@ -29,8 +28,6 @@ def test_drive_validation():
         DriveTone(frequency=1.0, amplitude=1e-3, axis="Z")
     with pytest.raises(InputError):
         DriveSpec(tones=(), duration=-1.0)
-    with pytest.raises(InputError):
-        DriveSpec(tones=(), duration=1.0, frame="interaction")
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InputError):
             DriveSpec(tones=(), duration=bad)
@@ -116,20 +113,6 @@ def test_step_doubling_convergence():
     u_64 = evolve(SYS, drive, IntegrationConfig(steps_per_shortest_period=64))
     u_128 = evolve(SYS, drive, IntegrationConfig(steps_per_shortest_period=128))
     assert np.abs(u_64 - u_128).max() < 1e-6
-
-
-def test_frame_consistency():
-    # the rotating-frame Hamiltonian has a large oscillating part, so this
-    # comparison needs a much finer slicing than the lab-frame runs
-    spec = exact_spectrum(SYS)
-    omega = float(spec.energies[6] - spec.energies[7])
-    tone = DriveTone(frequency=omega, amplitude=4e-3, phase=0.3)
-    duration = 20.0
-    cfg = IntegrationConfig(steps_per_shortest_period=1024)
-    u_lab = evolve(SYS, DriveSpec(tones=(tone,), duration=duration), cfg)
-    u_rot = evolve(SYS, DriveSpec(tones=(tone,), duration=duration,
-                                  frame="rotating-at-omega0"), cfg)
-    assert np.abs(rotating_frame_transform(SYS, u_lab, duration) - u_rot).max() < 1e-6
 
 
 def test_pi_pulse_population_transfer():
@@ -296,6 +279,22 @@ def test_simulate_schedule_multi_tone_group():
     table = {label: out for label, (out, _) in result.transfer.items()}
     assert table == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
     assert all(prob > 0.9 for _, prob in result.transfer.values())
+
+
+def test_simulate_plays_the_compiled_durations():
+    # compile and simulate read one drive element, so the duration a schedule
+    # states is exactly the one the integrator plays
+    gamma = 2e-2
+    gates = ("CCNOT:QR->S", "CCNOT:QS->R", "CCNOT:RS->Q", "CCUT:QR->S(1.2,0.4)",
+             "CNOT:R->S", "CUT:Q->S(1.2,0.4)", "NOT:S")
+    for theta in (np.pi / 5, np.pi / 6, 0.5, 1.0):
+        for omega_q in (0.01, 0.05):
+            system = SpinSystem(omegaQ=omega_q, theta=theta)
+            spectrum = exact_spectrum(system)
+            for gate in gates:
+                sched = compile_gate(gate, spectrum=spectrum, gamma_hrf=gamma)
+                result = simulate_schedule(system, sched, gamma)
+                assert result.group_durations == tuple(max(d) for d in sched.durations)
 
 
 def test_simulate_schedule_q_targeted_toffoli():

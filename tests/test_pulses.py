@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from virtualspin import (DIM, ForbiddenTransitionError, InputError,
-                         OverlappingTonesError, PulseParams, Tone,
+                         OverlappingTonesError, PulseParams, Tone, compile_gate,
                          multi_tone_propagator, projector, pulse_duration,
                          pulse_propagator)
+from test_gates import ALL_NOT_FAMILY
 
 
 def test_projector_algebra_exhaustive():
@@ -134,6 +135,9 @@ def test_tone_validation():
         Tone(upper=2, lower=3, angle=np.inf)
     with pytest.raises(InputError):
         Tone(upper=2, lower=3, angle=1.0, axis="Z")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            Tone(upper=2, lower=3, angle=1.0, phase=bad)
 
 
 def test_pulse_duration():
@@ -146,3 +150,23 @@ def test_pulse_duration():
         pulse_duration(np.pi, params, 0.0)
     with pytest.raises(InputError):
         PulseParams(gammaHrf=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            PulseParams(gammaHrf=bad)
+
+
+def test_propagator_equals_projector_form():
+    # the paper's projector sum is the reference for the four-entry construction
+    gates = ALL_NOT_FAMILY + [g.replace("NOT", "UT") + "(1.2,0.4)" for g in ALL_NOT_FAMILY]
+    tones = [tone for gate in gates for group in compile_gate(gate).groups for tone in group]
+    tones += [Tone(6, 7, np.pi / 2, 0.3, "Y"), Tone(2, 3, -1.1, 0.4)]
+    assert len(gates) == 24 and len(tones) == 2 + 2 * (3 * 4 + 6 * 2 + 3 * 1)
+    for tone in tones:
+        m, n = tone.upper, tone.lower
+        f_eff = tone.phase + (np.pi / 2 if tone.axis == "Y" else 0.0)
+        half = tone.angle / 2
+        reference = (np.eye(DIM, dtype=complex)
+                     + (projector(n, n).matrix + projector(m, m).matrix) * (np.cos(half) - 1)
+                     + 1j * (projector(m, n).matrix * np.exp(1j * f_eff)
+                             + projector(n, m).matrix * np.exp(-1j * f_eff)) * np.sin(half))
+        assert np.array_equal(pulse_propagator(tone), reference)

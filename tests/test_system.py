@@ -54,6 +54,10 @@ def test_parameter_validation():
         SpinSystem(theta=np.pi + 0.1)
     with pytest.raises(InputError):
         SpinSystem(q2_form="bogus")
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("omega0", "omegaQ", "theta", "phi"):
+            with pytest.raises(InputError):
+                SpinSystem(**{name: bad})
 
 
 def test_q2_form_switch():
