@@ -129,7 +129,8 @@ def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
     if gamma_hrf is not None:
         params = PulseParams(gammaHrf=gamma_hrf)
         durations = tuple(
-            tuple(float(pulse_duration(t.angle, params, elements[t.axis][t.upper, t.lower]))
+            tuple(float(pulse_duration(abs(t.angle), params,
+                                       elements[t.axis][t.upper, t.lower], t.axis))
                   for t in group)
             for group in sched.groups)
     return PulseSchedule(gates=sched.gates, groups=sched.groups,

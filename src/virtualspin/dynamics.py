@@ -5,12 +5,19 @@ The laboratory-frame Hamiltonian of the driven spin is
     H(t) = H_static - sum_tones amplitude * I_axis * cos(Omega t + f)
 
 with the drive operators Ix / Iy taken in the bare Zeeman basis (the coil
-geometry does not know about quadrupole dressing).  The propagator is
-computed as a time-ordered product of exact matrix exponentials over
-uniform slices, sampling H at each slice midpoint; this is unconditionally
-unitary and second-order accurate in the slice width.  Slices resolve the
-fastest scale present (static level spread and every drive frequency) with
-at least `steps_per_shortest_period` points per period.
+geometry does not know about quadrupole dressing).  The propagator is a
+time-ordered product over uniform slices, each a second-order Strang split
+about the slice midpoint (Strang, SIAM J. Numer. Anal. 5, 506, 1968):
+
+    e^{-i H_static dt/2}  e^{-i dt V(t_mid)}  e^{-i H_static dt/2}.
+
+Neighbouring half steps merge into one constant e^{-i H_static dt}, and the
+drive step is a diagonal phase in the fixed eigenbasis of Ix (turned by
+the diagonal e^{-i alpha Iz} when X and Y tones mix), so no slice needs an
+eigendecomposition.  Every factor is unitary up to rounding, and each block
+of slices is projected back onto the unitaries.  Slices resolve the fastest
+scale present (static level spread and every drive frequency) with at
+least `steps_per_shortest_period` points per period.
 
 The drive selects how much of the pulse is sliced.  Without tones the
 Hamiltonian is constant and the propagator is one exact exponential.  A
@@ -21,7 +28,8 @@ period is sliced, its propagator is raised to n = floor(duration / T) by
 repeated squaring with every product projected back onto the nearest
 unitary (the polar factor of its SVD), and the sliced remainder is applied
 last.  The cost is then independent of the pulse length.  Multi-tone
-drives are sliced uniformly over the whole pulse.
+drives are sliced uniformly over the whole pulse; a drive needing more
+than MAX_SLICES slices is refused before any integration starts.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -44,14 +52,16 @@ import numpy as np
 
 from .compiler import PulseSchedule, schedule_propagator, truth_table
 from .errors import DegenerateFitError, InputError, ResolutionError
-from .operators import DIM
+from .operators import DIM, M_VALUES
 from .pulses import AXES, PulseParams, Tone, pulse_duration, pulse_propagator
 from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import SpinSystem, build_hamiltonian
 
 MIN_STEPS_PER_PERIOD = 20
 
-_SLICE_CHUNK = 1 << 15
+_SLICE_CHUNK = 1 << 12
+
+MAX_SLICES = 10**8
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Time-slicing control for the piecewise-constant-exponential integrator."""
+    """Time-slicing control for the split-operator integrator."""
 
     steps_per_shortest_period: int = 32
 
@@ -104,52 +114,101 @@ class IntegrationConfig:
 
 def evolve(sys: SpinSystem, drive: DriveSpec,
            cfg: IntegrationConfig = IntegrationConfig()) -> np.ndarray:
-    """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis."""
+    """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis.
+
+    Raises ResolutionError, before integrating anything, when the drive
+    needs more than MAX_SLICES time slices.
+    """
     if drive.duration == 0:
         return np.eye(DIM, dtype=complex)
 
     h_static = build_hamiltonian(sys)
     if not drive.tones:
-        # the Hamiltonian is constant: one slice is exact
-        return _slice_product(sys, h_static, drive, drive.duration, math.inf)
+        # the Hamiltonian is constant: one exact exponential
+        energies, basis = np.linalg.eigh(h_static)
+        return _phase_conjugate(basis, np.exp(-1j * energies * drive.duration))
 
     evals = np.linalg.eigvalsh(h_static)
     omega_max = max(float(evals[-1] - evals[0]), sys.omega0,
                     *(abs(t.frequency) for t in drive.tones))
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
+    # a single tone is periodic: slice one period and raise it to a power
+    span, n_periods = drive.duration, 1
     if len(drive.tones) == 1 and drive.tones[0].frequency != 0:
         period = 2 * np.pi / abs(drive.tones[0].frequency)
-        n_periods = math.floor(drive.duration / period)
-        if n_periods >= 2:
-            u_total = _unitary_power(_slice_product(sys, h_static, drive, period, dt_max),
-                                     n_periods)
-            remainder = drive.duration - n_periods * period
-            if remainder > 0:
-                u_total = _polar_unitary(
-                    _slice_product(sys, h_static, drive, remainder, dt_max) @ u_total)
-            return u_total
-    return _slice_product(sys, h_static, drive, drive.duration, dt_max)
+        whole = math.floor(drive.duration / period)
+        if whole >= 2:
+            span, n_periods = period, whole
+    remainder = drive.duration - n_periods * span
+    slices = _slice_count(span, dt_max) + (_slice_count(remainder, dt_max) if remainder > 0 else 0)
+    if slices > MAX_SLICES:
+        raise ResolutionError(
+            f"the drive needs {slices:.3g} time slices, more than the limit of "
+            f"{MAX_SLICES:.0e}; shorten the pulse or raise gammaHrf")
+
+    u_total = _slice_product(sys, h_static, drive, span, dt_max)
+    if n_periods > 1:
+        u_total = _unitary_power(u_total, n_periods)
+    if remainder > 0:
+        u_total = _polar_unitary(_slice_product(sys, h_static, drive, remainder, dt_max) @ u_total)
+    return u_total
+
+
+def _slice_count(span: float, dt_max: float) -> int:
+    return max(1, math.ceil(span / dt_max))
+
+
+def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """basis @ diag(phases) @ basis^dagger."""
+    return (basis * phases) @ basis.conj().T
 
 
 def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
                    span: float, dt_max: float) -> np.ndarray:
-    """Midpoint-sampled exact exponentials over [0, span] in slices of at most dt_max."""
-    n_slices = max(1, math.ceil(span / dt_max))
-    dt = span / n_slices
+    """Strang-split midpoint slices over [0, span], each at most dt_max wide.
 
-    axis_ops = {"X": sys.ops.Ix, "Y": sys.ops.Iy}
-    u_total = np.eye(DIM, dtype=complex)
+    A slice is  C_h e^{-i dt V(t_mid)} C_h  with C_h = e^{-i H_static dt/2};
+    neighbouring half steps merge into C = C_h^2, so the product is
+    C_h [F_N ... F_1] C_h^dagger  with  F_j = e^{-i dt V_j} C.  The drive
+    V = A Ix + B Iy = r e^{-i alpha Iz} Ix e^{i alpha Iz} is a diagonal
+    phase in the eigenbasis W of Ix, rotated by the diagonal e^{-i alpha Iz}.
+    A one-axis drive keeps alpha fixed, so in that frame each factor is a
+    diagonal scaling of the constant M = W^dagger C W.
+    """
+    n_slices = _slice_count(span, dt_max)
+    dt = span / n_slices
+    energies, basis = np.linalg.eigh(h_static)
+    step = _polar_unitary(_phase_conjugate(basis, np.exp(-1j * energies * dt)))
+    half = _phase_conjugate(basis, np.exp(-0.5j * energies * dt))
+
+    axes = sorted({tone.axis for tone in drive.tones})
+    mixed = len(axes) > 1
+    # Ix and Iy have the eigenvalues of Iz, M_VALUES, in ascending order
+    _, w = np.linalg.eigh(sys.ops.Iy if axes == ["Y"] else sys.ops.Ix)
+    if mixed:
+        frame = half
+    else:
+        frame = half @ w
+        step = _polar_unitary(w.conj().T @ step @ w)
+
+    product = np.eye(DIM, dtype=complex)
     for start in range(0, n_slices, _SLICE_CHUNK):
         count = min(_SLICE_CHUNK, n_slices - start)
         t_mid = (np.arange(start, start + count) + 0.5) * dt
-        h_slices = np.broadcast_to(h_static, (count, DIM, DIM)).copy()
+        field = {"X": np.zeros(count), "Y": np.zeros(count)}
         for tone in drive.tones:
-            envelope = -tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
-            h_slices += envelope[:, None, None] * axis_ops[tone.axis]
-        w, v = np.linalg.eigh(h_slices)
-        props = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        u_total = _time_ordered_product(props) @ u_total
-    return u_total
+            field[tone.axis] -= tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
+        strength = np.hypot(field["X"], field["Y"]) if mixed else field[axes[0]]
+        # e^{-i dt strength m} as integer powers of e^{-i dt strength / 2}
+        phases = np.exp(-0.5j * dt * strength)[:, None] ** (2 * M_VALUES)
+        if mixed:
+            rotated = np.exp(-1j * np.arctan2(field["Y"], field["X"])[:, None, None]
+                             * M_VALUES[:, None]) * w
+            factors = (rotated * phases[:, None, :]) @ (rotated.conj().swapaxes(1, 2) @ step)
+        else:
+            factors = phases[:, :, None] * step
+        product = _polar_unitary(_time_ordered_product(factors) @ product)
+    return frame @ product @ frame.conj().T
 
 
 def _time_ordered_product(props: np.ndarray) -> np.ndarray:
@@ -194,7 +253,7 @@ def _group_drive(spectrum: Spectrum, group, params: PulseParams) -> tuple[float,
     proportionally weaker amplitudes, and zero-angle tones play no drive.
     """
     elements = [drive_elements(spectrum, t.axis)[t.upper, t.lower] for t in group]
-    duration = max((pulse_duration(abs(t.angle), params, abs(e))
+    duration = max((pulse_duration(abs(t.angle), params, abs(e), t.axis)
                     for t, e in zip(group, elements)), default=0.0)
     drive = []
     for tone, element in zip(group, elements):

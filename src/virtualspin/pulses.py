@@ -122,10 +122,11 @@ def multi_tone_propagator(tones) -> np.ndarray:
     return u
 
 
-def pulse_duration(angle: float, params: PulseParams, ix_element: float) -> float:
-    """Pulse length t - t0 realizing `angle` on a pair with |<n|Ix|m>| = ix_element."""
-    if ix_element == 0:
+def pulse_duration(angle: float, params: PulseParams, element: float,
+                   axis: str = "X") -> float:
+    """Pulse length t - t0 realizing `angle` on a pair with |<n|I_axis|m>| = element."""
+    if element == 0:
         raise ForbiddenTransitionError(
-            "forbidden transition: |<n|Ix|m>| = 0 implies infinite pulse duration "
-            "(longer pulses or a stronger RF field are needed as the element -> 0)")
-    return angle / (2 * params.gammaHrf * ix_element)
+            f"forbidden transition: |<n|I{axis.lower()}|m>| = 0 implies infinite pulse "
+            "duration (longer pulses or a stronger RF field are needed as the element -> 0)")
+    return angle / (2 * params.gammaHrf * element)

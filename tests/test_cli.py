@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ def test_simulate_under_resolved_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", str(path), "--steps", "10")
     assert code == 3
     assert "under-resolve" in err
+
+
+def test_simulate_over_slice_budget_exits_3_at_once(capsys, tmp_path):
+    # NOT:Q at the defaults plays four tones for about 1.9e9 slices
+    path = tmp_path / "not_q.st"
+    run(capsys, "compile", "NOT:Q", "--out", str(path))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "simulate", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert re.search(r"1\.9\de\+09 time slices", err)
 
 
 def test_simulate_csv_format(capsys, tmp_path):

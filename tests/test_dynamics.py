@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
-                         InputError, IntegrationConfig, PulseParams,
+                         ForbiddenTransitionError, InputError,
+                         IntegrationConfig, PulseParams,
                          ResolutionError, SpinSystem, Tone, build_hamiltonian,
                          compile_gate, evolve, exact_spectrum,
                          forbidden_scaling, interaction_propagator,
@@ -106,6 +109,91 @@ def test_stroboscopic_unitarity_over_a_million_periods():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
 
 
+def _midpoint_reference(system, drive, steps_per_period):
+    """Exact midpoint exponentials on evolve's slice grid, one slice at a time."""
+    h_static = build_hamiltonian(system)
+    evals = np.linalg.eigvalsh(h_static)
+    omega_max = max(evals[-1] - evals[0], system.omega0,
+                    *(abs(t.frequency) for t in drive.tones))
+    n_slices = math.ceil(drive.duration / (2 * np.pi / omega_max / steps_per_period))
+    dt = drive.duration / n_slices
+    t_mid = (np.arange(n_slices) + 0.5) * dt
+    axis_ops = {"X": system.ops.Ix, "Y": system.ops.Iy}
+    h = np.broadcast_to(h_static, (n_slices, DIM, DIM)).copy()
+    for tone in drive.tones:
+        envelope = -tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
+        h += envelope[:, None, None] * axis_ops[tone.axis]
+    u = np.eye(DIM, dtype=complex)
+    for prop in expm(-1j * dt * h):
+        u = prop @ u
+    return u
+
+
+def _fine_reference(system, drive):
+    """Midpoint products at 128 and 256 steps per period, Richardson-extrapolated.
+
+    The exponential midpoint rule is symmetric, so its error has only even
+    powers of the slice width; the extrapolation is fourth order.
+    """
+    coarse = _midpoint_reference(system, drive, 128)
+    fine = _midpoint_reference(system, drive, 256)
+    return (4 * fine - coarse) / 3
+
+
+def _transition(upper, lower):
+    spec = exact_spectrum(SYS)
+    return float(spec.energies[upper] - spec.energies[lower])
+
+
+def test_split_kernel_matches_midpoint_exponentials_on_mixed_axes():
+    # simultaneous X and Y tones: the drive axis turns from slice to slice
+    drive = DriveSpec(tones=(DriveTone(_transition(6, 7), 4e-3, 0.3, "X"),
+                             DriveTone(_transition(4, 5), 4e-3, 1.1, "Y")),
+                      duration=25.0)
+    reference = _fine_reference(SYS, drive)
+    err_32 = np.abs(evolve(SYS, drive) - reference).max()
+    err_64 = np.abs(evolve(SYS, drive, IntegrationConfig(64)) - reference).max()
+    assert err_32 < 2e-6
+    # second order: halving the slice width quarters the error
+    assert 3 < err_32 / err_64 < 5
+
+
+def test_split_kernel_matches_midpoint_exponentials_on_y_tone():
+    drive = DriveSpec(tones=(DriveTone(_transition(6, 7), 4e-3, 0.3, "Y"),), duration=25.0)
+    assert np.abs(evolve(SYS, drive) - _fine_reference(SYS, drive)).max() < 2e-6
+
+
+def test_multi_tone_step_doubling_converges_at_second_order():
+    drive = DriveSpec(tones=(DriveTone(_transition(6, 7), 4e-3, 0.3),
+                             DriveTone(_transition(4, 5), 4e-3, 1.1)),
+                      duration=100.0)
+    u_32, u_64, u_128 = (evolve(SYS, drive, IntegrationConfig(steps))
+                         for steps in (32, 64, 128))
+    coarse = np.abs(u_32 - u_64).max()
+    fine = np.abs(u_64 - u_128).max()
+    assert fine < 1e-6
+    assert 3 < coarse / fine < 5
+
+
+def test_multi_tone_unitarity_over_many_slices():
+    drive = DriveSpec(tones=(DriveTone(_transition(6, 7), 2e-3, 0.3),
+                             DriveTone(_transition(4, 5), 2e-3, 1.1)),
+                      duration=1500.0)
+    evals = np.linalg.eigvalsh(build_hamiltonian(SYS))
+    assert drive.duration / (2 * np.pi / (evals[-1] - evals[0]) / 32) > 5e4
+    u = evolve(SYS, drive)
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
+
+
+def test_slice_budget_is_checked_before_integrating():
+    drive = DriveSpec(tones=(DriveTone(0.9, 1e-3), DriveTone(0.8, 1e-3)), duration=1e8)
+    with pytest.raises(ResolutionError, match=r"3\.\d+e\+09 time slices"):
+        evolve(SYS, drive)
+    # a single tone only slices one period and the remainder
+    u = evolve(SYS, DriveSpec(tones=(DriveTone(0.9, 1e-3),), duration=1e8))
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
 def test_step_doubling_convergence():
     spec = exact_spectrum(SYS)
     omega = float(spec.energies[6] - spec.energies[7])
@@ -171,6 +259,13 @@ def test_rwa_deviation_negative_angle():
     # V(-phi, f) = V(phi, f + pi): the realization layer must normalize
     tone = Tone(upper=6, lower=7, angle=-np.pi / 2, phase=0.2)
     assert rwa_deviation(SYS, tone, PulseParams(gammaHrf=3e-3)) < 0.15
+
+
+def test_forbidden_y_tone_names_iy():
+    # at theta = 0 the (5,7) pair has no drive element on either axis
+    tone = Tone(upper=5, lower=7, angle=np.pi, axis="Y")
+    with pytest.raises(ForbiddenTransitionError, match=r"\|<n\|Iy\|m>\| = 0"):
+        rwa_deviation(SpinSystem(theta=0.0), tone, PulseParams(gammaHrf=1e-3))
 
 
 def test_rwa_deviation_pins_phase_and_axis_conventions():
@@ -286,7 +381,7 @@ def test_simulate_plays_the_compiled_durations():
     # states is exactly the one the integrator plays
     gamma = 2e-2
     gates = ("CCNOT:QR->S", "CCNOT:QS->R", "CCNOT:RS->Q", "CCUT:QR->S(1.2,0.4)",
-             "CNOT:R->S", "CUT:Q->S(1.2,0.4)", "NOT:S")
+             "CCUT:QR->S(-1.0,0.3)", "CNOT:R->S", "CUT:Q->S(1.2,0.4)", "NOT:S")
     for theta in (np.pi / 5, np.pi / 6, 0.5, 1.0):
         for omega_q in (0.01, 0.05):
             system = SpinSystem(omegaQ=omega_q, theta=theta)
@@ -302,3 +397,10 @@ def test_simulate_schedule_q_targeted_toffoli():
     result = simulate_schedule(SYS, compile_gate("CCNOT:RS->Q"), gamma_hrf=1e-3)
     assert result.transfer[3][0] == 7
     assert min(prob for _, prob in result.transfer.values()) > 0.99
+
+
+def test_simulate_schedule_two_tone_gate_in_the_acceptance_regime():
+    # about 3e4 slices: well inside the slice budget
+    result = simulate_schedule(SYS, compile_gate("CNOT:R->S"), gamma_hrf=1e-3)
+    assert min(prob for _, prob in result.transfer.values()) > 0.99
+    assert np.abs(result.actual.conj().T @ result.actual - np.eye(DIM)).max() < 1e-10
