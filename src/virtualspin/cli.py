@@ -115,6 +115,8 @@ def _load_config_file(path: str | None) -> dict:
             doc = yaml.safe_load(handle)
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise InputError(f"config file {path} is not a key-value tree: {exc}") from exc
     if doc is None:
@@ -126,6 +128,15 @@ def _load_config_file(path: str | None) -> dict:
         raise InputError(f"unknown config keys {sorted(unknown)}; "
                          f"allowed: {sorted(DEFAULTS)}")
     return doc
+
+
+def _read_schedule(path: str):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"schedule file {path} is not UTF-8 text: {exc}") from exc
+    return parse_schedule(text)
 
 
 def _emit(text: str, out_path: str | None):
@@ -189,8 +200,7 @@ def cmd_verify(args) -> int:
     if args.gate is None and args.schedule is None:
         raise InputError("verify needs a gate string, a --schedule file, or both")
     if args.schedule is not None:
-        with open(args.schedule, encoding="utf-8") as handle:
-            sched = parse_schedule(handle.read())
+        sched = _read_schedule(args.schedule)
         gates = parse_gate_sequence(args.gate) if args.gate is not None else sched.gates
     else:
         gates = parse_gate_sequence(args.gate)
@@ -263,8 +273,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 def cmd_simulate(args) -> int:
     file_defaults = _load_config_file(args.config)
-    with open(args.schedule, encoding="utf-8") as handle:
-        sched = parse_schedule(handle.read())
+    sched = _read_schedule(args.schedule)
     # schedule parameters act as config-file-level defaults; flags still win
     if sched.parameters:
         merged = dict(sched.parameters)

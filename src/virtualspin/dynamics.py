@@ -14,7 +14,11 @@ about the slice midpoint (Strang, SIAM J. Numer. Anal. 5, 506, 1968):
 Neighbouring half steps merge into one constant e^{-i H_static dt}, and the
 drive step is a diagonal phase in the fixed eigenbasis of Ix (turned by
 the diagonal e^{-i alpha Iz} when X and Y tones mix), so no slice needs an
-eigendecomposition.  Every factor is unitary up to rounding, and each block
+eigendecomposition.  No per-slice 8x8 factor is formed either: runs of up
+to 16 consecutive slices advance in lock step, their partial products side
+by side in one 8 x (8 runs) array, so a slice step is one matrix product
+and one row scaling for every run at once; the run products are then
+multiplied pairwise.  Every factor is unitary up to rounding, and each block
 of slices is projected back onto the unitaries.  Slices resolve the fastest
 scale present (static level spread and every drive frequency) with at
 least `steps_per_shortest_period` points per period.
@@ -60,6 +64,7 @@ from .system import SpinSystem, build_hamiltonian
 MIN_STEPS_PER_PERIOD = 20
 
 _SLICE_CHUNK = 1 << 12
+_CHAIN = 16
 
 MAX_SLICES = 10**8
 
@@ -173,7 +178,11 @@ def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
     V = A Ix + B Iy = r e^{-i alpha Iz} Ix e^{i alpha Iz} is a diagonal
     phase in the eigenbasis W of Ix, rotated by the diagonal e^{-i alpha Iz}.
     A one-axis drive keeps alpha fixed, so in that frame each factor is a
-    diagonal scaling of the constant M = W^dagger C W.
+    diagonal scaling of the constant M = W^dagger C W; a mixed drive applies
+    C, e^{i alpha Iz}, W^dagger, the phase, W and e^{-i alpha Iz} in turn.
+    Each block of slices is cut into runs of up to _CHAIN consecutive slices
+    that _chain_products multiplies in lock step, and the run products are
+    then multiplied pairwise.
     """
     n_slices = _slice_count(span, dt_max)
     dt = span / n_slices
@@ -191,24 +200,71 @@ def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
         frame = half @ w
         step = _polar_unitary(w.conj().T @ step @ w)
 
-    product = np.eye(DIM, dtype=complex)
-    for start in range(0, n_slices, _SLICE_CHUNK):
-        count = min(_SLICE_CHUNK, n_slices - start)
-        t_mid = (np.arange(start, start + count) + 0.5) * dt
-        field = {"X": np.zeros(count), "Y": np.zeros(count)}
+    def stages(t_mid):
+        """(matrix, diagonals) stages of the slices at midpoints t_mid, shape (steps, runs)."""
+        field = {"X": np.zeros(t_mid.shape), "Y": np.zeros(t_mid.shape)}
         for tone in drive.tones:
             field[tone.axis] -= tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
         strength = np.hypot(field["X"], field["Y"]) if mixed else field[axes[0]]
-        # e^{-i dt strength m} as integer powers of e^{-i dt strength / 2}
-        phases = np.exp(-0.5j * dt * strength)[:, None] ** (2 * M_VALUES)
-        if mixed:
-            rotated = np.exp(-1j * np.arctan2(field["Y"], field["X"])[:, None, None]
-                             * M_VALUES[:, None]) * w
-            factors = (rotated * phases[:, None, :]) @ (rotated.conj().swapaxes(1, 2) @ step)
-        else:
-            factors = phases[:, :, None] * step
-        product = _polar_unitary(_time_ordered_product(factors) @ product)
+        phases = _iz_phases(np.exp(-0.5j * dt * strength))
+        if not mixed:
+            return ((step, phases),)
+        turn = _iz_phases(np.exp(-0.5j * np.arctan2(field["Y"], field["X"])))
+        return ((step, turn.conj()), (w.conj().T, phases), (w, turn))
+
+    product = np.eye(DIM, dtype=complex)
+    for start in range(0, n_slices, _SLICE_CHUNK):
+        count = min(_SLICE_CHUNK, n_slices - start)
+        # short spans take fewer, shorter runs: about as many runs as steps
+        length = min(_CHAIN, math.isqrt(count))
+        rest = count % length
+        # slice start + r*length + k of run r sits at [k, r]; slices left over
+        # form one more run over the block's last `length` slices, started late
+        index = np.arange(count - rest).reshape(-1, length).T
+        if rest:
+            index = np.column_stack([index, np.arange(count - length, count)])
+        runs = _chain_products(stages((start + index + 0.5) * dt), late_start=length - rest)
+        product = _polar_unitary(_time_ordered_product(runs) @ product)
     return frame @ product @ frame.conj().T
+
+
+def _iz_phases(z: np.ndarray) -> np.ndarray:
+    """z**(2 m) for the Iz eigenvalues m of M_VALUES, stacked on a new axis 1.
+
+    z has unit modulus, so negative powers are the conjugates; the odd
+    powers come from repeated multiplication by z**2.
+    """
+    powers = [z]
+    square = z * z
+    for _ in range(DIM // 2 - 1):
+        powers.append(powers[-1] * square)
+    return np.stack([p.conj() for p in powers[::-1]] + powers, axis=1)
+
+
+def _chain_products(stages, late_start: int) -> np.ndarray:
+    """Products of runs of consecutive slices, multiplied in lock step.
+
+    Each stage is a constant (DIM, DIM) matrix and per-slice diagonals of
+    shape (steps, DIM, runs); a slice applies every stage's matrix and then
+    its diagonal, in order.  The runs' partial products sit side by side in
+    one array, so each stage of a step is one matrix product and one row
+    scaling along the contiguous run axis.  The last run restarts from the
+    identity at step late_start (if there is such a step), dropping the
+    slices before it.  Returns
+    (runs, DIM, DIM), the product of run r being entry r.
+    """
+    steps, _, runs = stages[0][1].shape
+    # entry [i, j, r] of run r's partial product
+    stacked = np.repeat(np.eye(DIM, dtype=complex)[:, :, None], runs, axis=2)
+    spare = np.empty_like(stacked)
+    for k in range(steps):
+        if k == late_start:
+            stacked[:, :, -1] = np.eye(DIM)
+        for matrix, diagonals in stages:
+            np.matmul(matrix, stacked.reshape(DIM, -1), out=spare.reshape(DIM, -1))
+            stacked, spare = spare, stacked
+            stacked *= diagonals[k][:, None, :]
+    return stacked.transpose(2, 0, 1)
 
 
 def _time_ordered_product(props: np.ndarray) -> np.ndarray:

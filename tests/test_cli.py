@@ -281,3 +281,16 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, line):
 ])
 def test_non_finite_flags_exit_2(capsys, argv):
     assert_input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--schedule", "{path}"),
+    ("simulate", "{path}"),
+    ("compile", "NOT:S", "--config", "{path}"),
+])
+def test_non_utf8_files_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "input.st"
+    path.write_bytes(b"\xff\xfeupper: 6\n")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert_input_error(code, out, err)
+    assert str(path) in err and "UTF-8" in err

@@ -185,6 +185,46 @@ def test_multi_tone_unitarity_over_many_slices():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
 
 
+# slice counts around the lock-step runs (up to 16 slices) and the projected blocks (4096)
+SLICE_COUNTS = (1, 15, 16, 17, 4095, 4096, 4097, 8193)
+KERNEL_DT = 0.025
+
+
+def _split_prefix_products(drive, counts):
+    """Strang-split slices of width KERNEL_DT applied one at a time, by expm.
+
+    Returns the product over the first n slices for every n in counts.
+    """
+    h_static = build_hamiltonian(SYS)
+    half = expm(-0.5j * KERNEL_DT * h_static)
+    t_mid = (np.arange(max(counts)) + 0.5) * KERNEL_DT
+    axis_ops = {"X": SYS.ops.Ix, "Y": SYS.ops.Iy}
+    v = np.zeros((t_mid.size, DIM, DIM), dtype=complex)
+    for tone in drive.tones:
+        envelope = -tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
+        v += envelope[:, None, None] * axis_ops[tone.axis]
+    u, products = np.eye(DIM, dtype=complex), {}
+    for n, kick in enumerate(expm(-1j * KERNEL_DT * v), start=1):
+        u = half @ kick @ half @ u
+        if n in counts:
+            products[n] = u
+    return products
+
+
+@pytest.mark.parametrize("axes", [("X", "X"), ("Y",), ("X", "Y")])
+def test_slice_kernel_matches_one_slice_at_a_time(axes):
+    tones = tuple(DriveTone(_transition(*pair), 0.05, phase, axis)
+                  for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
+    drive = DriveSpec(tones=tones, duration=1.0)
+    h_static = build_hamiltonian(SYS)
+    for n, expected in _split_prefix_products(drive, SLICE_COUNTS).items():
+        span = n * KERNEL_DT
+        # a width a little over span / n gives exactly n slices
+        u = dynamics._slice_product(SYS, h_static, drive, span, span / (n - 0.5))
+        # rounding in the constant step grows linearly, about 2.4e-16 a slice
+        assert np.abs(u - expected).max() <= max(1e-12, 5e-16 * n), n
+
+
 def test_slice_budget_is_checked_before_integrating():
     drive = DriveSpec(tones=(DriveTone(0.9, 1e-3), DriveTone(0.8, 1e-3)), duration=1e8)
     with pytest.raises(ResolutionError, match=r"3\.\d+e\+09 time slices"):
