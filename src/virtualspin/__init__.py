@@ -14,16 +14,15 @@ from .compiler import (EquivalenceReport, PulseSchedule, compile_gate,
                        format_schedule, parse_schedule, resolve_schedule,
                        schedule_propagator, truth_table, verify)
 from .dynamics import (DriveSpec, DriveTone, IntegrationConfig, ScalingFit,
-                       ScheduleSimulation, TradeoffRow, evolve,
-                       forbidden_scaling, interaction_propagator,
-                       pulse_strength_tradeoff, rwa_deviation,
+                       ScheduleSimulation, evolve, forbidden_scaling,
+                       interaction_propagator, rwa_deviation,
                        simulate_schedule)
 from .errors import (AmbiguousLabelingError, DegenerateFitError,
                      ForbiddenTransitionError, GateGrammarError, InputError,
                      OverlappingTonesError, ResolutionError,
                      ScheduleFormatError, TruthTableError, VirtualSpinError)
-from .gates import (GateSpec, VirtualLabel, decode, encode, is_involution,
-                    parse_gate, parse_gate_sequence, target_gate)
+from .gates import (GateSpec, VirtualLabel, decode, encode, parse_gate,
+                    parse_gate_sequence, target_gate)
 from .operators import DIM, SPIN, SpinOperators, make_spin_operators
 from .pulses import (PulseParams, Projector, Tone, multi_tone_propagator,
                      projector, pulse_duration, pulse_propagator)
@@ -40,14 +39,14 @@ __all__ = [
     "OverlappingTonesError", "Projector", "PulseParams", "PulseSchedule",
     "ResolutionError", "ScalingFit", "ScheduleFormatError",
     "ScheduleSimulation", "SPIN", "SpinOperators", "SpinSystem", "Spectrum",
-    "Tone", "TradeoffRow", "Transition", "TruthTableError",
+    "Tone", "Transition", "TruthTableError",
     "VirtualLabel", "VirtualSpinError", "build_hamiltonian", "compile_gate",
     "decode", "drive_elements", "encode", "evolve", "exact_spectrum",
     "forbidden_scaling", "format_schedule", "interaction_propagator",
-    "is_involution", "make_spin_operators", "multi_tone_propagator",
+    "make_spin_operators", "multi_tone_propagator",
     "parse_gate", "parse_gate_sequence", "parse_schedule",
     "perturbative_spectrum", "projector", "pulse_duration", "pulse_propagator",
-    "pulse_strength_tradeoff", "quadrupole_hamiltonian", "resolve_schedule",
+    "quadrupole_hamiltonian", "resolve_schedule",
     "rwa_deviation", "schedule_propagator", "simulate_schedule", "target_gate",
     "transition_table", "truth_table", "verify",
 ]

@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .compiler import (OK_VERDICTS, compile_gate, format_schedule,
-                       parse_schedule, schedule_propagator, verify)
+from .compiler import (OK_VERDICTS, compile_gate, format_schedule, parse_schedule,
+                       schedule_propagator, verify, yaml_problem)
 from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
 from .errors import InputError, ResolutionError, VirtualSpinError
 from .gates import parse_gate_sequence
@@ -96,7 +96,7 @@ def _merge_config(args, file_defaults: dict) -> RunConfig:
     for key in ("omega0", "omegaQ", "theta", "phi", "gammaHrf"):
         try:
             values[key] = float(values[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{key} must be a number, got {values[key]!r}") from exc
         if not np.isfinite(values[key]):
             raise InputError(f"{key} must be finite, got {values[key]}")
@@ -118,7 +118,8 @@ def _load_config_file(path: str | None) -> dict:
     except UnicodeDecodeError as exc:
         raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise InputError(f"config file {path} is not a key-value tree: {exc}") from exc
+        raise InputError(f"config file {path} is not a key-value tree: "
+                         f"{yaml_problem(exc)}") from exc
     if doc is None:
         return {}
     if not isinstance(doc, dict):

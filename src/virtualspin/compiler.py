@@ -35,9 +35,10 @@ EXACT_MATCH = "exact"
 UP_TO_I = "equal-up-to-i"
 UP_TO_GLOBAL_PHASE = "equal-up-to-global-phase"
 MISMATCH = "mismatch"
-VERDICTS = (EXACT_MATCH, UP_TO_I, UP_TO_GLOBAL_PHASE, MISMATCH)
-
 OK_VERDICTS = (EXACT_MATCH, UP_TO_I)
+
+VERIFY_TOL = 1e-12
+TRUTH_TABLE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=True)
@@ -45,32 +46,18 @@ class PulseSchedule:
     """Ordered pulse groups realizing a gate (or gate sequence).
 
     Tones within a group are simultaneous (one multi-frequency pulse) and
-    address disjoint level pairs; groups apply in order.  `omegas` and
-    `durations` mirror the shape of `groups` and hold the resolved
-    transition frequency and pulse length per tone (None when the schedule
-    was compiled without a spectrum / drive amplitude).
+    address disjoint level pairs; groups apply in order.  Each tone carries
+    its own resolved frequency and pulse length (see resolve_schedule).
     """
 
     gates: tuple
     groups: tuple
     spectrum_method: str | None = None
     parameters: dict | None = None
-    omegas: tuple = ()
-    durations: tuple = ()
 
     def __post_init__(self):
         for group in self.groups:
             check_disjoint(group)
-        if not self.omegas:
-            object.__setattr__(self, "omegas",
-                               tuple(tuple(None for _ in g) for g in self.groups))
-        if not self.durations:
-            object.__setattr__(self, "durations",
-                               tuple(tuple(None for _ in g) for g in self.groups))
-        for name in ("omegas", "durations"):
-            shape = tuple(len(g) for g in getattr(self, name))
-            if shape != tuple(len(g) for g in self.groups):
-                raise InputError(f"{name} must mirror the shape of groups")
 
     def gate_string(self) -> str:
         return ";".join(str(g) for g in self.gates)
@@ -113,29 +100,25 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
 
 def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
                      gamma_hrf: float | None = None) -> PulseSchedule:
-    """Re-resolve an existing schedule's frequencies against another Spectrum.
+    """The schedule with every tone resolved against `spectrum`: the one place this is done.
 
-    The symbolic level pairs stay fixed; only the per-tone omega (and
-    duration, when gamma_hrf is given) are recomputed, so the same schedule
-    can be expressed against the perturbative or the exact level scheme.
+    Level pairs, angles, phases and axes stay fixed; each tone gets omega =
+    E_upper - E_lower and, when gamma_hrf is given, the duration realizing
+    its |angle| at that drive amplitude (else None).
     """
+    params = PulseParams(gammaHrf=gamma_hrf) if gamma_hrf is not None else None
     elements = {axis: np.abs(drive_elements(spectrum, axis))
                 for axis in {t.axis for group in sched.groups for t in group}}
-    omegas = tuple(
-        tuple(float(spectrum.energies[t.upper] - spectrum.energies[t.lower])
-              for t in group)
-        for group in sched.groups)
-    durations = ()  # PulseSchedule fills in None
-    if gamma_hrf is not None:
-        params = PulseParams(gammaHrf=gamma_hrf)
-        durations = tuple(
-            tuple(float(pulse_duration(abs(t.angle), params,
-                                       elements[t.axis][t.upper, t.lower], t.axis))
-                  for t in group)
-            for group in sched.groups)
-    return PulseSchedule(gates=sched.gates, groups=sched.groups,
-                         spectrum_method=spectrum.method, parameters=sched.parameters,
-                         omegas=omegas, durations=durations)
+
+    def resolved(t: Tone) -> Tone:
+        duration = None if params is None else pulse_duration(
+            abs(t.angle), params, elements[t.axis][t.upper, t.lower], t.axis)
+        omega = float(spectrum.energies[t.upper] - spectrum.energies[t.lower])
+        return Tone(t.upper, t.lower, t.angle, t.phase, t.axis, omega, duration)
+
+    return PulseSchedule(gates=sched.gates,
+                         groups=tuple(tuple(resolved(t) for t in group) for group in sched.groups),
+                         spectrum_method=spectrum.method, parameters=sched.parameters)
 
 
 def schedule_propagator(sched: PulseSchedule) -> np.ndarray:
@@ -166,7 +149,7 @@ def _sequence_target(gates) -> np.ndarray:
     return u
 
 
-def verify(gate, u: np.ndarray, tol: float = 1e-12) -> EquivalenceReport:
+def verify(gate, u: np.ndarray) -> EquivalenceReport:
     """Grade unitary `u` against the textbook target of `gate`.
 
     Verdicts, in order of preference:
@@ -180,36 +163,34 @@ def verify(gate, u: np.ndarray, tol: float = 1e-12) -> EquivalenceReport:
     """
     target = _sequence_target(_as_gates(gate))
 
-    off_diag = ~np.eye(DIM, dtype=bool) & (np.abs(target) > tol)
+    support = np.abs(target) > VERIFY_TOL
     target_i = target.copy()
-    target_i[off_diag] *= 1j
+    target_i[support & ~np.eye(DIM, dtype=bool)] *= 1j
 
     dev_exact = float(np.abs(u - target).max())
     dev_i = float(np.abs(u - target_i).max())
     inner = np.trace(target.conj().T @ u)
-    alpha = np.angle(inner) if abs(inner) > tol else 0.0
+    alpha = np.angle(inner) if abs(inner) > VERIFY_TOL else 0.0
     dev_global = float(np.abs(u - np.exp(1j * alpha) * target).max())
 
-    support = np.abs(target) > tol
     phase_map = {}
     for j, k in zip(*np.nonzero(support)):
         phase_map[(int(j), int(k))] = complex(u[j, k] / target[j, k])
 
-    if dev_exact < tol:
+    if dev_exact < VERIFY_TOL:
         return EquivalenceReport(EXACT_MATCH, dev_exact, phase_map)
-    if dev_i < tol:
+    if dev_i < VERIFY_TOL:
         return EquivalenceReport(UP_TO_I, dev_i, phase_map)
-    if dev_global < tol:
+    if dev_global < VERIFY_TOL:
         return EquivalenceReport(UP_TO_GLOBAL_PHASE, dev_global, phase_map)
     return EquivalenceReport(MISMATCH, min(dev_exact, dev_i, dev_global), phase_map)
 
 
-def truth_table(gate, propagator: np.ndarray | None = None,
-                tol: float = 1e-10) -> dict:
+def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
     """Classical readout of a compiled NOT-family gate.
 
     Maps each input label to (output label, amplitude) where the amplitude
-    has modulus 1 within `tol`.  Raises TruthTableError when a column is
+    has modulus 1 within TRUTH_TABLE_TOL.  Raises TruthTableError when a column is
     not a pure basis vector, which signals a compilation bug (or a
     UT-family payload smuggled in).
     """
@@ -224,7 +205,7 @@ def truth_table(gate, propagator: np.ndarray | None = None,
         out = int(np.argmax(np.abs(column)))
         amp = complex(column[out])
         rest = np.abs(np.delete(column, out)).max()
-        if abs(abs(amp) - 1) > tol or rest > tol:
+        if abs(abs(amp) - 1) > TRUTH_TABLE_TOL or rest > TRUTH_TABLE_TOL:
             raise TruthTableError(
                 f"column {label} is not a pure basis vector "
                 f"(|amp|={abs(amp):.6f}, residual={rest:.3e})")
@@ -278,16 +259,22 @@ def format_schedule(sched: PulseSchedule) -> str:
         for key in sorted(sched.parameters):
             lines.append(f"  {key}: {_scalar(sched.parameters[key])}")
     lines.append("groups:")
-    for group, g_omegas, g_durations in zip(sched.groups, sched.omegas, sched.durations):
-        for i, (tone, omega, duration) in enumerate(zip(group, g_omegas, g_durations)):
+    for group in sched.groups:
+        for i, tone in enumerate(group):
             prefix = "- - " if i == 0 else "  - "
-            values = {"upper": tone.upper, "lower": tone.lower,
-                      "angle_rad": tone.angle, "phase_rad": tone.phase,
-                      "axis": tone.axis, "omega": omega, "duration": duration}
-            for j, key in enumerate(_TONE_KEYS):
+            values = (tone.upper, tone.lower, tone.angle, tone.phase, tone.axis,
+                      tone.omega, tone.duration)
+            for j, (key, value) in enumerate(zip(_TONE_KEYS, values)):
                 lead = prefix if j == 0 else "    "
-                lines.append(f"{lead}{key}: {_scalar(values[key])}")
+                lines.append(f"{lead}{key}: {_scalar(value)}")
     return "\n".join(lines) + "\n"
+
+
+def yaml_problem(exc: yaml.YAMLError) -> str:
+    """The YAML reader's complaint on one line: what is wrong and, if known, where."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    return (getattr(exc, "problem", None) or str(exc).splitlines()[0]) + where
 
 
 def _require(condition: bool, message: str):
@@ -300,7 +287,8 @@ def parse_schedule(text: str) -> PulseSchedule:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ScheduleFormatError(f"schedule is not valid structured text: {exc}") from exc
+        raise ScheduleFormatError(
+            f"schedule is not valid structured text: {yaml_problem(exc)}") from exc
     _require(isinstance(doc, dict), "schedule must be a key-value tree")
     for key in ("gate", "groups"):
         _require(key in doc, f"schedule is missing the {key!r} field")
@@ -316,16 +304,16 @@ def parse_schedule(text: str) -> PulseSchedule:
         _require(isinstance(parameters, dict), "parameters must be a mapping or null")
         try:
             parameters = {str(k): float(v) for k, v in parameters.items()}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScheduleFormatError(f"invalid parameters: {exc}") from exc
 
     raw_groups = doc["groups"]
     _require(isinstance(raw_groups, list) and
              all(isinstance(g, list) for g in raw_groups),
              "groups must be a list of tone lists")
-    groups, omegas, durations = [], [], []
+    groups = []
     for raw_group in raw_groups:
-        tones, g_omegas, g_durations = [], [], []
+        tones = []
         for entry in raw_group:
             _require(isinstance(entry, dict), "each tone must be a mapping")
             missing = [k for k in _TONE_KEYS if k not in entry]
@@ -333,21 +321,17 @@ def parse_schedule(text: str) -> PulseSchedule:
             _require(entry["axis"] in AXES, f"tone axis must be one of {AXES}")
             # InputError from Tone is a ValueError too
             try:
+                omega, duration = (None if entry[k] is None else float(entry[k])
+                                   for k in ("omega", "duration"))
                 tones.append(Tone(upper=int(entry["upper"]), lower=int(entry["lower"]),
                                   angle=float(entry["angle_rad"]),
                                   phase=float(entry["phase_rad"]),
-                                  axis=str(entry["axis"])))
-                for raw, bucket in ((entry["omega"], g_omegas),
-                                    (entry["duration"], g_durations)):
-                    bucket.append(None if raw is None else float(raw))
-            except (TypeError, ValueError) as exc:
+                                  axis=str(entry["axis"]), omega=omega, duration=duration))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ScheduleFormatError(f"invalid tone: {exc}") from exc
         groups.append(tuple(tones))
-        omegas.append(tuple(g_omegas))
-        durations.append(tuple(g_durations))
     try:
         return PulseSchedule(gates=gates, groups=tuple(groups),
-                             spectrum_method=method, parameters=parameters,
-                             omegas=tuple(omegas), durations=tuple(durations))
+                             spectrum_method=method, parameters=parameters)
     except InputError as exc:
         raise ScheduleFormatError(f"invalid schedule: {exc}") from exc

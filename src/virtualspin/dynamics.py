@@ -54,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import PulseSchedule, schedule_propagator, truth_table
+from .compiler import PulseSchedule, resolve_schedule, schedule_propagator, truth_table
 from .errors import DegenerateFitError, InputError, ResolutionError
-from .operators import DIM, M_VALUES
-from .pulses import AXES, PulseParams, Tone, pulse_duration, pulse_propagator
+from .operators import DIM
+from .pulses import AXES, PulseParams, Tone, pulse_propagator
 from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import SpinSystem, build_hamiltonian
 
@@ -302,27 +302,30 @@ def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
     return np.exp(1j * spectrum.energies * duration)[:, None] * u_eig
 
 
-def _group_drive(spectrum: Spectrum, group, params: PulseParams) -> tuple[float, tuple]:
-    """Common duration of simultaneous idealized tones and the drive tones playing them.
+def _play_group(sys: SpinSystem, spectrum: Spectrum, group,
+                cfg: IntegrationConfig) -> tuple[float, np.ndarray]:
+    """Common duration of simultaneous resolved tones and their interaction-picture propagator.
 
-    The slowest tone at params.gammaHrf sets the duration; faster tones get
-    proportionally weaker amplitudes, and zero-angle tones play no drive.
+    The group lasts as long as its slowest tone (the largest tone.duration);
+    each tone plays at its own tone.omega, faster tones with proportionally
+    weaker amplitudes, and zero-angle tones play no drive.
     """
-    elements = [drive_elements(spectrum, t.axis)[t.upper, t.lower] for t in group]
-    duration = max((pulse_duration(abs(t.angle), params, abs(e), t.axis)
-                    for t, e in zip(group, elements)), default=0.0)
+    duration = max((t.duration for t in group), default=0.0)
+    if duration == 0:
+        return duration, np.eye(DIM, dtype=complex)
     drive = []
-    for tone, element in zip(group, elements):
+    for tone in group:
         if tone.angle == 0:
             continue
-        omega = float(spectrum.energies[tone.upper] - spectrum.energies[tone.lower])
+        element = drive_elements(spectrum, tone.axis)[tone.upper, tone.lower]
         # a negative rotation angle is a positive one with the phase advanced by pi
         phase = tone.phase + (np.pi if tone.angle < 0 else 0.0)
         f_drive = float(np.angle(element)) - phase - (np.pi / 2 if tone.axis == "Y" else 0.0)
         amplitude = abs(tone.angle) / (duration * abs(element))
-        drive.append(DriveTone(frequency=omega, amplitude=amplitude, phase=f_drive,
+        drive.append(DriveTone(frequency=tone.omega, amplitude=amplitude, phase=f_drive,
                                axis=tone.axis))
-    return duration, tuple(drive)
+    u_lab = evolve(sys, DriveSpec(tones=drive, duration=duration), cfg)
+    return duration, interaction_propagator(spectrum, u_lab, duration)
 
 
 def rwa_deviation(sys: SpinSystem, tone: Tone, params: PulseParams,
@@ -337,12 +340,9 @@ def rwa_deviation(sys: SpinSystem, tone: Tone, params: PulseParams,
     transitions).
     """
     spectrum = exact_spectrum(sys)
-    duration, drive = _group_drive(spectrum, (tone,), params)
-    if duration == 0:
-        u_int = np.eye(DIM, dtype=complex)
-    else:
-        u_lab = evolve(sys, DriveSpec(tones=drive, duration=duration), cfg)
-        u_int = interaction_propagator(spectrum, u_lab, duration)
+    resolved = resolve_schedule(PulseSchedule(gates=(), groups=((tone,),)), spectrum,
+                                params.gammaHrf).groups[0]
+    _, u_int = _play_group(sys, spectrum, resolved, cfg)
     return float(np.abs(u_int - pulse_propagator(tone)).max())
 
 
@@ -361,21 +361,19 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
                       cfg: IntegrationConfig = IntegrationConfig()) -> ScheduleSimulation:
     """Integrate the physical drive realizing a schedule and compare to the ideal.
 
-    Tones within a group play simultaneously for a common duration (see
-    _group_drive).  Each group is analyzed in its own interaction picture
-    and the groups compose in order.
+    The schedule is re-resolved at sys and gamma_hrf first.  Tones within a
+    group play simultaneously for a common duration (see _play_group).
+    Each group is analyzed in its own interaction picture and the groups
+    compose in order.
     """
-    params = PulseParams(gammaHrf=gamma_hrf)
     spectrum = exact_spectrum(sys)
+    sched = resolve_schedule(sched, spectrum, gamma_hrf)
     u_actual = np.eye(DIM, dtype=complex)
     durations = []
     for group in sched.groups:
-        group_duration, drive = _group_drive(spectrum, group, params)
+        group_duration, u_group = _play_group(sys, spectrum, group, cfg)
         durations.append(group_duration)
-        if group_duration == 0:
-            continue
-        u_lab = evolve(sys, DriveSpec(tones=drive, duration=group_duration), cfg)
-        u_actual = interaction_propagator(spectrum, u_lab, group_duration) @ u_actual
+        u_actual = u_group @ u_actual
 
     u_ideal = schedule_propagator(sched)
     deviation = float(np.abs(u_actual - u_ideal).max())
@@ -439,31 +437,3 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
         local[i] = (log_e[j2] - log_e[j1]) / (log_r[j2] - log_r[j1])
     return ScalingFit(pair=(m_label, n_label), ratios=ratios, elements=elements,
                       slope=slope, local_slopes=local)
-
-
-@dataclass(frozen=True)
-class TradeoffRow:
-    """One amplitude setting: required duration and coherence-budget flag."""
-
-    gammaHrf: float
-    duration: float
-    exceeds_budget: bool
-
-
-def pulse_strength_tradeoff(sys: SpinSystem, pair: tuple[int, int],
-                            target_angle: float, amplitudes,
-                            coherence_budget: float = 1e5) -> list[TradeoffRow]:
-    """Duration needed for `target_angle` on `pair` across drive amplitudes.
-
-    duration = angle / (2 * gammaHrf * |<psi_N|Ix|psi_M>|); rows whose
-    duration exceeds the coherence budget (default 1e5 / omega0) are
-    flagged.  A zero matrix element raises ForbiddenTransitionError.
-    """
-    m_label, n_label = pair
-    element = abs(drive_elements(exact_spectrum(sys))[n_label, m_label])
-    rows = []
-    for gamma_hrf in amplitudes:
-        duration = pulse_duration(target_angle, PulseParams(gammaHrf=gamma_hrf), element)
-        rows.append(TradeoffRow(gammaHrf=float(gamma_hrf), duration=float(duration),
-                                exceeds_budget=duration > coherence_budget))
-    return rows

@@ -193,7 +193,3 @@ def target_gate(spec: GateSpec) -> np.ndarray:
         u[m1, m1] = block[1, 1]
     return u
 
-
-def is_involution(gate: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when gate @ gate is the identity (all NOT-family targets are)."""
-    return bool(np.abs(gate @ gate - np.eye(gate.shape[0])).max() < tol)

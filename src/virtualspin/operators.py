@@ -22,7 +22,6 @@ M_VALUES.setflags(write=False)
 class SpinOperators:
     """Spin-7/2 operator matrices (complex 8x8, units of hbar = 1)."""
 
-    dimension: int
     Ix: np.ndarray
     Iy: np.ndarray
     Iz: np.ndarray
@@ -46,5 +45,5 @@ def make_spin_operators() -> SpinOperators:
     iz = np.diag(m).astype(complex)
     for a in (ix, iy, iz, iplus, iminus):
         a.setflags(write=False)
-    return SpinOperators(dimension=DIM, Ix=ix, Iy=iy, Iz=iz,
+    return SpinOperators(Ix=ix, Iy=iy, Iz=iz,
                          Iplus=iplus, Iminus=iminus)

@@ -15,6 +15,7 @@ pairs are disjoint the total propagator is the (order-independent) product
 of the per-tone propagators.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,19 @@ AXES = ("X", "Y")
 
 @dataclass(frozen=True)
 class Tone:
-    """One resonant tone: level pair, rotation angle, RF phase and coil axis."""
+    """One resonant tone: level pair, rotation angle, RF phase and coil axis.
+
+    compiler.resolve_schedule fills in its transition frequency `omega` and
+    pulse length `duration`; both are None before.
+    """
 
     upper: int
     lower: int
     angle: float
     phase: float = 0.0
     axis: str = "X"
+    omega: float | None = None
+    duration: float | None = None
 
     def __post_init__(self):
         if not (0 <= self.upper < DIM and 0 <= self.lower < DIM):
@@ -62,14 +69,10 @@ class Tone:
         if self.upper == self.lower:
             raise InputError("tone must address two distinct levels")
         for name in ("angle", "phase"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise InputError(f"tone {name} must be finite, got {getattr(self, name)}")
         if self.axis not in AXES:
             raise InputError(f"tone axis must be one of {AXES}, got {self.axis!r}")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.upper, self.lower)
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,12 @@ def multi_tone_propagator(tones) -> np.ndarray:
 
 def pulse_duration(angle: float, params: PulseParams, element: float,
                    axis: str = "X") -> float:
-    """Pulse length t - t0 realizing `angle` on a pair with |<n|I_axis|m>| = element."""
+    """Finite pulse length t - t0 realizing `angle` on a pair with |<n|I_axis|m>| = element."""
     if element == 0:
         raise ForbiddenTransitionError(
             f"forbidden transition: |<n|I{axis.lower()}|m>| = 0 implies infinite pulse "
             "duration (longer pulses or a stronger RF field are needed as the element -> 0)")
-    return angle / (2 * params.gammaHrf * element)
+    rate = 2 * params.gammaHrf * float(element)
+    if rate == 0 or not math.isfinite(angle / rate):
+        raise InputError(f"pulse length overflows: angle {angle:g}, gammaHrf {params.gammaHrf:g}")
+    return angle / rate

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousLabelingError
+from .errors import AmbiguousLabelingError, InputError
 from .operators import DIM, M_VALUES, make_spin_operators
 from .system import SpinSystem, build_hamiltonian, quadrupole_hamiltonian
 
@@ -53,6 +53,7 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
 
     Returns a Spectrum with a diagnostic warning when omegaQ/omega0 >= 0.1,
     where first-order theory is unreliable; the values are still computed.
+    Raises InputError when they overflow floating point.
     """
     m = M_VALUES
     q0 = 3 * np.cos(sys.theta) ** 2 - 1
@@ -64,10 +65,16 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     np.fill_diagonal(denom, 1.0)
     raw = raw + hq * (1.0 / denom) * (1 - np.eye(DIM))
 
-    states = _loewdin_orthonormalize(raw)
+    ratio = sys.omegaQ / sys.omega0
+    try:
+        states = _loewdin_orthonormalize(raw)
+    except np.linalg.LinAlgError:
+        states = raw * np.nan
+    if not (np.isfinite(energies).all() and np.isfinite(states).all()):
+        raise InputError(f"omegaQ/omega0 = {ratio:.3g} overflows the first-order levels; "
+                         "the coupling is far outside the perturbative regime")
 
     warning = None
-    ratio = sys.omegaQ / sys.omega0
     if ratio >= PERTURBATIVE_RATIO_LIMIT:
         warning = (f"omegaQ/omega0 = {ratio:.3g} >= {PERTURBATIVE_RATIO_LIMIT}: "
                    "first-order perturbation theory is unreliable here")
@@ -87,10 +94,9 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
     Under that dominance rule the row-wise best match is the unique optimal
     assignment, so no assignment solver is needed.
     """
-    h = build_hamiltonian(sys)
-    evals, evecs = np.linalg.eigh(h)
-
+    # first, so its overflow check keeps a non-finite Hamiltonian from eigh
     reference = perturbative_spectrum(sys).states
+    evals, evecs = np.linalg.eigh(build_hamiltonian(sys))
     overlap = np.abs(reference.conj().T @ evecs)  # overlap[M, j]
 
     assignment = overlap.argmax(axis=1)

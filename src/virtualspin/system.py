@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .operators import SPIN, SpinOperators, make_spin_operators
+from .operators import DIM, SPIN, SpinOperators, make_spin_operators
 
 Q2_FORMS = ("as-printed", "sin-squared")
 
@@ -58,7 +58,7 @@ def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Quadrupole part omegaQ * sum_a Q_a q_{-a} as a complex 8x8 matrix."""
     ops = sys.ops
     iz, ip, im = ops.Iz, ops.Iplus, ops.Iminus
-    eye = np.eye(ops.dimension)
+    eye = np.eye(DIM)
 
     q0 = 3 * np.cos(sys.theta) ** 2 - 1
     qp1 = np.sin(sys.theta) * np.cos(sys.theta) * np.exp(1j * sys.phi)

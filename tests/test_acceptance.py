@@ -59,7 +59,7 @@ def test_criterion_2_truth_tables():
         spec = parse_gate(text)
         control_mask = sum(BITS[c] for c in spec.controls)
         target_bit = BITS[spec.target]
-        table = truth_table(spec, tol=1e-10)
+        table = truth_table(spec)
         for label in range(DIM):
             flips = (label & control_mask) == control_mask
             expected = label ^ target_bit if flips else label

@@ -71,7 +71,7 @@ def test_compile_examples(capsys, tmp_path):
         assert code == 0
         from virtualspin import parse_schedule
         sched = parse_schedule(path.read_text())
-        assert [t.pair for t in sched.groups[0]] == pairs
+        assert [(t.upper, t.lower) for t in sched.groups[0]] == pairs
         assert sched.parameters["gammaHrf"] == pytest.approx(1e-3)
 
 
@@ -256,6 +256,9 @@ def assert_input_error(code, out, err):
     (r"omega: .*", "omega: [1]"),
     (r"duration: .*", 'duration: "long"'),
     (r"omegaQ: .*", 'omegaQ: "abc"'),
+    (r"upper: 6", "upper: .inf"),
+    pytest.param(r"omegaQ: .*", "omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
+    (r"spectrum_method: .*", "spectrum_method: [1"),
 ])
 def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement):
     path = tmp_path / "sched.st"
@@ -265,7 +268,9 @@ def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement
     assert_input_error(*run(capsys, "simulate", str(path)))
 
 
-@pytest.mark.parametrize("line", ["omegaQ: abc", "theta: [1]", "gammaHrf: .inf"])
+@pytest.mark.parametrize("line", ["omegaQ: abc", "theta: [1]", "gammaHrf: .inf",
+                                  pytest.param("omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
+                                  "omegaQ: [1"])
 def test_malformed_config_values_exit_2(capsys, tmp_path, line):
     config = tmp_path / "config.yml"
     config.write_text(line + "\n")
@@ -280,6 +285,19 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, line):
     ("verify", "NOT:S", "--theta", "nan"),
 ])
 def test_non_finite_flags_exit_2(capsys, argv):
+    assert_input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--omegaQ", "1e200"),
+    ("spectrum", "--omegaQ", "1e200", "--method", "pert"),
+    ("compile", "NOT:S", "--omegaQ", "1e300"),
+    ("compile", "NOT:S", "--omega0", "1e-320", "--omegaQ", "1e-30"),
+    ("compile", "NOT:S", "--omegaQ", "1.7e308", "--theta", "0"),
+    ("compile", "UT:R(1e308,0)"),           # a pulse length beyond floating point
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own overflow warnings
+def test_overflowing_inputs_exit_2(capsys, argv):
     assert_input_error(*run(capsys, *argv))
 
 

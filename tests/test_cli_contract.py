@@ -1,0 +1,135 @@
+"""Property tests of the CLI exit-code contract.
+
+Every call exits 0 (ok), 1 (verification mismatch), 2 (input error) or 3
+(numerical-resolution error); no exception escapes cli.main; exits 2 and
+3 end stderr with one "error:" line; and a schedule that compile writes
+holds only finite or null frequencies and pulse lengths.  Arguments are
+drawn over every float (nan, +-inf, subnormals, +-1e308) for each
+parameter flag, grammar gate strings with drawn UT payloads, and
+mutated compile output for verify --schedule.
+"""
+
+import contextlib
+import io
+import math
+
+import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from virtualspin.cli import FORMATS, METHODS, main
+from virtualspin.gates import CONTROL_COUNT, SPINS, UT_FAMILY
+
+# extreme inputs still raise numpy overflow warnings; the contract is about exits
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+PARAMETER_FLAGS = ("--omega0", "--omegaQ", "--theta", "--phi", "--gammaHrf")
+CONTRACT = settings(derandomize=True, deadline=None, database=None)
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv):
+    code, out, err = call(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (2, 3):
+        lines = err.splitlines()
+        assert lines and lines[-1].startswith("error: "), (argv, err)
+        assert sum(line.startswith("error:") for line in lines) == 1, (argv, err)
+    return code, out
+
+
+@st.composite
+def gate_strings(draw):
+    kind = draw(st.sampled_from(sorted(CONTROL_COUNT)))
+    target = draw(st.sampled_from(SPINS))
+    others = draw(st.permutations([s for s in SPINS if s != target]))
+    controls = "".join(others[:CONTROL_COUNT[kind]])
+    text = f"{kind}:{controls}->{target}" if controls else f"{kind}:{target}"
+    if kind in UT_FAMILY:
+        text += f"({draw(st.floats())!r},{draw(st.floats())!r})"
+    return text
+
+
+gate_sequences = st.lists(gate_strings(), min_size=1, max_size=3).map(";".join)
+
+options = st.fixed_dictionaries(
+    {}, optional={**{flag: st.floats().map(repr) for flag in PARAMETER_FLAGS},
+                  "--method": st.sampled_from(METHODS),
+                  "--format": st.sampled_from(FORMATS)},
+).map(lambda flags: [f"{flag}={value}" for flag, value in sorted(flags.items())])
+
+command_argv = st.one_of(
+    options.map(lambda opts: ["spectrum", *opts]),
+    st.tuples(st.sampled_from(("compile", "verify")), gate_sequences, options).map(
+        lambda drawn: [drawn[0], drawn[1], *drawn[2]]),
+)
+
+
+@settings(CONTRACT, max_examples=200)
+@given(argv=command_argv)
+# eigensolver overflow, once a traceback with exit 1
+@example(argv=["spectrum", "--omegaQ=1e200"])
+@example(argv=["compile", "NOT:S", "--omegaQ=1e300"])
+@example(argv=["compile", "NOT:S", "--omega0=1e-320", "--omegaQ=1e-30"])
+# a pulse length beyond floating point, once written as "duration: inf"
+@example(argv=["compile", "UT:R(1e308,0)"])
+def test_flags_and_gates_keep_the_exit_code_contract(argv):
+    code, out = check_contract(argv)
+    if argv[0] == "compile" and code == 0:
+        for group in yaml.safe_load(out)["groups"]:
+            for tone in group:
+                for key in ("omega", "duration"):
+                    assert tone[key] is None or math.isfinite(tone[key]), (argv, tone)
+
+
+SCHEDULE_GATES = ("CCNOT:QR->S", "CNOT:R->S", "UT:Q(1.2,0.4)", "NOT:S;CCUT:QR->S(-1.0,0.3)")
+TOKENS = ("null", ".nan", ".inf", "-.inf", "[1]", "{a: 1}", '"x"', "x", "''", "-1", "0", "9",
+          "true", "1e400", "1" + "0" * 400, "- - upper: 1", ":")
+
+
+@pytest.fixture(scope="module")
+def compiled_schedules():
+    return {gate: call(["compile", gate])[1] for gate in SCHEDULE_GATES}
+
+
+@pytest.fixture(scope="module")
+def schedule_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "schedule.st"
+
+
+@st.composite
+def mutated_schedules(draw, compiled):
+    lines = compiled[draw(st.sampled_from(SCHEDULE_GATES))].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(lines) - 1))
+        key, _, _ = lines[index].partition(": ")
+        action = draw(st.sampled_from(("value", "delete", "duplicate", "truncate")))
+        if action == "value":
+            value = draw(st.one_of(st.sampled_from(TOKENS), st.floats().map(repr),
+                                   st.integers(-10, 10).map(str)))
+            lines[index] = f"{key}: {value}"
+        elif action == "delete":
+            del lines[index]
+        elif action == "duplicate":
+            lines.insert(index, lines[index])
+        else:
+            lines[index] = lines[index][:draw(st.integers(0, len(lines[index])))]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(CONTRACT, max_examples=120)
+@given(data=st.data())
+def test_mutated_schedules_keep_the_exit_code_contract(data, compiled_schedules,
+                                                       schedule_path):
+    schedule_path.write_text(data.draw(mutated_schedules(compiled_schedules)))
+    fmt = data.draw(st.sampled_from(FORMATS))
+    check_contract(["verify", "--schedule", str(schedule_path), "--format", fmt])

@@ -28,7 +28,7 @@ def test_compiled_level_pairs_match_the_identities():
     for text, pairs in expected_pairs.items():
         sched = compile_gate(text)
         assert len(sched.groups) == 1
-        assert [t.pair for t in sched.groups[0]] == pairs
+        assert [(t.upper, t.lower) for t in sched.groups[0]] == pairs
 
 
 def test_tone_count_law():
@@ -112,7 +112,7 @@ def test_compiled_square_is_minus_one_on_affected_blocks():
         sched = compile_gate(text)
         u = schedule_propagator(sched)
         square = u @ u
-        touched = {level for tone in sched.groups[0] for level in tone.pair}
+        touched = {level for tone in sched.groups[0] for level in (tone.upper, tone.lower)}
         expected = np.eye(DIM, dtype=complex)
         for level in touched:
             expected[level, level] = -1
@@ -180,26 +180,29 @@ def test_resolved_frequencies_and_durations():
                          parameters={"omega0": 1.0, "omegaQ": 0.01,
                                      "theta": 0.0, "phi": 0.0, "gammaHrf": gamma})
     assert sched.spectrum_method == "perturbative-first-order"
-    assert abs(sched.omegas[0][0] - 0.88) < 1e-12
+    assert abs(sched.groups[0][0].omega - 0.88) < 1e-12
     rows = {(r.upper, r.lower): r for r in transition_table(spectrum)}
     expected = pulse_duration(np.pi, PulseParams(gammaHrf=gamma),
                               rows[(6, 7)].ix_element)
-    assert abs(sched.durations[0][0] - expected) < 1e-12
+    assert abs(sched.groups[0][0].duration - expected) < 1e-12
 
 
 def test_resolve_schedule_against_both_spectra():
     # the same symbolic schedule re-resolves against pert or exact levels
     sys = SpinSystem(omega0=1.0, omegaQ=0.01, theta=np.pi / 5)
     sched = compile_gate("CCNOT:QR->S")
-    assert sched.omegas[0][0] is None
+    assert sched.groups[0][0].omega is None
     pert = resolve_schedule(sched, perturbative_spectrum(sys), gamma_hrf=1e-3)
     exact = resolve_schedule(sched, exact_spectrum(sys), gamma_hrf=1e-3)
     assert pert.spectrum_method == "perturbative-first-order"
     assert exact.spectrum_method == "exact"
-    assert pert.groups == exact.groups == sched.groups
-    assert pert.omegas[0][0] != exact.omegas[0][0]
-    assert abs(pert.omegas[0][0] - exact.omegas[0][0]) < 200 * 0.01 ** 2
-    assert pert.durations[0][0] is not None
+    def symbolic(s):
+        return [[(t.upper, t.lower, t.angle, t.phase, t.axis) for t in g] for g in s.groups]
+    assert symbolic(pert) == symbolic(exact) == symbolic(sched)
+    pert_tone, exact_tone = pert.groups[0][0], exact.groups[0][0]
+    assert pert_tone.omega != exact_tone.omega
+    assert abs(pert_tone.omega - exact_tone.omega) < 200 * 0.01 ** 2
+    assert pert_tone.duration is not None
 
 
 def test_schedule_round_trip_is_lossless():

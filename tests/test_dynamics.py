@@ -10,8 +10,7 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          ResolutionError, SpinSystem, Tone, build_hamiltonian,
                          compile_gate, evolve, exact_spectrum,
                          forbidden_scaling, interaction_propagator,
-                         make_spin_operators, pulse_strength_tradeoff,
-                         rwa_deviation, simulate_schedule)
+                         make_spin_operators, rwa_deviation, simulate_schedule)
 from virtualspin import dynamics
 
 # weak-coupling system used by most drive tests
@@ -376,21 +375,6 @@ def test_forbidden_scaling_input_validation():
         forbidden_scaling(SpinSystem(theta=0.5), (5, 7), ratios=[1e-3])
 
 
-def test_pulse_strength_tradeoff():
-    sys = SpinSystem(omega0=1.0, omegaQ=1e-4, theta=np.pi / 5)
-    rows = pulse_strength_tradeoff(sys, (6, 7), np.pi, [1.0, 0.5])
-    assert abs(rows[0].duration - np.pi / np.sqrt(7)) < 1e-3
-    assert rows[1].duration == pytest.approx(2 * rows[0].duration)
-    assert not rows[0].exceeds_budget
-    flagged = pulse_strength_tradeoff(sys, (6, 7), np.pi, [1e-9])
-    assert flagged[0].exceeds_budget
-    # forbidden pair needs ~1000x longer pulses at omegaQ/omega0 = 1e-3
-    sys_mid = SpinSystem(omega0=1.0, omegaQ=1e-3, theta=np.pi / 5)
-    allowed = pulse_strength_tradeoff(sys_mid, (6, 7), np.pi, [1e-3])
-    forbidden = pulse_strength_tradeoff(sys_mid, (5, 7), np.pi, [1e-3])
-    assert forbidden[0].duration / allowed[0].duration > 100
-
-
 def test_simulate_schedule_zero_angle():
     sched = compile_gate("CCUT:QR->S(0.0,0.0)")
     result = simulate_schedule(SYS, sched, gamma_hrf=1e-3)
@@ -429,7 +413,8 @@ def test_simulate_plays_the_compiled_durations():
             for gate in gates:
                 sched = compile_gate(gate, spectrum=spectrum, gamma_hrf=gamma)
                 result = simulate_schedule(system, sched, gamma)
-                assert result.group_durations == tuple(max(d) for d in sched.durations)
+                assert result.group_durations == tuple(max(t.duration for t in g)
+                                                       for g in sched.groups)
 
 
 def test_simulate_schedule_q_targeted_toffoli():

@@ -7,7 +7,7 @@ m = np.arange(DIM) - SPIN
 
 
 def test_iz_diagonal_is_m_ladder():
-    assert ops.dimension == DIM == 8
+    assert ops.Iz.shape == (DIM, DIM) == (8, 8)
     assert np.array_equal(np.diag(ops.Iz).real, m)
     assert np.abs(ops.Iz - np.diag(np.diag(ops.Iz))).max() == 0
 

@@ -148,6 +148,11 @@ def test_pulse_duration():
     assert pulse_duration(0.0, params, 2.0) == 0.0
     with pytest.raises(ForbiddenTransitionError):
         pulse_duration(np.pi, params, 0.0)
+    # a length beyond floating point is refused, not returned as inf
+    with pytest.raises(InputError):
+        pulse_duration(1e308, PulseParams(gammaHrf=1e-3), 0.04)
+    with pytest.raises(InputError):
+        pulse_duration(np.pi, PulseParams(gammaHrf=1e-320), 1e-10)
     with pytest.raises(InputError):
         PulseParams(gammaHrf=0.0)
     for bad in (np.nan, np.inf):
