@@ -15,13 +15,12 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .compiler import (OK_VERDICTS, compile_gate, format_schedule, parse_schedule,
-                       schedule_propagator, verify, yaml_problem)
+                       read_tree, schedule_propagator, verify)
 from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
-from .errors import InputError, ResolutionError, VirtualSpinError
+from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
 from .spectrum import exact_spectrum, perturbative_spectrum, transition_table
 from .system import Q2_FORMS, SpinSystem
@@ -112,18 +111,13 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
+            doc = read_tree(handle.read())
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise InputError(f"config file {path} is not a key-value tree: "
-                         f"{yaml_problem(exc)}") from exc
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise InputError(f"config file {path} must contain a key-value mapping")
+    except ScheduleFormatError as exc:
+        raise InputError(f"config file {path} is not flat `key: value` text: {exc}") from exc
     unknown = set(doc) - set(DEFAULTS)
     if unknown:
         raise InputError(f"unknown config keys {sorted(unknown)}; "

@@ -15,14 +15,15 @@ equality up to a global phase -- and reports the best match with its
 maximum entrywise deviation.  Entrywise comparison is deliberate: a trace
 fidelity would under-report structured phase errors.
 
-Schedules serialize to a small structured-text (YAML-compatible) tree so
-they can be written, inspected, and replayed losslessly.
+Schedules serialize to a small structured-text tree, a YAML subset that
+read_tree reads back, so they can be written, inspected, and replayed losslessly.
 """
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import InputError, ScheduleFormatError, TruthTableError
 from .gates import GateSpec, parse_gate_sequence, target_gate
@@ -270,11 +271,87 @@ def format_schedule(sched: PulseSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def yaml_problem(exc: yaml.YAMLError) -> str:
-    """The YAML reader's complaint on one line: what is wrong and, if known, where."""
-    mark = getattr(exc, "problem_mark", None)
-    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-    return (getattr(exc, "problem", None) or str(exc).splitlines()[0]) + where
+# read_tree reads back exactly the layout above, with comments, blank lines
+# and trailing spaces, and gives each scalar it accepts its YAML 1.1 value:
+# "quoted" strings (escapes \\ and \" only), null, ~ or nothing, decimal
+# integers, floats with a dot (-0.0, 1.5e-07, .inf) and plain words (CCNOT:QR->S,
+# X, and 1e-05, a string to YAML 1.1).  Booleans (yes, on), 010, 0x1f, 1:30,
+# dates, flow collections, anchors, tags, single quotes, multi-line scalars and
+# repeated keys are rejected, so a file means what it meant to a YAML reader.
+
+_LINE = re.compile(r"(- - |  - |    |  |)([A-Za-z_][A-Za-z0-9_]{0,63}):(?: +(.*))?$")
+_QUOTED = re.compile(r'"((?:[^"\\]|\\["\\])*)"(?: +#.*)?$')
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)$")
+_FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?$")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.+:;(),>-]*(?<!:)$"
+                   r"|[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")   # no YAML 1.1 float
+_NAMED = {"~": None, "null": None, "Null": None, "NULL": None, ".nan": math.nan,
+          ".NaN": math.nan, ".NAN": math.nan, **{sign + inf: float(sign + "inf")
+          for sign in ("", "+", "-") for inf in (".inf", ".Inf", ".INF")}}
+_BOOLS = {"yes", "no", "true", "false", "on", "off"}
+_BLOCK = object()   # `key:` with no value: null, or the head of an indented block
+
+
+def _value(raw: str | None, number: int):
+    if raw is None or raw.startswith("#"):
+        return _BLOCK
+    if raw.startswith('"'):
+        quoted = _QUOTED.match(raw)
+        _require(quoted, f"line {number}: unclosed string or an escape other than \\\\ and \\\"")
+        return re.sub(r'\\(["\\])', r"\1", quoted[1])
+    token = raw.partition(" #")[0].rstrip(" ")
+    if token in _NAMED:
+        return _NAMED[token]
+    if _INT.match(token):
+        try:
+            return int(token)
+        except ValueError as exc:   # beyond Python's integer digit limit
+            raise ScheduleFormatError(f"line {number}: {exc}") from exc
+    if _FLOAT.match(token):
+        return float(token)
+    _require(_WORD.match(token) and token.lower() not in _BOOLS,
+             f"line {number}: unsupported value {token!r}")
+    return token
+
+
+def read_tree(text: str) -> dict:
+    """The key-value tree of a schedule or config file (see the grammar above).
+
+    Raises ScheduleFormatError naming the first line outside the grammar.
+    """
+    doc, head, block = {}, None, None
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.rstrip(" ")
+        _require(line.isprintable(), f"line {number}: tab or other unprintable character")
+        if not line or line.lstrip(" ").startswith("#"):
+            continue
+        match = _LINE.match(line)
+        _require(match, f"line {number}: expected `key: value`, indented by 0, 2 or 4 "
+                        "spaces, or a `- - ` / `  - ` tone line")
+        lead, key, raw = match.groups()
+        _require(key.lower() not in _BOOLS and key not in _NAMED,
+                 f"line {number}: {key!r} is not a string key in YAML 1.1")
+        value = _value(raw, number)
+        if lead == "":
+            mapping, head, block = doc, (key if value is _BLOCK else None), None
+        elif lead == "  " and head is not None and not isinstance(block, list):
+            if block is None:
+                block = doc[head] = {}
+            mapping = block
+        elif lead == "- - " and head is not None and not isinstance(block, dict):
+            if block is None:
+                block = doc[head] = []
+            block.append([{}])
+            mapping = block[-1][-1]
+        elif lead != "  " and isinstance(block, list):
+            if lead == "  - ":
+                block[-1].append({})
+            mapping = block[-1][-1]
+        else:
+            raise ScheduleFormatError(f"line {number}: no open block at this indentation")
+        _require(key not in mapping, f"line {number}: repeated key {key!r}")
+        mapping[key] = None if value is _BLOCK else value
+    return doc
 
 
 def _require(condition: bool, message: str):
@@ -283,13 +360,15 @@ def _require(condition: bool, message: str):
 
 
 def parse_schedule(text: str) -> PulseSchedule:
-    """Parse the structured-text schedule form back into a PulseSchedule."""
+    """Parse the structured-text schedule form back into a PulseSchedule.
+
+    read_tree reads the text and this function checks its fields; a text it
+    accepts gives the same schedule as a YAML 1.1 reader of that text would.
+    """
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScheduleFormatError(
-            f"schedule is not valid structured text: {yaml_problem(exc)}") from exc
-    _require(isinstance(doc, dict), "schedule must be a key-value tree")
+        doc = read_tree(text)
+    except ScheduleFormatError as exc:
+        raise ScheduleFormatError(f"schedule is not valid structured text: {exc}") from exc
     for key in ("gate", "groups"):
         _require(key in doc, f"schedule is missing the {key!r} field")
 

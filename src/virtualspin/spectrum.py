@@ -48,6 +48,8 @@ class Spectrum:
     warning: str | None = None
 
 
+# an overflowing coupling is reported once, by the InputError below
+@np.errstate(over="ignore", invalid="ignore")
 def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     """First-order energies and (orthonormalized) first-order eigenvectors.
 

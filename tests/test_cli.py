@@ -1,11 +1,21 @@
+import ast
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from virtualspin.cli import main
 from test_gates import ALL_NOT_FAMILY
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run(capsys, *argv):
@@ -288,17 +298,61 @@ def test_non_finite_flags_exit_2(capsys, argv):
     assert_input_error(*run(capsys, *argv))
 
 
-@pytest.mark.parametrize("argv", [
+OVERFLOWING = [
     ("spectrum", "--omegaQ", "1e200"),
     ("spectrum", "--omegaQ", "1e200", "--method", "pert"),
     ("compile", "NOT:S", "--omegaQ", "1e300"),
     ("compile", "NOT:S", "--omega0", "1e-320", "--omegaQ", "1e-30"),
     ("compile", "NOT:S", "--omegaQ", "1.7e308", "--theta", "0"),
     ("compile", "UT:R(1e308,0)"),           # a pulse length beyond floating point
-])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own overflow warnings
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_inputs_exit_2(capsys, argv):
     assert_input_error(*run(capsys, *argv))
+
+
+def test_overflowing_inputs_print_only_the_error_line():
+    # pytest captures warnings in-process, so a child prints every RuntimeWarning instead
+    script = ("import contextlib, io\n"
+              "from virtualspin.cli import main\n"
+              f"for argv in {OVERFLOWING!r}:\n"
+              "    err = io.StringIO()\n"
+              "    with contextlib.redirect_stderr(err):\n"
+              "        code = main(list(argv))\n"
+              "    print(repr((code, err.getvalue())))\n")
+    child = subprocess.run([sys.executable, "-W", "always::RuntimeWarning", "-c", script],
+                           capture_output=True, text=True, env=SRC_ENV, check=True)
+    results = [ast.literal_eval(line) for line in child.stdout.splitlines()]
+    assert len(results) == len(OVERFLOWING) and child.stderr == ""
+    for argv, (code, err) in zip(OVERFLOWING, results):
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_cli_imports_neither_yaml_nor_scipy():
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, virtualspin.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=SRC_ENV, check=True).stdout.split()
+    assert "virtualspin.cli" in loaded
+    assert not {"yaml", "scipy"} & set(loaded)
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (("spectrum", "--config", "{path}"), "omegaQ: 0.02\ntheta: 0.0\nomegaQ: 0.05\n", 3),
+    (("verify", "--schedule", "{path}"), None, 17),
+    (("simulate", "{path}"), None, 17),
+])
+def test_repeated_keys_exit_2_naming_the_line(capsys, tmp_path, argv, text, line):
+    path = tmp_path / "input.st"
+    if text is None:   # a compiled schedule that plays its duration twice
+        run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+        text = re.sub(r"(    duration: .*\n)", r"\1\1", path.read_text())
+    path.write_text(text)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert_input_error(code, out, err)
+    assert f"line {line}: repeated key" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,9 @@ Every call exits 0 (ok), 1 (verification mismatch), 2 (input error) or 3
 3 end stderr with one "error:" line; and a schedule that compile writes
 holds only finite or null frequencies and pulse lengths.  Arguments are
 drawn over every float (nan, +-inf, subnormals, +-1e308) for each
-parameter flag, grammar gate strings with drawn UT payloads, and
-mutated compile output for verify --schedule.
+parameter flag, grammar gate strings with drawn UT payloads, mutated
+compile output for verify --schedule and simulate, and flat --config
+files over the config keys, unknown keys and YAML 1.1 scalar forms.
 """
 
 import contextlib
@@ -18,11 +19,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virtualspin.cli import FORMATS, METHODS, main
+from virtualspin.cli import DEFAULTS, FORMATS, METHODS, main
 from virtualspin.gates import CONTROL_COUNT, SPINS, UT_FAMILY
+from virtualspin.system import Q2_FORMS
 
-# extreme inputs still raise numpy overflow warnings; the contract is about exits
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# an overflow is reported by the one "error:" line, never by a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PARAMETER_FLAGS = ("--omega0", "--omegaQ", "--theta", "--phi", "--gammaHrf")
 CONTRACT = settings(derandomize=True, deadline=None, database=None)
@@ -92,6 +94,9 @@ def test_flags_and_gates_keep_the_exit_code_contract(argv):
 SCHEDULE_GATES = ("CCNOT:QR->S", "CNOT:R->S", "UT:Q(1.2,0.4)", "NOT:S;CCUT:QR->S(-1.0,0.3)")
 TOKENS = ("null", ".nan", ".inf", "-.inf", "[1]", "{a: 1}", '"x"', "x", "''", "-1", "0", "9",
           "true", "1e400", "1" + "0" * 400, "- - upper: 1", ":")
+# plain scalars whose YAML 1.1 type is easy to get wrong: 010 is 8, 1e-3 a string, Y a string
+YAML11_FORMS = ("010", "1e-3", "1e+16", "1.0e3", "1.0e+3", "1:30", "0x1f", "yes", "on", "true",
+                ".inf", "2001-01-01", "Y", "y", "~", "", "1_000", ".5", "-.5", "1.")
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +117,8 @@ def mutated_schedules(draw, compiled):
         key, _, _ = lines[index].partition(": ")
         action = draw(st.sampled_from(("value", "delete", "duplicate", "truncate")))
         if action == "value":
-            value = draw(st.one_of(st.sampled_from(TOKENS), st.floats().map(repr),
-                                   st.integers(-10, 10).map(str)))
+            value = draw(st.one_of(st.sampled_from(TOKENS + YAML11_FORMS),
+                                   st.floats().map(repr), st.integers(-10, 10).map(str)))
             lines[index] = f"{key}: {value}"
         elif action == "delete":
             del lines[index]
@@ -133,3 +138,24 @@ def test_mutated_schedules_keep_the_exit_code_contract(data, compiled_schedules,
     schedule_path.write_text(data.draw(mutated_schedules(compiled_schedules)))
     fmt = data.draw(st.sampled_from(FORMATS))
     check_contract(["verify", "--schedule", str(schedule_path), "--format", fmt])
+    check_contract(["simulate", str(schedule_path), "--format", fmt])
+
+
+CONFIG_KEYS = (*DEFAULTS, "omegaq", "gate", "steps")
+config_values = st.one_of(st.sampled_from(TOKENS + YAML11_FORMS + METHODS + FORMATS + Q2_FORMS),
+                          st.floats().map(repr), st.integers(-10, 10).map(str))
+config_texts = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), config_values), max_size=4).map(
+    lambda items: "".join(f"{key}: {value}\n" for key, value in items))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "config.yml"
+
+
+@settings(CONTRACT, max_examples=80)
+@given(text=config_texts, argv=st.sampled_from((["spectrum"], ["compile", "CCNOT:QR->S"],
+                                                 ["verify", "NOT:S"])))
+def test_config_files_keep_the_exit_code_contract(text, argv, config_path):
+    config_path.write_text(text)
+    check_contract([*argv, "--config", str(config_path)])
