@@ -28,16 +28,20 @@ from .system import Q2_FORMS, SpinSystem
 FORMATS = ("table", "csv", "st")
 METHODS = ("pert", "exact")
 
-DEFAULTS = {
-    "omega0": 1.0,
-    "omegaQ": 0.01,
-    "theta": np.pi / 5,
-    "phi": 0.0,
-    "method": "exact",
-    "gammaHrf": 1e-3,
-    "format": "table",
-    "q2_form": "as-printed",
+# name -> (default, allowed values or "finite"/"positive" for a float, help); each
+# is a --flag (q2_form as --q2-form) and a config key, checked alike by _merge_config
+PARAMETERS = {
+    "omega0": (1.0, "positive", "Zeeman frequency (the unit)"),
+    "omegaQ": (0.01, "finite", "quadrupole coupling strength"),
+    "theta": (np.pi / 5, "finite", "field-gradient polar angle (rad)"),
+    "phi": (0.0, "finite", "field-gradient azimuth (rad)"),
+    "method": ("exact", METHODS, "spectrum method"),
+    "gammaHrf": (1e-3, "positive", "RF drive amplitude gamma*H_rf"),
+    "format": ("table", FORMATS, "output format (compile always writes schedule "
+                                 "text, sweep always CSV)"),
+    "q2_form": ("as-printed", Q2_FORMS, "quadrupole q_+-2 coefficient form"),
 }
+DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}
 
 STRONG_DRIVE_RATIO = 0.05
 
@@ -80,29 +84,22 @@ class RunConfig:
 
 def _merge_config(args, file_defaults: dict) -> RunConfig:
     values = {}
-    for key, default in DEFAULTS.items():
+    for key, (default, allowed, _) in PARAMETERS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-        elif key in file_defaults:
-            values[key] = file_defaults[key]
+        value = flag if flag is not None else file_defaults.get(key, default)
+        if isinstance(allowed, tuple):
+            if value not in allowed:
+                raise InputError(f"{key} must be one of {allowed}, got {value!r}")
         else:
-            values[key] = default
-    if values["method"] not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {values['method']!r}")
-    if values["format"] not in FORMATS:
-        raise InputError(f"format must be one of {FORMATS}, got {values['format']!r}")
-    for key in ("omega0", "omegaQ", "theta", "phi", "gammaHrf"):
-        try:
-            values[key] = float(values[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{key} must be a number, got {values[key]!r}") from exc
-        if not np.isfinite(values[key]):
-            raise InputError(f"{key} must be finite, got {values[key]}")
-    if not values["omega0"] > 0:
-        raise InputError(f"omega0 must be positive, got {values['omega0']}")
-    if not values["gammaHrf"] > 0:
-        raise InputError(f"gammaHrf must be positive, got {values['gammaHrf']}")
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"{key} must be a number, got {value!r}") from exc
+            if not np.isfinite(value):
+                raise InputError(f"{key} must be finite, got {value}")
+            if allowed == "positive" and not value > 0:
+                raise InputError(f"{key} must be positive, got {value}")
+        values[key] = value
     return RunConfig(**values)
 
 
@@ -270,11 +267,7 @@ def cmd_simulate(args) -> int:
     file_defaults = _load_config_file(args.config)
     sched = _read_schedule(args.schedule)
     # schedule parameters act as config-file-level defaults; flags still win
-    if sched.parameters:
-        merged = dict(sched.parameters)
-        merged.update(file_defaults)
-        file_defaults = merged
-    config = _merge_config(args, file_defaults)
+    config = _merge_config(args, {**(sched.parameters or {}), **file_defaults})
 
     cfg = IntegrationConfig(steps_per_shortest_period=args.steps)
     gamma = config.gamma_normalized()
@@ -322,16 +315,9 @@ def cmd_simulate(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--omega0", type=float, help="Zeeman frequency (the unit)")
-    common.add_argument("--omegaQ", type=float, help="quadrupole coupling strength")
-    common.add_argument("--theta", type=float, help="field-gradient polar angle (rad)")
-    common.add_argument("--phi", type=float, help="field-gradient azimuth (rad)")
-    common.add_argument("--method", choices=METHODS, help="spectrum method")
-    common.add_argument("--gammaHrf", type=float, dest="gammaHrf",
-                        help="RF drive amplitude gamma*H_rf")
-    common.add_argument("--format", choices=FORMATS, help="output format")
-    common.add_argument("--q2-form", choices=Q2_FORMS, dest="q2_form",
-                        help="quadrupole q_+-2 coefficient form")
+    for name, (_, allowed, text) in PARAMETERS.items():
+        kind = {"choices": allowed} if isinstance(allowed, tuple) else {"type": float}
+        common.add_argument("--" + name.replace("_", "-"), dest=name, help=text, **kind)
     common.add_argument("--out", help="write output to FILE instead of stdout")
     common.add_argument("--config", help="config file with default parameter values")
 

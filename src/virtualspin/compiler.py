@@ -28,8 +28,7 @@ import numpy as np
 from .errors import InputError, ScheduleFormatError, TruthTableError
 from .gates import GateSpec, parse_gate_sequence, target_gate
 from .operators import DIM
-from .pulses import (AXES, PulseParams, Tone, check_disjoint, multi_tone_propagator,
-                     pulse_duration)
+from .pulses import PulseParams, Tone, check_disjoint, multi_tone_propagator, pulse_duration
 from .spectrum import Spectrum, drive_elements
 
 EXACT_MATCH = "exact"
@@ -49,6 +48,7 @@ class PulseSchedule:
     Tones within a group are simultaneous (one multi-frequency pulse) and
     address disjoint level pairs; groups apply in order.  Each tone carries
     its own resolved frequency and pulse length (see resolve_schedule).
+    An empty `parameters` mapping is stored as None, as it reads back.
     """
 
     gates: tuple
@@ -57,6 +57,7 @@ class PulseSchedule:
     parameters: dict | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "parameters", dict(self.parameters) if self.parameters else None)
         for group in self.groups:
             check_disjoint(group)
 
@@ -92,8 +93,7 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
         phase = 0.0 if g.is_not_family else g.f
         groups.append(tuple(Tone(upper=m0, lower=m1, angle=angle, phase=phase, axis="X")
                             for m0, m1 in g.level_pairs()))
-    sched = PulseSchedule(gates=gates, groups=tuple(groups),
-                          parameters=dict(parameters) if parameters is not None else None)
+    sched = PulseSchedule(gates=gates, groups=tuple(groups), parameters=parameters)
     if spectrum is not None:
         sched = resolve_schedule(sched, spectrum, gamma_hrf)
     return sched
@@ -236,7 +236,9 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 # Floats are written with repr() so that serialize -> parse is lossless.
 # ---------------------------------------------------------------------------
 
-_TONE_KEYS = ("upper", "lower", "angle_rad", "phase_rad", "axis", "omega", "duration")
+# schedule key -> Tone attribute, in the order format_schedule writes them
+_TONE_FIELDS = {"upper": "upper", "lower": "lower", "angle_rad": "angle", "phase_rad": "phase",
+                "axis": "axis", "omega": "omega", "duration": "duration"}
 
 
 def _scalar(value) -> str:
@@ -253,21 +255,16 @@ def format_schedule(sched: PulseSchedule) -> str:
     """Serialize a schedule to its structured-text form (deterministic bytes)."""
     lines = [f"gate: {_scalar(sched.gate_string())}",
              f"spectrum_method: {_scalar(sched.spectrum_method)}"]
-    if sched.parameters is None:
-        lines.append("parameters: null")
-    else:
-        lines.append("parameters:")
-        for key in sorted(sched.parameters):
-            lines.append(f"  {key}: {_scalar(sched.parameters[key])}")
+    lines.append("parameters:" if sched.parameters else "parameters: null")
+    for key, value in sorted((sched.parameters or {}).items()):
+        lines.append(f"  {key}: {_scalar(value)}")
     lines.append("groups:")
     for group in sched.groups:
         for i, tone in enumerate(group):
             prefix = "- - " if i == 0 else "  - "
-            values = (tone.upper, tone.lower, tone.angle, tone.phase, tone.axis,
-                      tone.omega, tone.duration)
-            for j, (key, value) in enumerate(zip(_TONE_KEYS, values)):
+            for j, (key, attr) in enumerate(_TONE_FIELDS.items()):
                 lead = prefix if j == 0 else "    "
-                lines.append(f"{lead}{key}: {_scalar(value)}")
+                lines.append(f"{lead}{key}: {_scalar(getattr(tone, attr))}")
     return "\n".join(lines) + "\n"
 
 
@@ -283,8 +280,8 @@ _LINE = re.compile(r"(- - |  - |    |  |)([A-Za-z_][A-Za-z0-9_]{0,63}):(?: +(.*)
 _QUOTED = re.compile(r'"((?:[^"\\]|\\["\\])*)"(?: +#.*)?$')
 _INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)$")
 _FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?$")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.+:;(),>-]*(?<!:)$"
-                   r"|[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")   # no YAML 1.1 float
+_EXPONENT = re.compile(r"[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")   # a word to YAML 1.1
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.+:;(),>-]*(?<!:)$|" + _EXPONENT.pattern)
 _NAMED = {"~": None, "null": None, "Null": None, "NULL": None, ".nan": math.nan,
           ".NaN": math.nan, ".NAN": math.nan, **{sign + inf: float(sign + "inf")
           for sign in ("", "+", "-") for inf in (".inf", ".Inf", ".INF")}}
@@ -381,36 +378,40 @@ def parse_schedule(text: str) -> PulseSchedule:
     parameters = doc.get("parameters")
     if parameters is not None:
         _require(isinstance(parameters, dict), "parameters must be a mapping or null")
-        try:
-            parameters = {str(k): float(v) for k, v in parameters.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScheduleFormatError(f"invalid parameters: {exc}") from exc
+        parameters = {key: _number(value, key) for key, value in parameters.items()}
 
     raw_groups = doc["groups"]
-    _require(isinstance(raw_groups, list) and
-             all(isinstance(g, list) for g in raw_groups),
+    _require(isinstance(raw_groups, list) and all(isinstance(g, list) for g in raw_groups),
              "groups must be a list of tone lists")
-    groups = []
-    for raw_group in raw_groups:
-        tones = []
-        for entry in raw_group:
-            _require(isinstance(entry, dict), "each tone must be a mapping")
-            missing = [k for k in _TONE_KEYS if k not in entry]
-            _require(not missing, f"tone is missing fields {missing}")
-            _require(entry["axis"] in AXES, f"tone axis must be one of {AXES}")
-            # InputError from Tone is a ValueError too
-            try:
-                omega, duration = (None if entry[k] is None else float(entry[k])
-                                   for k in ("omega", "duration"))
-                tones.append(Tone(upper=int(entry["upper"]), lower=int(entry["lower"]),
-                                  angle=float(entry["angle_rad"]),
-                                  phase=float(entry["phase_rad"]),
-                                  axis=str(entry["axis"]), omega=omega, duration=duration))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScheduleFormatError(f"invalid tone: {exc}") from exc
-        groups.append(tuple(tones))
-    try:
-        return PulseSchedule(gates=gates, groups=tuple(groups),
+    try:   # Tone checks levels, finite angles and the axis; PulseSchedule the overlaps
+        groups = tuple(tuple(_tone(entry) for entry in group) for group in raw_groups)
+        return PulseSchedule(gates=gates, groups=groups,
                              spectrum_method=method, parameters=parameters)
     except InputError as exc:
         raise ScheduleFormatError(f"invalid schedule: {exc}") from exc
+
+
+def _tone(entry) -> Tone:
+    """The Tone of one schedule entry, each field checked as read_tree typed it."""
+    _require(isinstance(entry, dict), "each tone must be a mapping")
+    missing = [key for key in _TONE_FIELDS if key not in entry]
+    _require(not missing, f"tone is missing fields {missing}")
+    fields = {}
+    for key, attr in _TONE_FIELDS.items():
+        value = entry[key]
+        if key in ("upper", "lower"):
+            _require(type(value) is int, f"tone {key} must be an integer, got {value!r}")
+        elif key != "axis" and not (value is None and key in ("omega", "duration")):
+            value = _number(value, key)
+        fields[attr] = value
+    return Tone(**fields)
+
+
+def _number(value, key: str) -> float:
+    """A number as read_tree gives it: an int, a float or an exponent word such as 1e-05."""
+    if type(value) in (int, float) or isinstance(value, str) and _EXPONENT.match(value):
+        try:
+            return float(value)
+        except OverflowError as exc:   # an integer beyond floating point
+            raise ScheduleFormatError(f"{key}: {exc}") from exc
+    raise ScheduleFormatError(f"{key} must be a number, got {value!r}")

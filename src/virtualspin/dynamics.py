@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import PulseSchedule, resolve_schedule, schedule_propagator, truth_table
+from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
 from .errors import DegenerateFitError, InputError, ResolutionError
 from .operators import DIM
 from .pulses import AXES, PulseParams, Tone, pulse_propagator
@@ -379,10 +379,10 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
     deviation = float(np.abs(u_actual - u_ideal).max())
     transfer = {}
     not_family = all(g.is_not_family for g in sched.gates)
-    table = truth_table(sched.gates, propagator=u_ideal) if not_family else None
     for label in range(DIM):
         probability = float(abs(u_ideal[:, label].conj() @ u_actual[:, label]) ** 2)
-        out = table[label][0] if table is not None else label
+        # the largest entry of the ideal column; an edited NOT-family schedule need not permute
+        out = int(np.argmax(np.abs(u_ideal[:, label]))) if not_family else label
         transfer[label] = (out, probability)
     return ScheduleSimulation(ideal=u_ideal, actual=u_actual, deviation=deviation,
                               transfer=transfer, group_durations=tuple(durations))

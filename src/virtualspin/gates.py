@@ -143,35 +143,25 @@ _GRAMMAR_HINT = ("expected KIND:CONTROLS->TARGET with KIND in "
 
 
 def parse_gate(text: str) -> GateSpec:
-    """Parse one gate string; raises GateGrammarError with a grammar hint."""
+    """Parse one gate string (shape by regex, the rest by GateSpec); errors carry the hint."""
     match = _GATE_RE.match(text.strip())
     if match is None:
         raise GateGrammarError(f"cannot parse gate string {text!r}: {_GRAMMAR_HINT}")
-    kind = match.group("kind")
-    if kind not in NOT_FAMILY + UT_FAMILY:
-        raise GateGrammarError(f"unknown gate kind {kind!r} in {text!r}: {_GRAMMAR_HINT}")
     controls = match.group("controls") or ""
     if len(set(controls)) != len(controls):
         raise GateGrammarError(f"duplicate control spin in {text!r}: {_GRAMMAR_HINT}")
-    phi = f = None
-    if match.group("phi") is not None:
-        if kind not in UT_FAMILY:
-            raise GateGrammarError(f"{kind} takes no (phi,f) payload in {text!r}: "
-                                   f"{_GRAMMAR_HINT}")
+    phi, f = match.group("phi", "f")
+    if phi is not None:
         try:
-            phi = float(match.group("phi"))
-            f = float(match.group("f"))
+            phi, f = float(phi), float(f)
         except ValueError as exc:
             raise GateGrammarError(f"non-numeric (phi,f) payload in {text!r}: "
                                    f"{_GRAMMAR_HINT}") from exc
-    elif kind in UT_FAMILY:
-        raise GateGrammarError(f"{kind} requires a (phi,f) payload in {text!r}: "
-                               f"{_GRAMMAR_HINT}")
     try:
-        return GateSpec(kind=kind, target=match.group("target"),
+        return GateSpec(kind=match.group("kind"), target=match.group("target"),
                         controls=frozenset(controls), phi=phi, f=f)
     except InputError as exc:
-        raise GateGrammarError(f"invalid gate {text!r}: {exc}") from exc
+        raise GateGrammarError(f"invalid gate {text!r}: {exc}: {_GRAMMAR_HINT}") from exc
 
 
 def parse_gate_sequence(text: str) -> tuple[GateSpec, ...]:

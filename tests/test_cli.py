@@ -91,10 +91,12 @@ def test_compile_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_compile_rejects_bad_gate(capsys):
-    code, _, err = run(capsys, "compile", "TOFFOLI:QR->S")
-    assert code == 2
-    assert "KIND" in err  # grammar hint present
+@pytest.mark.parametrize("gate", ["TOFFOLI:QR->S", "FOO:S", "CCNOT:QR->S(1,2)", "CCUT:QR->S",
+                                  "CNOT:QR->S", "CNOT:S->S", "CNOT:RR->S", "UT:S(a,1)"])
+def test_compile_rejects_bad_gate(capsys, gate):
+    code, out, err = run(capsys, "compile", gate)
+    assert_input_error(code, out, err)
+    assert "expected KIND:CONTROLS->TARGET" in err  # grammar hint present
 
 
 def test_verify_all_gates_exit_zero(capsys):
@@ -187,6 +189,19 @@ def test_simulate_round_trip(capsys, tmp_path):
     assert "warning" not in err
 
 
+def test_simulate_edited_not_family_schedule_reports_transfer(capsys, tmp_path):
+    # a parseable CCNOT schedule whose tone no longer flips: verify grades it a
+    # mismatch, and simulate still reports each input's most likely ideal output
+    path = tmp_path / "ccnot.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    path.write_text(path.read_text().replace("angle_rad: 3.141592653589793", "angle_rad: 1.0"))
+    assert run(capsys, "verify", "--schedule", str(path))[0] == 1
+    code, out, _ = run(capsys, "simulate", str(path), "--omegaQ", "0.05", "--theta", "0.5",
+                       "--gammaHrf", "5e-3")
+    assert code == 0
+    assert "|6> -> |6>" in out and "|7> -> |7>" in out
+
+
 def test_simulate_strong_drive_warns_but_succeeds(capsys, tmp_path):
     path = tmp_path / "ccnot.st"
     run(capsys, "compile", "CCNOT:QR->S", "--omegaQ", "0.05", "--theta", "0.5",
@@ -267,6 +282,9 @@ def assert_input_error(code, out, err):
     (r"duration: .*", 'duration: "long"'),
     (r"omegaQ: .*", 'omegaQ: "abc"'),
     (r"upper: 6", "upper: .inf"),
+    (r"upper: 6", "upper: 6.9"),
+    (r"upper: 6", "upper: 6.0"),
+    (r"upper: 6", 'upper: "6"'),
     pytest.param(r"omegaQ: .*", "omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
     (r"spectrum_method: .*", "spectrum_method: [1"),
 ])
@@ -280,11 +298,12 @@ def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement
 
 @pytest.mark.parametrize("line", ["omegaQ: abc", "theta: [1]", "gammaHrf: .inf",
                                   pytest.param("omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
-                                  "omegaQ: [1"])
+                                  "omegaQ: [1", "q2_form: foo"])
 def test_malformed_config_values_exit_2(capsys, tmp_path, line):
     config = tmp_path / "config.yml"
     config.write_text(line + "\n")
     assert_input_error(*run(capsys, "compile", "NOT:S", "--config", str(config)))
+    assert_input_error(*run(capsys, "verify", "NOT:S", "--config", str(config)))
 
 
 @pytest.mark.parametrize("argv", [

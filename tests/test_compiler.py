@@ -215,6 +215,7 @@ def test_schedule_round_trip_is_lossless():
         compile_gate("NOT:S"),
         compile_gate(f"CCUT:QR->S({3 * np.pi / 4},{np.pi / 3})", spectrum=spectrum),
         compile_gate("NOT:S;CCNOT:QR->S", spectrum=spectrum, gamma_hrf=2e-3),
+        compile_gate("CNOT:R->S", parameters={}),
     ]
     for sched in cases:
         text = format_schedule(sched)
