@@ -12,7 +12,7 @@ sweep); 3 numerical-resolution error.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,20 +44,14 @@ PARAMETERS = {
 DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}
 
 STRONG_DRIVE_RATIO = 0.05
+# sweep --points bound: at about 0.4 ms a point the largest sweep takes under a minute
+MAX_SWEEP_POINTS = 10**5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged defaults < config file < command-line flags."""
+class RunConfig(namedtuple("RunConfig", PARAMETERS)):
+    """Merged defaults < config file < command-line flags, one field per PARAMETERS entry."""
 
-    omega0: float
-    omegaQ: float
-    theta: float
-    phi: float
-    method: str
-    gammaHrf: float
-    format: str
-    q2_form: str
+    __slots__ = ()
 
     def system(self) -> SpinSystem:
         # work in units of omega0 throughout
@@ -115,11 +109,14 @@ def _load_config_file(path: str | None) -> dict:
         raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except ScheduleFormatError as exc:
         raise InputError(f"config file {path} is not flat `key: value` text: {exc}") from exc
-    unknown = set(doc) - set(DEFAULTS)
-    if unknown:
-        raise InputError(f"unknown config keys {sorted(unknown)}; "
-                         f"allowed: {sorted(DEFAULTS)}")
+    _check_keys(doc, "config")
     return doc
+
+
+def _check_keys(keys, source: str):
+    unknown = set(keys) - set(PARAMETERS)
+    if unknown:
+        raise InputError(f"unknown {source} keys {sorted(unknown)}; allowed: {sorted(PARAMETERS)}")
 
 
 def _read_schedule(path: str):
@@ -230,10 +227,10 @@ def _phase_label(factor: complex) -> str:
 def cmd_sweep(args) -> int:
     config = _merge_config(args, _load_config_file(args.config))
     pair = _parse_pair(args.pair)
-    if args.points < 2:
-        raise InputError("--points must be at least 2")
-    if not 0 < args.min < args.max:
-        raise InputError("need 0 < --min < --max for the omegaQ/omega0 range")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise InputError(f"--points must be from 2 to {MAX_SWEEP_POINTS}, got {args.points}")
+    if not 0 < args.min < args.max < np.inf:
+        raise InputError("need 0 < --min < --max < inf for the omegaQ/omega0 range")
     ratios = np.logspace(np.log10(args.min), np.log10(args.max), args.points)
     fit = forbidden_scaling(config.system(), pair, ratios)
 
@@ -266,6 +263,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def cmd_simulate(args) -> int:
     file_defaults = _load_config_file(args.config)
     sched = _read_schedule(args.schedule)
+    _check_keys(sched.parameters or {}, "schedule parameter")
     # schedule parameters act as config-file-level defaults; flags still win
     config = _merge_config(args, {**(sched.parameters or {}), **file_defaults})
 

@@ -294,7 +294,7 @@ def _value(raw: str | None, number: int):
         return _BLOCK
     if raw.startswith('"'):
         quoted = _QUOTED.match(raw)
-        _require(quoted, f"line {number}: unclosed string or an escape other than \\\\ and \\\"")
+        _require(quoted, "line {}: unclosed string or an escape other than \\\\ and \\\"", number)
         return re.sub(r'\\(["\\])', r"\1", quoted[1])
     token = raw.partition(" #")[0].rstrip(" ")
     if token in _NAMED:
@@ -307,7 +307,7 @@ def _value(raw: str | None, number: int):
     if _FLOAT.match(token):
         return float(token)
     _require(_WORD.match(token) and token.lower() not in _BOOLS,
-             f"line {number}: unsupported value {token!r}")
+             "line {}: unsupported value {!r}", number, token)
     return token
 
 
@@ -319,15 +319,15 @@ def read_tree(text: str) -> dict:
     doc, head, block = {}, None, None
     for number, line in enumerate(text.split("\n"), 1):
         line = line.rstrip(" ")
-        _require(line.isprintable(), f"line {number}: tab or other unprintable character")
+        _require(line.isprintable(), "line {}: tab or other unprintable character", number)
         if not line or line.lstrip(" ").startswith("#"):
             continue
         match = _LINE.match(line)
-        _require(match, f"line {number}: expected `key: value`, indented by 0, 2 or 4 "
-                        "spaces, or a `- - ` / `  - ` tone line")
+        _require(match, "line {}: expected `key: value`, indented by 0, 2 or 4 "
+                        "spaces, or a `- - ` / `  - ` tone line", number)
         lead, key, raw = match.groups()
         _require(key.lower() not in _BOOLS and key not in _NAMED,
-                 f"line {number}: {key!r} is not a string key in YAML 1.1")
+                 "line {}: {!r} is not a string key in YAML 1.1", number, key)
         value = _value(raw, number)
         if lead == "":
             mapping, head, block = doc, (key if value is _BLOCK else None), None
@@ -346,14 +346,15 @@ def read_tree(text: str) -> dict:
             mapping = block[-1][-1]
         else:
             raise ScheduleFormatError(f"line {number}: no open block at this indentation")
-        _require(key not in mapping, f"line {number}: repeated key {key!r}")
+        _require(key not in mapping, "line {}: repeated key {!r}", number, key)
         mapping[key] = None if value is _BLOCK else value
     return doc
 
 
-def _require(condition: bool, message: str):
+def _require(condition: bool, message: str, *args):
+    """Raise ScheduleFormatError unless condition; message.format(*args) only if args are given."""
     if not condition:
-        raise ScheduleFormatError(message)
+        raise ScheduleFormatError(message.format(*args) if args else message)
 
 
 def parse_schedule(text: str) -> PulseSchedule:
@@ -395,12 +396,12 @@ def _tone(entry) -> Tone:
     """The Tone of one schedule entry, each field checked as read_tree typed it."""
     _require(isinstance(entry, dict), "each tone must be a mapping")
     missing = [key for key in _TONE_FIELDS if key not in entry]
-    _require(not missing, f"tone is missing fields {missing}")
+    _require(not missing, "tone is missing fields {}", missing)
     fields = {}
     for key, attr in _TONE_FIELDS.items():
         value = entry[key]
         if key in ("upper", "lower"):
-            _require(type(value) is int, f"tone {key} must be an integer, got {value!r}")
+            _require(type(value) is int, "tone {} must be an integer, got {!r}", key, value)
         elif key != "axis" and not (value is None and key in ("omega", "duration")):
             value = _number(value, key)
         fields[attr] = value

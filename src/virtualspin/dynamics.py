@@ -32,8 +32,10 @@ period is sliced, its propagator is raised to n = floor(duration / T) by
 repeated squaring with every product projected back onto the nearest
 unitary (the polar factor of its SVD), and the sliced remainder is applied
 last.  The cost is then independent of the pulse length.  Multi-tone
-drives are sliced uniformly over the whole pulse; a drive needing more
-than MAX_SLICES slices is refused before any integration starts.
+drives are sliced uniformly over the whole pulse.  `evolve` diagonalizes
+H_static once per drive and counts the slices of the span and of the
+remainder once: a drive needing more than MAX_SLICES slices is refused
+before any integration starts, and the kernel is handed both.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -56,8 +58,8 @@ import numpy as np
 
 from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
 from .errors import DegenerateFitError, InputError, ResolutionError
-from .operators import DIM
-from .pulses import AXES, PulseParams, Tone, pulse_propagator
+from .operators import DIM, make_spin_operators
+from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import SpinSystem, build_hamiltonian
 
@@ -127,14 +129,12 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     if drive.duration == 0:
         return np.eye(DIM, dtype=complex)
 
-    h_static = build_hamiltonian(sys)
+    energies, basis = np.linalg.eigh(build_hamiltonian(sys))
     if not drive.tones:
         # the Hamiltonian is constant: one exact exponential
-        energies, basis = np.linalg.eigh(h_static)
         return _phase_conjugate(basis, np.exp(-1j * energies * drive.duration))
 
-    evals = np.linalg.eigvalsh(h_static)
-    omega_max = max(float(evals[-1] - evals[0]), sys.omega0,
+    omega_max = max(float(energies[-1] - energies[0]), sys.omega0,
                     *(abs(t.frequency) for t in drive.tones))
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
     # a single tone is periodic: slice one period and raise it to a power
@@ -145,22 +145,19 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
         if whole >= 2:
             span, n_periods = period, whole
     remainder = drive.duration - n_periods * span
-    slices = _slice_count(span, dt_max) + (_slice_count(remainder, dt_max) if remainder > 0 else 0)
-    if slices > MAX_SLICES:
+    # the fewest slices at most dt_max wide, for the span and for the remainder
+    n_span, n_rest = (max(1, math.ceil(t / dt_max)) if t > 0 else 0 for t in (span, remainder))
+    if n_span + n_rest > MAX_SLICES:
         raise ResolutionError(
-            f"the drive needs {slices:.3g} time slices, more than the limit of "
+            f"the drive needs {n_span + n_rest:.3g} time slices, more than the limit of "
             f"{MAX_SLICES:.0e}; shorten the pulse or raise gammaHrf")
 
-    u_total = _slice_product(sys, h_static, drive, span, dt_max)
+    u_total = _slice_product(energies, basis, drive, span, n_span)
     if n_periods > 1:
         u_total = _unitary_power(u_total, n_periods)
-    if remainder > 0:
-        u_total = _polar_unitary(_slice_product(sys, h_static, drive, remainder, dt_max) @ u_total)
+    if n_rest:
+        u_total = _polar_unitary(_slice_product(energies, basis, drive, remainder, n_rest) @ u_total)
     return u_total
-
-
-def _slice_count(span: float, dt_max: float) -> int:
-    return max(1, math.ceil(span / dt_max))
 
 
 def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -168,11 +165,13 @@ def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (basis * phases) @ basis.conj().T
 
 
-def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
-                   span: float, dt_max: float) -> np.ndarray:
-    """Strang-split midpoint slices over [0, span], each at most dt_max wide.
+def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
+                   span: float, n_slices: int) -> np.ndarray:
+    """The product of n_slices Strang-split midpoint slices over [0, span].
 
-    A slice is  C_h e^{-i dt V(t_mid)} C_h  with C_h = e^{-i H_static dt/2};
+    evolve diagonalizes H_static = basis diag(energies) basis^dagger once and
+    hands the kernel that decomposition and its slice count.  A slice is
+    C_h e^{-i dt V(t_mid)} C_h  with C_h = e^{-i H_static dt/2};
     neighbouring half steps merge into C = C_h^2, so the product is
     C_h [F_N ... F_1] C_h^dagger  with  F_j = e^{-i dt V_j} C.  The drive
     V = A Ix + B Iy = r e^{-i alpha Iz} Ix e^{i alpha Iz} is a diagonal
@@ -184,16 +183,14 @@ def _slice_product(sys: SpinSystem, h_static: np.ndarray, drive: DriveSpec,
     that _chain_products multiplies in lock step, and the run products are
     then multiplied pairwise.
     """
-    n_slices = _slice_count(span, dt_max)
     dt = span / n_slices
-    energies, basis = np.linalg.eigh(h_static)
     step = _polar_unitary(_phase_conjugate(basis, np.exp(-1j * energies * dt)))
     half = _phase_conjugate(basis, np.exp(-0.5j * energies * dt))
 
     axes = sorted({tone.axis for tone in drive.tones})
     mixed = len(axes) > 1
     # Ix and Iy have the eigenvalues of Iz, M_VALUES, in ascending order
-    _, w = np.linalg.eigh(sys.ops.Iy if axes == ["Y"] else sys.ops.Ix)
+    _, w = np.linalg.eigh(getattr(make_spin_operators(), "Iy" if axes == ["Y"] else "Ix"))
     if mixed:
         frame = half
     else:
@@ -250,8 +247,7 @@ def _chain_products(stages, late_start: int) -> np.ndarray:
     one array, so each stage of a step is one matrix product and one row
     scaling along the contiguous run axis.  The last run restarts from the
     identity at step late_start (if there is such a step), dropping the
-    slices before it.  Returns
-    (runs, DIM, DIM), the product of run r being entry r.
+    slices before it.  Returns (runs, DIM, DIM), the product of run r being entry r.
     """
     steps, _, runs = stages[0][1].shape
     # entry [i, j, r] of run r's partial product
@@ -313,11 +309,12 @@ def _play_group(sys: SpinSystem, spectrum: Spectrum, group,
     duration = max((t.duration for t in group), default=0.0)
     if duration == 0:
         return duration, np.eye(DIM, dtype=complex)
+    elements = {axis: drive_elements(spectrum, axis) for axis in {t.axis for t in group}}
     drive = []
     for tone in group:
         if tone.angle == 0:
             continue
-        element = drive_elements(spectrum, tone.axis)[tone.upper, tone.lower]
+        element = elements[tone.axis][tone.upper, tone.lower]
         # a negative rotation angle is a positive one with the phase advanced by pi
         phase = tone.phase + (np.pi if tone.angle < 0 else 0.0)
         f_drive = float(np.angle(element)) - phase - (np.pi / 2 if tone.axis == "Y" else 0.0)
@@ -332,18 +329,12 @@ def rwa_deviation(sys: SpinSystem, tone: Tone, params: PulseParams,
                   cfg: IntegrationConfig = IntegrationConfig()) -> float:
     """Distance between the exact and the idealized propagator of one tone.
 
-    Integrates the resonant drive realizing `tone` at amplitude
-    params.gammaHrf, expresses the result in the interaction picture of
-    the static Hamiltonian, and returns the maximum entrywise modulus
-    difference from pulse_propagator(tone).  Grows with gammaHrf/omega0
-    (counter-rotating terms and off-resonant leakage onto the other
-    transitions).
+    The deviation simulate_schedule reports for a schedule of this one tone
+    at amplitude params.gammaHrf.  Grows with gammaHrf/omega0 (counter-rotating
+    terms and off-resonant leakage onto the other transitions).
     """
-    spectrum = exact_spectrum(sys)
-    resolved = resolve_schedule(PulseSchedule(gates=(), groups=((tone,),)), spectrum,
-                                params.gammaHrf).groups[0]
-    _, u_int = _play_group(sys, spectrum, resolved, cfg)
-    return float(np.abs(u_int - pulse_propagator(tone)).max())
+    sched = PulseSchedule(gates=(), groups=((tone,),))
+    return simulate_schedule(sys, sched, params.gammaHrf, cfg).deviation
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,8 +406,9 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
     if ratios is None:
         ratios = np.logspace(-4, -2, 20)
     ratios = np.asarray(ratios, dtype=float)
-    if ratios.size < 2:
-        raise InputError("need at least two sweep points to fit a slope")
+    log_r = np.log(ratios)
+    if np.unique(log_r).size < max(2, ratios.size):
+        raise InputError("need at least two sweep points, with distinct logarithms, to fit a slope")
     elements = np.empty_like(ratios)
     for i, ratio in enumerate(ratios):
         swept = SpinSystem(omega0=sys.omega0, omegaQ=ratio * sys.omega0,
@@ -428,7 +420,6 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
         if sys.theta == 0:
             message += " (theta = 0 disables quadrupole mixing)"
         raise DegenerateFitError(message)
-    log_r = np.log(ratios)
     log_e = np.log(np.maximum(elements, 1e-300))
     slope = float(np.polyfit(log_r, log_e, 1)[0])
     local = np.empty_like(ratios)

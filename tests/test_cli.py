@@ -177,6 +177,24 @@ def test_sweep_bad_pair(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--max", "inf"), "--max"),
+    (("--min", "0"), "--min"),
+    (("--min", "0.02"), "--max"),
+    (("--points", "1000000000"), "--points"),
+    (("--points", "100001"), "--points"),
+    (("--points", "1"), "--points"),
+], ids=["max-inf", "min-zero", "min-over-max", "points-1e9", "points-over-bound", "points-1"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_rejects_its_own_flags_before_any_work(capsys, monkeypatch, flags, named):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+    monkeypatch.setattr(np, "logspace", no_sweep)
+    code, out, err = run(capsys, "sweep", "--pair", "5,7", *flags)
+    assert_input_error(code, out, err)
+    assert named in err
+
+
 def test_simulate_round_trip(capsys, tmp_path):
     path = tmp_path / "ccnot.st"
     run(capsys, "compile", "CCNOT:QR->S", "--omegaQ", "0.05", "--theta", "0.5",
@@ -200,6 +218,19 @@ def test_simulate_edited_not_family_schedule_reports_transfer(capsys, tmp_path):
                        "--gammaHrf", "5e-3")
     assert code == 0
     assert "|6> -> |6>" in out and "|7> -> |7>" in out
+
+
+def test_simulate_rejects_unknown_schedule_parameters(capsys, tmp_path):
+    # a misspelled omegaQ used to run at the default omegaQ and exit 0
+    path = tmp_path / "ccnot.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--omegaQ", "0.05", "--theta", "0.5",
+        "--out", str(path))
+    path.write_text(path.read_text().replace("  omegaQ: ", "  omegaq: "))
+    code, out, err = run(capsys, "simulate", str(path), "--gammaHrf", "5e-3")
+    assert_input_error(code, out, err)
+    assert "omegaq" in err
+    # verify replays the tones and does not read the parameters
+    assert run(capsys, "verify", "--schedule", str(path))[0] == 0
 
 
 def test_simulate_strong_drive_warns_but_succeeds(capsys, tmp_path):

@@ -6,8 +6,9 @@ Every call exits 0 (ok), 1 (verification mismatch), 2 (input error) or 3
 holds only finite or null frequencies and pulse lengths.  Arguments are
 drawn over every float (nan, +-inf, subnormals, +-1e308) for each
 parameter flag, grammar gate strings with drawn UT payloads, mutated
-compile output for verify --schedule and simulate, and flat --config
-files over the config keys, unknown keys and YAML 1.1 scalar forms.
+compile output for verify --schedule and simulate, flat --config files
+over the config keys, unknown keys and YAML 1.1 scalar forms, and sweep's
+own flags: level pairs, point counts and omegaQ/omega0 bounds.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virtualspin.cli import DEFAULTS, FORMATS, METHODS, main
+from virtualspin.cli import DEFAULTS, FORMATS, MAX_SWEEP_POINTS, METHODS, main
 from virtualspin.gates import CONTROL_COUNT, SPINS, UT_FAMILY
 from virtualspin.system import Q2_FORMS
 
@@ -159,3 +160,45 @@ def config_path(tmp_path_factory):
 def test_config_files_keep_the_exit_code_contract(text, argv, config_path):
     config_path.write_text(text)
     check_contract([*argv, "--config", str(config_path)])
+
+
+def mostly(good, bad):
+    """good four times in five, so most drawn sweeps get past the flag checks."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 4 else good)
+
+
+def joined(pairs):
+    return pairs.map(lambda drawn: "".join(map(str, drawn)))
+
+
+# valid, reversed and equal level pairs in both spellings; out-of-range pairs and garbage
+pair_strings = mostly(
+    joined(st.tuples(st.integers(0, 7), st.sampled_from(",-"), st.integers(0, 7))),
+    joined(st.tuples(st.integers(-2, 9), st.sampled_from(",-"), st.integers(-2, 9)))
+    | st.text(max_size=8))
+point_counts = mostly(st.integers(2, 40), st.one_of(
+    st.integers(-2, 1), st.sampled_from((MAX_SWEEP_POINTS + 1, 10**9))))
+# omegaQ/omega0 bounds: an increasing pair in the perturbative regime, or any two floats
+sweep_bounds = mostly(
+    st.tuples(st.floats(1e-6, 1e-3), st.floats(1.5, 100)).map(lambda d: (d[0], d[0] * d[1])),
+    st.tuples(st.floats(), st.floats()))
+sweep_options = mostly(st.lists(st.sampled_from(("--format=csv", "--method=pert", "--theta=0",
+                                                 "--theta=0.5", "--phi=1.0",
+                                                 "--q2-form=sin-squared")),
+                                unique=True, max_size=3),
+                       options)
+
+
+@settings(CONTRACT, max_examples=150)
+@given(pair=pair_strings, points=point_counts, bounds=sweep_bounds, opts=sweep_options)
+# an infinite upper bound, once a numpy RuntimeWarning and an error naming omegaQ
+@example(pair="5,7", points=20, bounds=(1e-4, math.inf), opts=[])
+@example(pair="5,7", points=3, bounds=(1e-4, math.inf), opts=["--format=csv"])
+# bounds one rounding apart, once a RuntimeWarning and a nan slope with exit 0
+@example(pair="5,7", points=2, bounds=(1e-4, 1.0000000000000002e-4), opts=[])
+def test_sweep_keeps_the_exit_code_contract(pair, points, bounds, opts):
+    argv = ["sweep", f"--pair={pair}", f"--points={points}",
+            f"--min={bounds[0]!r}", f"--max={bounds[1]!r}", *opts]
+    code, out = check_contract(argv)
+    if code == 0:
+        assert len(out.splitlines()) == points + 2, argv

@@ -65,12 +65,11 @@ def test_integrator_unitarity():
 
 def _sliced(system, drive, span):
     """Product of midpoint slices over [0, span] at evolve's default slice width."""
-    h_static = build_hamiltonian(system)
-    evals = np.linalg.eigvalsh(h_static)
-    omega_max = max(evals[-1] - evals[0], system.omega0,
+    energies, basis = np.linalg.eigh(build_hamiltonian(system))
+    omega_max = max(energies[-1] - energies[0], system.omega0,
                     *(abs(t.frequency) for t in drive.tones))
-    return dynamics._slice_product(system, h_static, drive, span,
-                                   2 * np.pi / omega_max / 32)
+    n_slices = max(1, math.ceil(span / (2 * np.pi / omega_max / 32)))
+    return dynamics._slice_product(energies, basis, drive, span, n_slices)
 
 
 def test_stroboscopic_matches_uniform_slices_on_pi_pulse():
@@ -215,11 +214,9 @@ def test_slice_kernel_matches_one_slice_at_a_time(axes):
     tones = tuple(DriveTone(_transition(*pair), 0.05, phase, axis)
                   for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
     drive = DriveSpec(tones=tones, duration=1.0)
-    h_static = build_hamiltonian(SYS)
+    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
     for n, expected in _split_prefix_products(drive, SLICE_COUNTS).items():
-        span = n * KERNEL_DT
-        # a width a little over span / n gives exactly n slices
-        u = dynamics._slice_product(SYS, h_static, drive, span, span / (n - 0.5))
+        u = dynamics._slice_product(energies, basis, drive, n * KERNEL_DT, n)
         # rounding in the constant step grows linearly, about 2.4e-16 a slice
         assert np.abs(u - expected).max() <= max(1e-12, 5e-16 * n), n
 

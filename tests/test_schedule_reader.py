@@ -177,6 +177,15 @@ def test_reader_rejects_naming_the_line(text, line):
         read_tree(text)
 
 
+def test_rejected_text_with_braces_is_named_literally():
+    # messages are formatted only on failure, and the user's text is never a template
+    with pytest.raises(ScheduleFormatError, match=r"^line 2: unsupported value 'x\{0\}\{\}'$"):
+        read_tree("a: 1\nomega: x{0}{}\n")
+    text = COMPILED["CCNOT:QR->S"].replace("upper: 6", 'upper: "{0}"')
+    with pytest.raises(ScheduleFormatError, match=r"upper must be an integer, got '\{0\}'$"):
+        parse_schedule(text)
+
+
 def test_empty_parameters_block_is_null():
     assert read_tree("parameters:\n# nothing\ngroups:\n") == {"parameters": None, "groups": None}
 
