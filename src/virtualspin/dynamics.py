@@ -18,7 +18,11 @@ eigendecomposition.  No per-slice 8x8 factor is formed either: runs of up
 to 16 consecutive slices advance in lock step, their partial products side
 by side in one 8 x (8 runs) array, so a slice step is one matrix product
 and one row scaling for every run at once; the run products are then
-multiplied pairwise.  Every factor is unitary up to rounding, and each block
+multiplied pairwise.  No tone's cosine is evaluated per slice: on the
+uniform grid a tone's field over a block of slices is one complex
+coefficient, from the block's start time, times phasors computed once per
+block size, and every per-slice array lives in buffers that are reused
+block after block.  Every factor is unitary up to rounding, and each block
 of slices is projected back onto the unitaries.  Slices resolve the fastest
 scale present (static level spread and every drive frequency) with at
 least `steps_per_shortest_period` points per period.
@@ -53,6 +57,7 @@ start time, matching how the idealized schedule product is written.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +74,9 @@ _SLICE_CHUNK = 1 << 12
 _CHAIN = 16
 
 MAX_SLICES = 10**8
+
+# narrowest ln(max/min) of a scaling sweep; see forbidden_scaling
+MIN_LOG_RANGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,15 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     Each block of slices is cut into runs of up to _CHAIN consecutive slices
     that _chain_products multiplies in lock step, and the run products are
     then multiplied pairwise.
+
+    Blocks of one size share the slice midpoints' offsets s from the block
+    start t_b, so each tone's phasor e^{i Omega s} is computed once per
+    block size (a _Block).  A block's field on an axis is then
+    Re(sum c e^{i Omega s}) over that axis's tones, with one coefficient
+    c = -amplitude e^{i (Omega t_b + f)} per tone computed from the absolute
+    block start: no tone's cosine is evaluated per slice, however large
+    the tone phase grows.  Every per-slice array of a block lives in
+    its _Block's buffers, refilled in place for each block of that size.
     """
     dt = span / n_slices
     step = _polar_unitary(_phase_conjugate(basis, np.exp(-1j * energies * dt)))
@@ -189,56 +206,107 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
 
     axes = sorted({tone.axis for tone in drive.tones})
     mixed = len(axes) > 1
-    # Ix and Iy have the eigenvalues of Iz, M_VALUES, in ascending order
-    _, w = np.linalg.eigh(getattr(make_spin_operators(), "Iy" if axes == ["Y"] else "Ix"))
+    w = _axis_eigenbasis("Y" if axes == ["Y"] else "X")
+    w_dagger = w.conj().T
     if mixed:
         frame = half
     else:
         frame = half @ w
-        step = _polar_unitary(w.conj().T @ step @ w)
+        step = _polar_unitary(w_dagger @ step @ w)
 
-    def stages(t_mid):
-        """(matrix, diagonals) stages of the slices at midpoints t_mid, shape (steps, runs)."""
-        field = {"X": np.zeros(t_mid.shape), "Y": np.zeros(t_mid.shape)}
-        for tone in drive.tones:
-            field[tone.axis] -= tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
-        strength = np.hypot(field["X"], field["Y"]) if mixed else field[axes[0]]
-        phases = _iz_phases(np.exp(-0.5j * dt * strength))
+    frequencies = np.array([tone.frequency for tone in drive.tones])
+    tone_phases = np.array([tone.phase for tone in drive.tones])
+    # the drive field on each axis is -sum amplitude cos(Omega t + f) over that axis's tones
+    weights = np.array([[-tone.amplitude if tone.axis == axis else 0.0 for tone in drive.tones]
+                        for axis in axes])
+
+    def stages(block, start):
+        """(matrix, diagonals) stages of the block of slices from slice `start` on."""
+        # Re(c e^{i phi}) = Re(c) cos(phi) - Im(c) sin(phi): [Re c, -Im c] is conj(c).view(float)
+        c_conj = weights * np.exp(-1j * (frequencies * (start * dt) + tone_phases))
+        np.matmul(c_conj.view(float), block.phasors, out=block.fields.reshape(len(axes), -1))
         if not mixed:
-            return ((step, phases),)
-        turn = _iz_phases(np.exp(-0.5j * np.arctan2(field["Y"], field["X"])))
-        return ((step, turn.conj()), (w.conj().T, phases), (w, turn))
+            np.multiply(block.fields[0], -0.5j * dt, out=block.kicks)
+            return ((step, _iz_phases(np.exp(block.kicks, out=block.kicks), block.phases)),)
+        x, y = block.fields
+        np.multiply(np.arctan2(y, x), -0.5j, out=block.kicks)
+        turns = _iz_phases(np.exp(block.kicks, out=block.kicks), block.turns)
+        np.multiply(np.hypot(x, y), -0.5j * dt, out=block.kicks)
+        phases = _iz_phases(np.exp(block.kicks, out=block.kicks), block.phases)
+        # z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
+        return ((step, turns[:, ::-1]), (w_dagger, phases), (w, turns))
 
+    blocks = {}
     product = np.eye(DIM, dtype=complex)
     for start in range(0, n_slices, _SLICE_CHUNK):
         count = min(_SLICE_CHUNK, n_slices - start)
-        # short spans take fewer, shorter runs: about as many runs as steps
-        length = min(_CHAIN, math.isqrt(count))
-        rest = count % length
-        # slice start + r*length + k of run r sits at [k, r]; slices left over
-        # form one more run over the block's last `length` slices, started late
-        index = np.arange(count - rest).reshape(-1, length).T
-        if rest:
-            index = np.column_stack([index, np.arange(count - length, count)])
-        runs = _chain_products(stages((start + index + 0.5) * dt), late_start=length - rest)
+        if count not in blocks:
+            blocks[count] = _Block(count, dt, frequencies, len(axes), mixed)
+        block = blocks[count]
+        runs = _chain_products(stages(block, start), block.late_start, block.work)
         product = _polar_unitary(_time_ordered_product(runs) @ product)
     return frame @ product @ frame.conj().T
 
 
-def _iz_phases(z: np.ndarray) -> np.ndarray:
-    """z**(2 m) for the Iz eigenvalues m of M_VALUES, stacked on a new axis 1.
+@lru_cache(maxsize=None)
+def _axis_eigenbasis(axis: str) -> np.ndarray:
+    """Eigenvectors of I_axis; Ix and Iy have the eigenvalues of Iz, M_VALUES, in ascending order."""
+    _, w = np.linalg.eigh(getattr(make_spin_operators(), "I" + axis.lower()))
+    w.setflags(write=False)
+    return w
 
-    z has unit modulus, so negative powers are the conjugates; the odd
-    powers come from repeated multiplication by z**2.
+
+class _Block:
+    """The slice layout of one block size, its tone phasors and its work buffers.
+
+    Slice r*length + k of the block sits at [k, r] of a (length, runs) grid,
+    so run r is the slices r*length .. r*length + length - 1; slices left
+    over form one more run over the block's last `length` slices, started
+    late at step late_start.  phasors holds cos(Omega s) and sin(Omega s)
+    for each tone in turn, with s = (index + 1/2) dt the offsets of the
+    slice midpoints from the block start on that grid, flattened.
     """
-    powers = [z]
-    square = z * z
-    for _ in range(DIM // 2 - 1):
-        powers.append(powers[-1] * square)
-    return np.stack([p.conj() for p in powers[::-1]] + powers, axis=1)
+
+    def __init__(self, count: int, dt: float, frequencies: np.ndarray, n_axes: int,
+                 mixed: bool):
+        # short spans take fewer, shorter runs: about as many runs as steps
+        length = min(_CHAIN, math.isqrt(count))
+        rest = count % length
+        index = np.arange(count - rest).reshape(-1, length).T
+        if rest:
+            index = np.column_stack([index, np.arange(count - length, count)])
+        self.late_start = length - rest
+        shape = index.shape
+        angles = np.multiply.outer(frequencies, (index + 0.5) * dt).reshape(frequencies.size, -1)
+        phasors = np.empty((frequencies.size, 2, index.size))
+        np.cos(angles, out=phasors[:, 0])
+        np.sin(angles, out=phasors[:, 1])
+        self.phasors = phasors.reshape(-1, index.size)
+        self.fields = np.empty((n_axes, *shape))
+        self.kicks = np.empty(shape, dtype=complex)
+        self.phases = np.empty((shape[0], DIM, shape[1]), dtype=complex)
+        self.turns = np.empty_like(self.phases) if mixed else None
+        self.work = np.empty((2, DIM, DIM, shape[1]), dtype=complex)
 
 
-def _chain_products(stages, late_start: int) -> np.ndarray:
+def _iz_phases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write z**(2 m) for the Iz eigenvalues m of M_VALUES into out[:, i], and return out.
+
+    z has shape (steps, runs) and unit modulus, and out (steps, DIM, runs).
+    The negative powers are the conjugates of the positive ones; the odd
+    powers come from repeated multiplication by z**2, which is held in
+    out[:, 0] until the conjugates overwrite it.
+    """
+    middle = DIM // 2
+    square = np.multiply(z, z, out=out[:, 0])
+    out[:, middle] = z
+    for i in range(middle + 1, DIM):
+        np.multiply(out[:, i - 1], square, out=out[:, i])
+    np.conjugate(out[:, middle:][:, ::-1], out=out[:, :middle])
+    return out
+
+
+def _chain_products(stages, late_start: int, work: np.ndarray) -> np.ndarray:
     """Products of runs of consecutive slices, multiplied in lock step.
 
     Each stage is a constant (DIM, DIM) matrix and per-slice diagonals of
@@ -247,12 +315,14 @@ def _chain_products(stages, late_start: int) -> np.ndarray:
     one array, so each stage of a step is one matrix product and one row
     scaling along the contiguous run axis.  The last run restarts from the
     identity at step late_start (if there is such a step), dropping the
-    slices before it.  Returns (runs, DIM, DIM), the product of run r being entry r.
+    slices before it.  work is a (2, DIM, DIM, runs) buffer, overwritten.
+    Returns (runs, DIM, DIM), the product of run r being entry r: a view
+    into work, valid until work is used again.
     """
-    steps, _, runs = stages[0][1].shape
+    stacked, spare = work
+    steps = stages[0][1].shape[0]
     # entry [i, j, r] of run r's partial product
-    stacked = np.repeat(np.eye(DIM, dtype=complex)[:, :, None], runs, axis=2)
-    spare = np.empty_like(stacked)
+    stacked[...] = np.eye(DIM)[:, :, None]
     for k in range(steps):
         if k == late_start:
             stacked[:, :, -1] = np.eye(DIM)
@@ -399,6 +469,13 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
     pairs give correspondingly larger slopes.  Raises DegenerateFitError
     when every element is numerically zero (e.g. theta = 0, where the
     mixing vanishes identically).
+
+    Raises InputError, before any spectrum is computed, when the ratios
+    span ln(max/min) < MIN_LOG_RANGE.  The slope's noise is about the
+    relative rounding of the elements divided by the log range.  A weak
+    element (~1e-4 of unit eigenvectors) is rounded by up to ~1e-12
+    relative, so at the floor the slope is good to ~1e-6, while over
+    ratios 1e-13 apart it is pure noise (slopes of 6.6 for a pair near 1).
     """
     m_label, n_label = pair
     if not (0 <= m_label < DIM and 0 <= n_label < DIM) or m_label == n_label:
@@ -409,6 +486,10 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
     log_r = np.log(ratios)
     if np.unique(log_r).size < max(2, ratios.size):
         raise InputError("need at least two sweep points, with distinct logarithms, to fit a slope")
+    log_range = float(log_r.max() - log_r.min())
+    if not log_range >= MIN_LOG_RANGE:
+        raise InputError(f"the ratios span ln(max/min) = {log_range:.6e}, under {MIN_LOG_RANGE:g}; "
+                         f"a slope fitted over so narrow a range is rounding noise")
     elements = np.empty_like(ratios)
     for i, ratio in enumerate(ratios):
         swept = SpinSystem(omega0=sys.omega0, omegaQ=ratio * sys.omega0,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from virtualspin import dynamics
 from virtualspin.cli import main
 from test_gates import ALL_NOT_FAMILY
 
@@ -193,6 +194,18 @@ def test_sweep_rejects_its_own_flags_before_any_work(capsys, monkeypatch, flags,
     code, out, err = run(capsys, "sweep", "--pair", "5,7", *flags)
     assert_input_error(code, out, err)
     assert named in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_rejects_a_range_too_narrow_to_fit(capsys, monkeypatch):
+    # bounds 1e-13 apart: the elements differ only by rounding (a slope of 6.59 was printed)
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was computed")
+    monkeypatch.setattr(dynamics, "exact_spectrum", no_spectrum)
+    code, out, err = run(capsys, "sweep", "--pair", "5,7", "--points", "3",
+                         "--min", "1e-4", "--max", "1.0000000000001e-4")
+    assert_input_error(code, out, err)
+    assert "ln(max/min)" in err
 
 
 def test_simulate_round_trip(capsys, tmp_path):

@@ -196,6 +196,8 @@ sweep_options = mostly(st.lists(st.sampled_from(("--format=csv", "--method=pert"
 @example(pair="5,7", points=3, bounds=(1e-4, math.inf), opts=["--format=csv"])
 # bounds one rounding apart, once a RuntimeWarning and a nan slope with exit 0
 @example(pair="5,7", points=2, bounds=(1e-4, 1.0000000000000002e-4), opts=[])
+# bounds 1e-13 apart, once exit 0 with a slope fitted over rounding noise
+@example(pair="5,7", points=3, bounds=(1e-4, 1.0000000000001e-4), opts=[])
 def test_sweep_keeps_the_exit_code_contract(pair, points, bounds, opts):
     argv = ["sweep", f"--pair={pair}", f"--points={points}",
             f"--min={bounds[0]!r}", f"--max={bounds[1]!r}", *opts]

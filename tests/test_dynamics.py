@@ -211,14 +211,17 @@ def _split_prefix_products(drive, counts):
 
 @pytest.mark.parametrize("axes", [("X", "X"), ("Y",), ("X", "Y")])
 def test_slice_kernel_matches_one_slice_at_a_time(axes):
-    tones = tuple(DriveTone(_transition(*pair), 0.05, phase, axis)
-                  for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
-    drive = DriveSpec(tones=tones, duration=1.0)
     energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    for n, expected in _split_prefix_products(drive, SLICE_COUNTS).items():
-        u = dynamics._slice_product(energies, basis, drive, n * KERNEL_DT, n)
-        # rounding in the constant step grows linearly, about 2.4e-16 a slice
-        assert np.abs(u - expected).max() <= max(1e-12, 5e-16 * n), n
+    # tone phases near 1e4 rad, as late in a long gate: each block's field
+    # comes from one coefficient at the block start times fixed slice phasors
+    for shift in (0.0, 1e4):
+        tones = tuple(DriveTone(_transition(*pair), 0.05, phase + shift, axis)
+                      for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
+        drive = DriveSpec(tones=tones, duration=1.0)
+        for n, expected in _split_prefix_products(drive, SLICE_COUNTS).items():
+            u = dynamics._slice_product(energies, basis, drive, n * KERNEL_DT, n)
+            # rounding in the constant step grows linearly, about 2.4e-16 a slice
+            assert np.abs(u - expected).max() <= max(1e-12, 5e-16 * n), (shift, n)
 
 
 def test_slice_budget_is_checked_before_integrating():
@@ -370,6 +373,9 @@ def test_forbidden_scaling_input_validation():
         forbidden_scaling(SpinSystem(theta=0.5), (0, 9))
     with pytest.raises(InputError):
         forbidden_scaling(SpinSystem(theta=0.5), (5, 7), ratios=[1e-3])
+    # distinct ratios 1e-13 apart differ only by rounding: no slope is fitted
+    with pytest.raises(InputError, match="rounding noise"):
+        forbidden_scaling(SpinSystem(theta=0.5), (5, 7), ratios=[1e-4, 1.0000000000001e-4])
 
 
 def test_simulate_schedule_zero_angle():
