@@ -44,7 +44,7 @@ PARAMETERS = {
 DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}
 
 STRONG_DRIVE_RATIO = 0.05
-# sweep --points bound: at about 0.4 ms a point the largest sweep takes under a minute
+# sweep --points bound: at about 0.2 ms a point the largest sweep takes about 21 s
 MAX_SWEEP_POINTS = 10**5
 
 

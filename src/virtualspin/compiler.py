@@ -40,6 +40,8 @@ OK_VERDICTS = (EXACT_MATCH, UP_TO_I)
 VERIFY_TOL = 1e-12
 TRUTH_TABLE_TOL = 1e-10
 
+_OFF_DIAGONAL = ~np.eye(DIM, dtype=bool)
+
 
 @dataclass(frozen=True, eq=True)
 class PulseSchedule:
@@ -165,8 +167,7 @@ def verify(gate, u: np.ndarray) -> EquivalenceReport:
     target = _sequence_target(_as_gates(gate))
 
     support = np.abs(target) > VERIFY_TOL
-    target_i = target.copy()
-    target_i[support & ~np.eye(DIM, dtype=bool)] *= 1j
+    target_i = np.where(support & _OFF_DIAGONAL, target * 1j, target)
 
     dev_exact = float(np.abs(u - target).max())
     dev_i = float(np.abs(u - target_i).max())
@@ -174,9 +175,9 @@ def verify(gate, u: np.ndarray) -> EquivalenceReport:
     alpha = np.angle(inner) if abs(inner) > VERIFY_TOL else 0.0
     dev_global = float(np.abs(u - np.exp(1j * alpha) * target).max())
 
-    phase_map = {}
-    for j, k in zip(*np.nonzero(support)):
-        phase_map[(int(j), int(k))] = complex(u[j, k] / target[j, k])
+    rows, cols = np.nonzero(support)
+    phase_map = dict(zip(zip(rows.tolist(), cols.tolist()),
+                         (u[rows, cols] / target[rows, cols]).tolist()))
 
     if dev_exact < VERIFY_TOL:
         return EquivalenceReport(EXACT_MATCH, dev_exact, phase_map)
@@ -200,18 +201,18 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
         raise InputError("truth_table is defined for NOT-family gates only")
     if propagator is None:
         propagator = schedule_propagator(compile_gate(gates))
-    table = {}
-    for label in range(DIM):
-        column = propagator[:, label]
-        out = int(np.argmax(np.abs(column)))
-        amp = complex(column[out])
-        rest = np.abs(np.delete(column, out)).max()
+    # per column: the largest entry and the largest of the other seven
+    magnitudes = np.abs(propagator)
+    outs = magnitudes.argmax(axis=0)
+    amps = propagator[outs, range(DIM)].astype(complex).tolist()
+    magnitudes[outs, range(DIM)] = 0.0
+    rests = magnitudes.max(axis=0).tolist()
+    for label, (amp, rest) in enumerate(zip(amps, rests)):
         if abs(abs(amp) - 1) > TRUTH_TABLE_TOL or rest > TRUTH_TABLE_TOL:
             raise TruthTableError(
                 f"column {label} is not a pure basis vector "
                 f"(|amp|={abs(amp):.6f}, residual={rest:.3e})")
-        table[label] = (out, amp)
-    return table
+    return dict(enumerate(zip(outs.tolist(), amps)))
 
 
 # ---------------------------------------------------------------------------

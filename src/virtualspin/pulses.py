@@ -12,7 +12,7 @@ a = 2 (t - t0) gammaHrf |<n|Ix|m>|, which pulse_duration inverts.
 
 Multi-frequency pulses drive several level pairs at once; as long as the
 pairs are disjoint the total propagator is the (order-independent) product
-of the per-tone propagators.
+of the per-tone propagators: one helper writes each tone's 2x2 block into an identity.
 """
 
 import math
@@ -86,17 +86,21 @@ class PulseParams:
             raise InputError(f"gammaHrf must be positive and finite, got {self.gammaHrf}")
 
 
-def pulse_propagator(tone: Tone) -> np.ndarray:
-    """Idealized unitary propagator of one resonant tone: the projector form, entry by entry."""
+def _write_tone(v: np.ndarray, tone: Tone) -> np.ndarray:
+    """v with the projector form of one tone written into its 2x2 block, entry by entry."""
     m, n = tone.upper, tone.lower
     f_eff = tone.phase + (np.pi / 2 if tone.axis == "Y" else 0.0)
     half = tone.angle / 2
-    v = np.eye(DIM, dtype=complex)
     # 1 + (cos - 1) rounds as the projector sum does; a plain cos would not
     v[m, m] = v[n, n] = 1 + (np.cos(half) - 1)
     v[m, n] = 1j * np.exp(1j * f_eff) * np.sin(half)
     v[n, m] = 1j * np.exp(-1j * f_eff) * np.sin(half)
     return v
+
+
+def pulse_propagator(tone: Tone) -> np.ndarray:
+    """Idealized unitary propagator of one resonant tone."""
+    return _write_tone(np.eye(DIM, dtype=complex), tone)
 
 
 def check_disjoint(tones):
@@ -114,14 +118,13 @@ def check_disjoint(tones):
 def multi_tone_propagator(tones) -> np.ndarray:
     """Propagator of simultaneous tones on pairwise-disjoint level pairs.
 
-    Disjoint supports make the factors commute, so the product order does
-    not matter; overlapping pairs are rejected because the product form
-    would silently misrepresent the physics there.
+    Disjoint pairs commute and touch separate entries, so each tone's block is written
+    into one identity; overlapping pairs are rejected: the product form would be wrong there.
     """
     check_disjoint(tones)
     u = np.eye(DIM, dtype=complex)
     for tone in tones:
-        u = pulse_propagator(tone) @ u
+        _write_tone(u, tone)
     return u
 
 

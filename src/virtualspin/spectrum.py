@@ -62,10 +62,9 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     energies = -sys.omega0 * m + sys.omegaQ * q0 * (m ** 2 - 21 / 4)
 
     hq = quadrupole_hamiltonian(sys)
-    raw = np.eye(DIM, dtype=complex)
     denom = sys.omega0 * (m[:, None] - m[None, :])  # omega0 * (k - m)
     np.fill_diagonal(denom, 1.0)
-    raw = raw + hq * (1.0 / denom) * (1 - np.eye(DIM))
+    raw = np.eye(DIM, dtype=complex) + hq * (1.0 / denom) * (1 - np.eye(DIM))
 
     ratio = sys.omegaQ / sys.omega0
     try:
@@ -110,15 +109,16 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
             f"M={rivals[0]} and M={rivals[1]} both overlap exact state {shared} most; "
             f"omegaQ/omega0 = {sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
 
-    for m_label in range(DIM):
-        best = overlap[m_label, assignment[m_label]]
-        rest = np.delete(overlap[m_label], assignment[m_label]).max()
-        if best < OVERLAP_DOMINANCE * rest:
-            raise AmbiguousLabelingError(
-                f"cannot label exact eigenstates: perturbative state M={m_label} "
-                f"overlaps two exact states at ratio {best:.3f}:{rest:.3f} "
-                f"(< {OVERLAP_DOMINANCE}:1); omegaQ/omega0 = "
-                f"{sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
+    # per row, the runner-up and the best (assigned) overlap; the first weak row is reported
+    rest, best = np.sort(overlap, axis=1)[:, -2:].T
+    weak = np.flatnonzero(best < OVERLAP_DOMINANCE * rest)
+    if weak.size:
+        m = weak[0]
+        raise AmbiguousLabelingError(
+            f"cannot label exact eigenstates: perturbative state M={m} "
+            f"overlaps two exact states at ratio {best[m]:.3f}:{rest[m]:.3f} "
+            f"(< {OVERLAP_DOMINANCE}:1); omegaQ/omega0 = "
+            f"{sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
 
     energies = evals[assignment]
     states = evecs[:, assignment]
@@ -159,18 +159,11 @@ def transition_table(spec: Spectrum) -> list[Transition]:
     The seven delta-m = +-1 pairs are flagged allowed; quadrupole mixing
     makes the remaining ones weakly allowed at theta != 0.
     """
-    elements = np.abs(drive_elements(spec))
-    rows = []
-    for upper in range(DIM):
-        for lower in range(upper + 1, DIM):
-            rows.append(Transition(
-                upper=upper,
-                lower=lower,
-                omega=float(spec.energies[upper] - spec.energies[lower]),
-                ix_element=float(elements[upper, lower]),
-                allowed=(lower - upper == 1),
-            ))
-    return rows
+    energies = spec.energies.tolist()
+    elements = np.abs(drive_elements(spec)).tolist()
+    return [Transition(upper=upper, lower=lower, omega=energies[upper] - energies[lower],
+                       ix_element=elements[upper][lower], allowed=(lower - upper == 1))
+            for upper in range(DIM) for lower in range(upper + 1, DIM)]
 
 
 def _loewdin_orthonormalize(vectors: np.ndarray) -> np.ndarray:

@@ -16,10 +16,11 @@ omegaQ * q0 * (m^2 - 21/4) exactly (see spectrum module).  The q_+-2
 coefficient above is the default ("as-printed") form; the conventional
 coefficient obtained by rotating an axial field-gradient tensor is
 (1/2) sin^2(theta) e^{+-2i phi} and can be selected with
-q2_form="sin-squared".
+q2_form="sin-squared"; the operators Q_a are built once per SpinOperators.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,12 +55,20 @@ class SpinSystem:
             raise InputError(f"q2_form must be one of {Q2_FORMS}, got {self.q2_form!r}")
 
 
+@lru_cache(maxsize=1)
+def _quadrupole_operators(ops: SpinOperators) -> tuple:
+    """Q_0, Q_+1, Q_-1, Q_+2, Q_-2 of one operator set (read-only)."""
+    iz, ip, im = ops.Iz, ops.Iplus, ops.Iminus
+    products = (iz @ iz - SPIN * (SPIN + 1) / 3 * np.eye(DIM),
+                iz @ ip + ip @ iz, iz @ im + im @ iz, ip @ ip, im @ im)
+    for a in products:
+        a.setflags(write=False)
+    return products
+
+
 def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Quadrupole part omegaQ * sum_a Q_a q_{-a} as a complex 8x8 matrix."""
-    ops = sys.ops
-    iz, ip, im = ops.Iz, ops.Iplus, ops.Iminus
-    eye = np.eye(DIM)
-
+    big_q0, big_qp1, big_qm1, big_qp2, big_qm2 = _quadrupole_operators(sys.ops)
     q0 = 3 * np.cos(sys.theta) ** 2 - 1
     qp1 = np.sin(sys.theta) * np.cos(sys.theta) * np.exp(1j * sys.phi)
     if sys.q2_form == "as-printed":
@@ -67,12 +76,6 @@ def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
     else:
         q2_mag = 0.5 * np.sin(sys.theta) ** 2
     qp2 = q2_mag * np.exp(2j * sys.phi)
-
-    big_q0 = iz @ iz - SPIN * (SPIN + 1) / 3 * eye
-    big_qp1 = iz @ ip + ip @ iz
-    big_qm1 = iz @ im + im @ iz
-    big_qp2 = ip @ ip
-    big_qm2 = im @ im
 
     # term for index a pairs Q_a with q_{-a} = conj(q_a)
     total = (big_q0 * q0

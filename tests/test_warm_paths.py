@@ -1,0 +1,297 @@
+"""The warm compile path against test-local copies of the forms it replaced.
+
+quadrupole_hamiltonian used to rebuild its five operator products on every
+call, exact_spectrum checked 2:1 dominance with one np.delete per row,
+transition_table converted numpy scalars one by one, multi_tone_propagator
+multiplied full per-tone matrices, and verify and truth_table worked entry by
+entry.  The copies below are those forms; every result must be bit-identical
+to theirs: the same arrays, the same schedule bytes, the same verdicts and
+the same error messages.
+
+The last test is the labeling contract of exact_spectrum: over any finite
+coupling up to 10 and any angles it labels cleanly, refuses with
+AmbiguousLabelingError, or reports overflow with InputError.
+"""
+
+import random
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from virtualspin import (DIM, SPIN, AmbiguousLabelingError, InputError, SpinSystem,
+                         Spectrum, TruthTableError, Transition, compile_gate, drive_elements,
+                         exact_spectrum, format_schedule, parse_gate_sequence,
+                         perturbative_spectrum, quadrupole_hamiltonian,
+                         schedule_propagator, target_gate, transition_table, truth_table,
+                         verify)
+from virtualspin import pulses
+from virtualspin.compiler import (EXACT_MATCH, MISMATCH, TRUTH_TABLE_TOL, UP_TO_GLOBAL_PHASE,
+                                  UP_TO_I, VERIFY_TOL)
+from virtualspin.spectrum import OVERLAP_DOMINANCE, _loewdin_orthonormalize
+from virtualspin.system import _quadrupole_operators
+from test_cli_contract import CONTRACT
+from test_schedule_reader import GRAMMAR_GATES
+
+M = np.arange(DIM) - SPIN
+
+
+# --- the replaced forms -------------------------------------------------------
+
+def old_quadrupole_hamiltonian(sys):
+    iz, ip, im = sys.ops.Iz, sys.ops.Iplus, sys.ops.Iminus
+    eye = np.eye(DIM)
+    q0 = 3 * np.cos(sys.theta) ** 2 - 1
+    qp1 = np.sin(sys.theta) * np.cos(sys.theta) * np.exp(1j * sys.phi)
+    if sys.q2_form == "as-printed":
+        q2_mag = 0.5 * np.sin(2 * sys.theta)
+    else:
+        q2_mag = 0.5 * np.sin(sys.theta) ** 2
+    qp2 = q2_mag * np.exp(2j * sys.phi)
+    big_q0 = iz @ iz - SPIN * (SPIN + 1) / 3 * eye
+    big_qp1 = iz @ ip + ip @ iz
+    big_qm1 = iz @ im + im @ iz
+    big_qp2 = ip @ ip
+    big_qm2 = im @ im
+    total = (big_q0 * q0
+             + big_qp1 * np.conj(qp1) + big_qm1 * qp1
+             + big_qp2 * np.conj(qp2) + big_qm2 * qp2)
+    return sys.omegaQ * total
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def old_reference_states(sys):
+    hq = old_quadrupole_hamiltonian(sys)
+    raw = np.eye(DIM, dtype=complex)
+    denom = sys.omega0 * (M[:, None] - M[None, :])
+    np.fill_diagonal(denom, 1.0)
+    raw = raw + hq * (1.0 / denom) * (1 - np.eye(DIM))
+    return _loewdin_orthonormalize(raw)
+
+
+def old_exact_spectrum(sys):
+    reference = old_reference_states(sys)
+    hamiltonian = -sys.omega0 * sys.ops.Iz + old_quadrupole_hamiltonian(sys)
+    evals, evecs = np.linalg.eigh(hamiltonian)
+    overlap = np.abs(reference.conj().T @ evecs)
+    assignment = overlap.argmax(axis=1)
+    shared = int(np.bincount(assignment, minlength=DIM).argmax())
+    rivals = np.flatnonzero(assignment == shared)
+    if rivals.size > 1:
+        raise AmbiguousLabelingError(
+            f"cannot label exact eigenstates: perturbative states "
+            f"M={rivals[0]} and M={rivals[1]} both overlap exact state {shared} most; "
+            f"omegaQ/omega0 = {sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
+    for m_label in range(DIM):
+        best = overlap[m_label, assignment[m_label]]
+        rest = np.delete(overlap[m_label], assignment[m_label]).max()
+        if best < OVERLAP_DOMINANCE * rest:
+            raise AmbiguousLabelingError(
+                f"cannot label exact eigenstates: perturbative state M={m_label} "
+                f"overlaps two exact states at ratio {best:.3f}:{rest:.3f} "
+                f"(< {OVERLAP_DOMINANCE}:1); omegaQ/omega0 = "
+                f"{sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
+    states = evecs[:, assignment]
+    phases = np.angle(np.sum(reference.conj() * states, axis=0))
+    return evals[assignment], states * np.exp(-1j * phases)[None, :]
+
+
+def old_transition_table(spec):
+    elements = np.abs(drive_elements(spec))
+    return [Transition(upper=upper, lower=lower,
+                       omega=float(spec.energies[upper] - spec.energies[lower]),
+                       ix_element=float(elements[upper, lower]), allowed=(lower - upper == 1))
+            for upper in range(DIM) for lower in range(upper + 1, DIM)]
+
+
+def old_multi_tone_propagator(tones):
+    u = np.eye(DIM, dtype=complex)
+    for tone in tones:
+        u = pulses.pulse_propagator(tone) @ u
+    return u
+
+
+def old_schedule_propagator(sched):
+    u = np.eye(DIM, dtype=complex)
+    for group in sched.groups:
+        u = old_multi_tone_propagator(group) @ u
+    return u
+
+
+def textbook(gates):
+    target = np.eye(DIM, dtype=complex)
+    for g in gates:
+        target = target_gate(g) @ target
+    return target
+
+
+def old_verify(gates, u):
+    """(verdict, max_deviation, phase_map)"""
+    target = textbook(gates)
+    support = np.abs(target) > VERIFY_TOL
+    target_i = target.copy()
+    target_i[support & ~np.eye(DIM, dtype=bool)] *= 1j
+    dev_exact = float(np.abs(u - target).max())
+    dev_i = float(np.abs(u - target_i).max())
+    inner = np.trace(target.conj().T @ u)
+    alpha = np.angle(inner) if abs(inner) > VERIFY_TOL else 0.0
+    dev_global = float(np.abs(u - np.exp(1j * alpha) * target).max())
+    phase_map = {}
+    for j, k in zip(*np.nonzero(support)):
+        phase_map[(int(j), int(k))] = complex(u[j, k] / target[j, k])
+    for verdict, dev in ((EXACT_MATCH, dev_exact), (UP_TO_I, dev_i),
+                         (UP_TO_GLOBAL_PHASE, dev_global)):
+        if dev < VERIFY_TOL:
+            return verdict, dev, phase_map
+    return MISMATCH, min(dev_exact, dev_i, dev_global), phase_map
+
+
+def old_truth_table(propagator):
+    table = {}
+    for label in range(DIM):
+        column = propagator[:, label]
+        out = int(np.argmax(np.abs(column)))
+        amp = complex(column[out])
+        rest = np.abs(np.delete(column, out)).max()
+        if abs(abs(amp) - 1) > TRUTH_TABLE_TOL or rest > TRUTH_TABLE_TOL:
+            raise TruthTableError(
+                f"column {label} is not a pure basis vector "
+                f"(|amp|={abs(amp):.6f}, residual={rest:.3e})")
+        table[label] = (out, amp)
+    return table
+
+
+# --- helpers -----------------------------------------------------------------
+
+def drawn_system(rng: random.Random) -> SpinSystem:
+    return SpinSystem(omegaQ=10 ** rng.uniform(-3, 0), theta=rng.uniform(0, np.pi),
+                      phi=rng.uniform(0, 2 * np.pi))
+
+
+def old_outcome(sys):
+    """old_exact_spectrum's (energies, states), or its AmbiguousLabelingError."""
+    try:
+        return old_exact_spectrum(sys)
+    except AmbiguousLabelingError as exc:
+        return exc
+
+
+def assert_same_table(new, old):
+    assert new == old
+    assert all(type(a) is type(b) for a, b in zip(new, old))
+    assert all(type(r.omega) is float and type(r.ix_element) is float for r in new)
+
+
+def sequences():
+    """All grammar gates, then 50 seeded 1-3 gate sequences of them."""
+    rng = random.Random(11)
+    drawn = [";".join(rng.choice(GRAMMAR_GATES) for _ in range(rng.randint(1, 3)))
+             for _ in range(50)]
+    return GRAMMAR_GATES + drawn
+
+
+# --- bit identity ------------------------------------------------------------
+
+def test_spectra_and_tables_are_bit_identical():
+    rng = random.Random(5)
+    labeled = refused = 0
+    for _ in range(300):
+        sys = drawn_system(rng)
+        assert np.array_equal(quadrupole_hamiltonian(sys), old_quadrupole_hamiltonian(sys))
+        old = old_outcome(sys)
+        if isinstance(old, AmbiguousLabelingError):
+            with pytest.raises(AmbiguousLabelingError) as caught:
+                exact_spectrum(sys)
+            assert str(caught.value) == str(old)
+            refused += 1
+            continue
+        spec = exact_spectrum(sys)
+        assert np.array_equal(spec.energies, old[0]) and np.array_equal(spec.states, old[1])
+        assert_same_table(transition_table(spec), old_transition_table(spec))
+        labeled += 1
+    # both branches are exercised
+    assert labeled > 100 and refused > 10
+
+
+def test_quadrupole_operators_are_built_once_per_operator_set():
+    sys_a, sys_b = SpinSystem(theta=0.3), SpinSystem(omegaQ=0.05, theta=2.0, phi=1.0)
+    assert _quadrupole_operators(sys_a.ops) is _quadrupole_operators(sys_b.ops)
+    assert not any(q.flags.writeable for q in _quadrupole_operators(sys_a.ops))
+    assert np.array_equal(quadrupole_hamiltonian(sys_b), old_quadrupole_hamiltonian(sys_b))
+
+
+@pytest.mark.parametrize("text", sequences())
+def test_compile_path_is_bit_identical(text):
+    rng = random.Random(text)
+    sys = drawn_system(rng)
+    while isinstance(old_outcome(sys), AmbiguousLabelingError):
+        sys = drawn_system(rng)
+    spec = exact_spectrum(sys)
+    energies, states = old_outcome(sys)
+    old_spec = Spectrum(energies=energies, states=states, method=spec.method)
+    parameters = {"omegaQ": sys.omegaQ, "theta": sys.theta, "phi": sys.phi, "gammaHrf": 1e-3}
+    sched = compile_gate(text, spec, 1e-3, parameters)
+    assert format_schedule(sched) == format_schedule(compile_gate(text, old_spec, 1e-3,
+                                                                  parameters))
+    u = schedule_propagator(sched)
+    assert np.array_equal(u, old_schedule_propagator(sched))
+    for group in sched.groups:
+        assert np.array_equal(pulses.multi_tone_propagator(group),
+                              old_multi_tone_propagator(group))
+
+    gates = parse_gate_sequence(text)
+    other = parse_gate_sequence(rng.choice(GRAMMAR_GATES))
+    # the compiled unitary, the textbook gate up to a global phase, a unitary of another gate
+    for graded, candidate in ((gates, u), (gates, np.exp(0.7j) * textbook(gates)),
+                              (gates, np.exp(0.7j) * u), (other, u)):
+        report = verify(graded, candidate)
+        verdict, deviation, phase_map = old_verify(graded, candidate)
+        assert (report.verdict, report.max_deviation) == (verdict, deviation)
+        assert report.phase_map == phase_map
+        assert list(report.phase_map) == list(phase_map)
+        assert all(type(k) is tuple and type(k[0]) is int and type(v) is complex
+                   for k, v in report.phase_map.items())
+
+    if all(g.is_not_family for g in gates):
+        table = truth_table(gates, propagator=u)
+        old = old_truth_table(u)
+        assert table == old
+        assert all(type(out) is int and type(amp) is complex for out, amp in table.values())
+    else:
+        # graded as a NOT-family gate, a UT-family unitary is no permutation: same refusal
+        with pytest.raises(TruthTableError) as caught:
+            truth_table(parse_gate_sequence(GRAMMAR_GATES[0]), propagator=u)
+        with pytest.raises(TruthTableError, match=re.escape(str(caught.value))):
+            old_truth_table(u)
+
+
+def test_truth_table_of_a_real_permutation_keeps_complex_amplitudes():
+    permutation = np.eye(DIM)[:, [0, 1, 2, 3, 4, 5, 7, 6]]
+    table = truth_table("CCNOT:QR->S", propagator=permutation)
+    assert table == old_truth_table(permutation)
+    assert all(type(amp) is complex for _, amp in table.values())
+
+
+# --- the labeling contract ----------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(CONTRACT, max_examples=300)
+@given(omega_q=st.floats(0.0, 10.0), theta=st.floats(0.0, np.pi), phi=finite)
+@example(omega_q=0.0, theta=0.0, phi=0.0)
+@example(omega_q=10.0, theta=np.pi / 2, phi=0.0)
+@example(omega_q=0.01, theta=0.5, phi=1e308)
+def test_exact_spectrum_labels_cleanly_or_refuses(omega_q, theta, phi):
+    sys = SpinSystem(omegaQ=omega_q, theta=theta, phi=phi)
+    try:
+        spec = exact_spectrum(sys)
+    except (AmbiguousLabelingError, InputError):
+        return
+    assert np.isfinite(spec.energies).all()
+    gram = spec.states.conj().T @ spec.states
+    assert np.abs(gram - np.eye(DIM)).max() <= 1e-12
+    gauge = np.sum(perturbative_spectrum(sys).states.conj() * spec.states, axis=0)
+    assert (gauge.real > 0).all() and np.abs(gauge.imag).max() <= 1e-12
