@@ -21,8 +21,7 @@ from .errors import (AmbiguousLabelingError, DegenerateFitError,
                      ForbiddenTransitionError, GateGrammarError, InputError,
                      OverlappingTonesError, ResolutionError,
                      ScheduleFormatError, TruthTableError, VirtualSpinError)
-from .gates import (GateSpec, VirtualLabel, decode, encode, parse_gate,
-                    parse_gate_sequence, target_gate)
+from .gates import GateSpec, parse_gate, parse_gate_sequence, target_gate
 from .operators import DIM, SPIN, SpinOperators, make_spin_operators
 from .pulses import (PulseParams, Projector, Tone, multi_tone_propagator,
                      projector, pulse_duration, pulse_propagator)
@@ -40,8 +39,8 @@ __all__ = [
     "ResolutionError", "ScalingFit", "ScheduleFormatError",
     "ScheduleSimulation", "SPIN", "SpinOperators", "SpinSystem", "Spectrum",
     "Tone", "Transition", "TruthTableError",
-    "VirtualLabel", "VirtualSpinError", "build_hamiltonian", "compile_gate",
-    "decode", "drive_elements", "encode", "evolve", "exact_spectrum",
+    "VirtualSpinError", "build_hamiltonian", "compile_gate",
+    "drive_elements", "evolve", "exact_spectrum",
     "forbidden_scaling", "format_schedule", "interaction_propagator",
     "make_spin_operators", "multi_tone_propagator",
     "parse_gate", "parse_gate_sequence", "parse_schedule",

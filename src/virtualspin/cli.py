@@ -17,8 +17,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .compiler import (OK_VERDICTS, compile_gate, format_schedule, parse_schedule,
-                       read_tree, schedule_propagator, verify)
+from .compiler import (OK_VERDICTS, compile_gate, format_scalar, format_schedule, format_tree,
+                       parse_schedule, read_tree, schedule_propagator, verify)
 from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
 from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
@@ -71,9 +71,11 @@ class RunConfig(namedtuple("RunConfig", PARAMETERS)):
         return self.gammaHrf / self.omega0
 
     def parameters(self) -> dict:
+        # q2_form only when not the default, so default-form schedules keep their bytes
+        form = {} if self.q2_form == DEFAULTS["q2_form"] else {"q2_form": self.q2_form}
         return {"omega0": 1.0, "omegaQ": self.omegaQ / self.omega0,
                 "theta": self.theta, "phi": self.phi,
-                "gammaHrf": self.gammaHrf / self.omega0}
+                "gammaHrf": self.gammaHrf / self.omega0, **form}
 
 
 def _merge_config(args, file_defaults: dict) -> RunConfig:
@@ -136,8 +138,16 @@ def _emit(text: str, out_path: str | None):
             handle.write(text)
 
 
-def _repr_float(value: float) -> str:
-    return repr(float(value))
+def _csv(rows: list, **comments) -> str:
+    """`# key: value` comment lines, a header of the row keys, then one line per row."""
+    lines = [f"# {key}: {_cell(value)}" for key, value in comments.items()]
+    lines.append(",".join(rows[0]))
+    lines += [",".join(_cell(value) for value in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    return value if isinstance(value, str) else format_scalar(value)
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +156,19 @@ def _repr_float(value: float) -> str:
 
 def cmd_spectrum(args) -> int:
     config = _merge_config(args, _load_config_file(args.config))
-    rows = transition_table(config.spectrum())
+    transitions = transition_table(config.spectrum())
+    rows = [{"upper": r.upper, "lower": r.lower, "omega_over_omega0": r.omega,
+             "ix_element": r.ix_element, "flag": r.flag} for r in transitions]
     if config.format == "csv":
-        lines = ["upper,lower,omega_over_omega0,ix_element,flag"]
-        lines += [f"{r.upper},{r.lower},{_repr_float(r.omega)},"
-                  f"{_repr_float(r.ix_element)},{r.flag}" for r in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv(rows)
     elif config.format == "st":
-        lines = [f"method: \"{config.method}\"", "transitions:"]
-        for r in rows:
-            lines += [f"- upper: {r.upper}",
-                      f"  lower: {r.lower}",
-                      f"  omega_over_omega0: {_repr_float(r.omega)}",
-                      f"  ix_element: {_repr_float(r.ix_element)}",
-                      f"  flag: \"{r.flag}\""]
-        text = "\n".join(lines) + "\n"
+        text = format_tree({"method": config.method, "transitions": rows})
     else:
         header = (f"spin-7/2 transitions  (omegaQ/omega0={config.omegaQ / config.omega0:g}, "
                   f"theta={config.theta:g}, phi={config.phi:g}, method={config.method})")
         lines = [header,
                  f"{'pair':>7}  {'omega/omega0':>18}  {'|<n|Ix|m>|':>14}  flag"]
-        for r in rows:
+        for r in transitions:
             lines.append(f"({r.upper},{r.lower})".rjust(7)
                          + f"  {r.omega:>18.12f}  {r.ix_element:>14.10f}  {r.flag}")
         text = "\n".join(lines) + "\n"
@@ -197,16 +199,14 @@ def cmd_verify(args) -> int:
     propagator = schedule_propagator(sched)
     report = verify(gates, propagator)
 
-    gate_string = ";".join(str(g) for g in gates)
+    fields = {"gate": ";".join(str(g) for g in gates), "verdict": report.verdict,
+              "max_deviation": report.max_deviation}
     if config.format == "csv":
-        text = ("gate,verdict,max_deviation\n"
-                f"{gate_string},{report.verdict},{_repr_float(report.max_deviation)}\n")
+        text = _csv([fields])
     elif config.format == "st":
-        text = (f"gate: \"{gate_string}\"\n"
-                f"verdict: \"{report.verdict}\"\n"
-                f"max_deviation: {_repr_float(report.max_deviation)}\n")
+        text = format_tree(fields)
     else:
-        lines = [f"gate:          {gate_string}",
+        lines = [f"gate:          {fields['gate']}",
                  f"verdict:       {report.verdict}",
                  f"max deviation: {report.max_deviation:.3e}"]
         if report.verdict != "exact" and report.phase_map:
@@ -235,17 +235,11 @@ def cmd_sweep(args) -> int:
     fit = forbidden_scaling(config.system(), pair, ratios)
 
     pair_label = f"{pair[0]}-{pair[1]}"
-    lines = ["omegaQ_over_omega0,pair,element,slope_window"]
-    for ratio, element, local in zip(fit.ratios, fit.elements, fit.local_slopes):
-        lines.append(f"{_repr_float(ratio)},{pair_label},"
-                     f"{_repr_float(element)},{_repr_float(local)}")
-    csv_text = "\n".join(lines) + "\n"
-    slope_line = f"# fitted_slope: pair={pair_label} slope={_repr_float(fit.slope)}\n"
-    if args.out is None:
-        sys.stdout.write(csv_text + slope_line)
-    else:
-        _emit(csv_text, args.out)
-        sys.stdout.write(slope_line)
+    rows = [{"omegaQ_over_omega0": ratio, "pair": pair_label, "element": element,
+             "slope_window": local}
+            for ratio, element, local in zip(fit.ratios, fit.elements, fit.local_slopes)]
+    _emit(_csv(rows), args.out)
+    sys.stdout.write(f"# fitted_slope: pair={pair_label} slope={format_scalar(fit.slope)}\n")
     return 0
 
 
@@ -274,34 +268,22 @@ def cmd_simulate(args) -> int:
                          f"{STRONG_DRIVE_RATIO}; the idealized pulse model degrades\n")
     result = simulate_schedule(config.system(), sched, gamma, cfg)
 
-    gate_string = sched.gate_string()
     total = float(sum(result.group_durations))
+    fields = {"gate": sched.gate_string(), "deviation": result.deviation, "total_duration": total}
+    rows = [{"input": label, "ideal_output": out, "probability": prob}
+            for label, (out, prob) in sorted(result.transfer.items())]
     if config.format == "csv":
-        lines = [f"# gate: {gate_string}",
-                 f"# deviation: {_repr_float(result.deviation)}",
-                 f"# total_duration: {_repr_float(total)}",
-                 "input,ideal_output,probability"]
-        lines += [f"{label},{out},{_repr_float(prob)}"
-                  for label, (out, prob) in sorted(result.transfer.items())]
-        text = "\n".join(lines) + "\n"
+        text = _csv(rows, **fields)
     elif config.format == "st":
-        lines = [f"gate: \"{gate_string}\"",
-                 f"deviation: {_repr_float(result.deviation)}",
-                 f"total_duration: {_repr_float(total)}",
-                 "transfer:"]
-        for label, (out, prob) in sorted(result.transfer.items()):
-            lines += [f"- input: {label}",
-                      f"  ideal_output: {out}",
-                      f"  probability: {_repr_float(prob)}"]
-        text = "\n".join(lines) + "\n"
+        text = format_tree({**fields, "transfer": rows})
     else:
-        lines = [f"schedule:       {gate_string}",
+        lines = [f"schedule:       {fields['gate']}",
                  f"groups:         {len(sched.groups)}",
                  f"total duration: {total:.6g}  (units of 1/omega0)",
                  f"deviation from idealized propagator: {result.deviation:.3e}",
                  "transfer probabilities (input -> ideal output):"]
-        for label, (out, prob) in sorted(result.transfer.items()):
-            lines.append(f"  |{label}> -> |{out}>   P = {prob:.6f}")
+        lines += [f"  |{row['input']}> -> |{row['ideal_output']}>   P = {row['probability']:.6f}"
+                  for row in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

@@ -22,6 +22,7 @@ read_tree reads back, so they can be written, inspected, and replayed losslessly
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .gates import GateSpec, parse_gate_sequence, target_gate
 from .operators import DIM
 from .pulses import PulseParams, Tone, check_disjoint, multi_tone_propagator, pulse_duration
 from .spectrum import Spectrum, drive_elements
+from .system import Q2_FORMS
 
 EXACT_MATCH = "exact"
 UP_TO_I = "equal-up-to-i"
@@ -234,15 +236,18 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 #       omega: 0.8800000000000001
 #       duration: 1187.4100664449326
 #
+# format_tree writes it, for schedules and for every `st` listing of the CLI.
 # Floats are written with repr() so that serialize -> parse is lossless.
 # ---------------------------------------------------------------------------
 
 # schedule key -> Tone attribute, in the order format_schedule writes them
 _TONE_FIELDS = {"upper": "upper", "lower": "lower", "angle_rad": "angle", "phase_rad": "phase",
                 "axis": "axis", "omega": "omega", "duration": "duration"}
+_tone_values = attrgetter(*_TONE_FIELDS.values())
 
 
-def _scalar(value) -> str:
+def format_scalar(value) -> str:
+    """One scalar: repr of an int or of any other number as a float, a quoted string or null."""
     if value is None:
         return "null"
     if isinstance(value, str):
@@ -252,21 +257,44 @@ def _scalar(value) -> str:
     return repr(float(value))
 
 
+def format_tree(tree) -> str:
+    """The structured-text block form of a mapping or list.
+
+    A scalar value is written `key: value`.  A mapping or list value goes
+    below a bare `key:` line, a mapping indented two spaces and a list at the
+    key's indent; list items are mappings or lists, their first line led by `- `.
+    """
+    lines = []
+    _block(tree, lines, "", "")
+    return "\n".join(lines) + "\n"
+
+
+def _block(tree, lines: list, first: str, rest: str):
+    """Append the lines of tree, the first led by `first` and the others by `rest`."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            if type(value) is float or type(value) is int:   # format_scalar's common case
+                lines.append(f"{first}{key}: {value!r}")
+            elif isinstance(value, (dict, list)):
+                lines.append(f"{first}{key}:")
+                inner = rest + "  " if isinstance(value, dict) else rest
+                _block(value, lines, inner, inner)
+            else:
+                lines.append(f"{first}{key}: {format_scalar(value)}")
+            first = rest
+    else:
+        for item in tree:
+            _block(item, lines, first + "- ", rest + "  ")
+            first = rest
+
+
 def format_schedule(sched: PulseSchedule) -> str:
     """Serialize a schedule to its structured-text form (deterministic bytes)."""
-    lines = [f"gate: {_scalar(sched.gate_string())}",
-             f"spectrum_method: {_scalar(sched.spectrum_method)}"]
-    lines.append("parameters:" if sched.parameters else "parameters: null")
-    for key, value in sorted((sched.parameters or {}).items()):
-        lines.append(f"  {key}: {_scalar(value)}")
-    lines.append("groups:")
-    for group in sched.groups:
-        for i, tone in enumerate(group):
-            prefix = "- - " if i == 0 else "  - "
-            for j, (key, attr) in enumerate(_TONE_FIELDS.items()):
-                lead = prefix if j == 0 else "    "
-                lines.append(f"{lead}{key}: {_scalar(getattr(tone, attr))}")
-    return "\n".join(lines) + "\n"
+    parameters = sched.parameters and dict(sorted(sched.parameters.items()))
+    groups = [[dict(zip(_TONE_FIELDS, _tone_values(tone))) for tone in group]
+              for group in sched.groups]
+    return format_tree({"gate": sched.gate_string(), "spectrum_method": sched.spectrum_method,
+                        "parameters": parameters, "groups": groups})
 
 
 # read_tree reads back exactly the layout above, with comments, blank lines
@@ -380,7 +408,10 @@ def parse_schedule(text: str) -> PulseSchedule:
     parameters = doc.get("parameters")
     if parameters is not None:
         _require(isinstance(parameters, dict), "parameters must be a mapping or null")
-        parameters = {key: _number(value, key) for key, value in parameters.items()}
+        form = parameters.get("q2_form", Q2_FORMS[0])
+        _require(form in Q2_FORMS, "q2_form must be one of {}, got {!r}", Q2_FORMS, form)
+        parameters = {key: value if key == "q2_form" else _number(value, key)
+                      for key, value in parameters.items()}
 
     raw_groups = doc["groups"]
     _require(isinstance(raw_groups, list) and all(isinstance(g, list) for g in raw_groups),

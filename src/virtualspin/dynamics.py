@@ -39,7 +39,8 @@ last.  The cost is then independent of the pulse length.  Multi-tone
 drives are sliced uniformly over the whole pulse.  `evolve` diagonalizes
 H_static once per drive and counts the slices of the span and of the
 remainder once: a drive needing more than MAX_SLICES slices is refused
-before any integration starts, and the kernel is handed both.
+before any integration starts, and the kernel is handed both.  So is a
+drive whose end time floating point cannot place within one slice.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -131,8 +132,8 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
            cfg: IntegrationConfig = IntegrationConfig()) -> np.ndarray:
     """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis.
 
-    Raises ResolutionError, before integrating anything, when the drive
-    needs more than MAX_SLICES time slices.
+    Raises ResolutionError, before integrating anything, when the drive needs
+    more than MAX_SLICES slices or floating point cannot place its end in one.
     """
     if drive.duration == 0:
         return np.eye(DIM, dtype=complex)
@@ -145,6 +146,10 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     omega_max = max(float(energies[-1] - energies[0]), sys.omega0,
                     *(abs(t.frequency) for t in drive.tones))
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
+    if math.ulp(drive.duration) > dt_max:
+        raise ResolutionError(f"the drive lasts {drive.duration:.6g}, where floating-point "
+                              f"times are {math.ulp(drive.duration):.3g} apart, wider than a "
+                              f"time slice of {dt_max:.3g}; shorten the pulse or raise gammaHrf")
     # a single tone is periodic: slice one period and raise it to a power
     span, n_periods = drive.duration, 1
     if len(drive.tones) == 1 and drive.tones[0].frequency != 0:

@@ -45,29 +45,6 @@ CONTROL_COUNT = {"NOT": 0, "UT": 0, "CNOT": 1, "CUT": 1, "CCNOT": 2, "CCUT": 2}
 
 
 @dataclass(frozen=True)
-class VirtualLabel:
-    """A level label M and its virtual-spin bit triple (m_Q, m_R, m_S)."""
-
-    M: int
-    bits: tuple[int, int, int]
-
-
-def encode(m_label: int) -> VirtualLabel:
-    """Map level label M = 0..7 to the bit triple (m_Q, m_R, m_S)."""
-    if not 0 <= m_label < DIM:
-        raise InputError(f"level label must lie in 0..{DIM - 1}, got {m_label}")
-    return VirtualLabel(M=m_label, bits=((m_label >> 2) & 1, (m_label >> 1) & 1, m_label & 1))
-
-
-def decode(bits) -> int:
-    """Map a bit triple (m_Q, m_R, m_S) back to the level label M."""
-    bits = tuple(bits)
-    if len(bits) != 3 or any(b not in (0, 1) for b in bits):
-        raise InputError(f"bits must be a triple of 0/1, got {bits!r}")
-    return 4 * bits[0] + 2 * bits[1] + bits[2]
-
-
-@dataclass(frozen=True)
 class GateSpec:
     """Symbolic gate: kind, master (control) spins, slave (target) spin, payload."""
 

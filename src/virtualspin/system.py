@@ -45,6 +45,8 @@ class SpinSystem:
         for name in ("omega0", "omegaQ", "phi"):
             if not np.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.isfinite(2 * self.phi):
+            raise InputError(f"phi = {self.phi} is too large: the q_+-2 phase 2*phi overflows")
         if not self.omega0 > 0:
             raise InputError(f"omega0 must be positive, got {self.omega0}")
         if self.omegaQ < 0:

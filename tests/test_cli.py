@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from virtualspin import dynamics
+from virtualspin import (SpinSystem, dynamics, exact_spectrum, parse_schedule,
+                         perturbative_spectrum, simulate_schedule, transition_table)
 from virtualspin.cli import main
 from test_gates import ALL_NOT_FAMILY
 
@@ -139,12 +140,11 @@ def test_verify_needs_gate_or_schedule(capsys):
 
 
 def test_verify_machine_formats(capsys):
-    code, out, _ = run(capsys, "verify", "CCNOT:QR->S", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0] == "gate,verdict,max_deviation"
-    code, out, _ = run(capsys, "verify", "CCNOT:QR->S", "--format", "st")
-    assert code == 0
-    assert 'verdict: "equal-up-to-i"' in out
+    assert run(capsys, "verify", "CCNOT:QR->S", "--format", "csv") == (
+        0, "gate,verdict,max_deviation\nCCNOT:QR->S,equal-up-to-i,1.1102230246251565e-16\n", "")
+    assert run(capsys, "verify", "CCNOT:QR->S", "--format", "st") == (
+        0, 'gate: "CCNOT:QR->S"\nverdict: "equal-up-to-i"\n'
+           "max_deviation: 1.1102230246251565e-16\n", "")
 
 
 def test_sweep_forbidden_pair(capsys, tmp_path):
@@ -176,6 +176,9 @@ def test_sweep_theta_zero_degenerate(capsys):
 def test_sweep_bad_pair(capsys):
     code, _, err = run(capsys, "sweep", "--pair", "57")
     assert code == 2
+    code, out, err = run(capsys, "sweep", "--pair", "a,b")
+    assert_input_error(code, out, err)
+    assert "cannot parse level pair 'a,b'" in err
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -331,6 +334,7 @@ def assert_input_error(code, out, err):
     (r"upper: 6", 'upper: "6"'),
     pytest.param(r"omegaQ: .*", "omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
     (r"spectrum_method: .*", "spectrum_method: [1"),
+    pytest.param(r"  phi: .*", '  phi: 0.0\n  q2_form: "bogus"', id="q2_form-bogus"),
 ])
 def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement):
     path = tmp_path / "sched.st"
@@ -429,3 +433,79 @@ def test_non_utf8_files_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
     assert_input_error(code, out, err)
     assert str(path) in err and "UTF-8" in err
+
+
+# --- the structured-text and csv listings ---------------------------------------
+
+def test_spectrum_st_listing_is_the_transition_table(capsys):
+    yaml = pytest.importorskip("yaml")
+    for method, spectrum in (("exact", exact_spectrum), ("pert", perturbative_spectrum)):
+        code, out, _ = run(capsys, "spectrum", "--format", "st", "--method", method)
+        assert code == 0
+        doc = yaml.safe_load(out)
+        rows = transition_table(spectrum(SpinSystem(omegaQ=0.01, theta=np.pi / 5)))
+        assert doc["method"] == method and len(doc["transitions"]) == len(rows) == 28
+        for listed, row in zip(doc["transitions"], rows):
+            assert (listed["upper"], listed["lower"], listed["flag"]) == (row.upper, row.lower,
+                                                                        row.flag)
+            assert float(listed["omega_over_omega0"]) == row.omega
+            assert float(listed["ix_element"]) == row.ix_element
+
+
+def test_simulate_machine_formats_are_simulate_schedule(capsys, tmp_path):
+    yaml = pytest.importorskip("yaml")
+    path = tmp_path / "ccnot.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--omegaQ", "0.05", "--theta", "0.5",
+        "--out", str(path))
+    result = simulate_schedule(SpinSystem(omegaQ=0.05, theta=0.5),
+                               parse_schedule(path.read_text()), 5e-3)
+    _, st_out, _ = run(capsys, "simulate", str(path), "--gammaHrf", "5e-3", "--format", "st")
+    doc = yaml.safe_load(st_out)
+    assert (doc["gate"], doc["deviation"]) == ("CCNOT:QR->S", result.deviation)
+    assert {r["input"]: (r["ideal_output"], r["probability"])
+            for r in doc["transfer"]} == result.transfer
+    _, csv_out, _ = run(capsys, "simulate", str(path), "--gammaHrf", "5e-3", "--format", "csv")
+    lines = csv_out.splitlines()
+    assert lines[:2] == ["# gate: CCNOT:QR->S", f"# deviation: {result.deviation!r}"]
+    assert lines[3] == "input,ideal_output,probability"
+    assert {int(i): (int(o), float(p)) for i, o, p in
+            (line.split(",") for line in lines[4:])} == result.transfer
+
+
+# --- inputs no other test reaches -------------------------------------------------
+
+def test_unreadable_config_file_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "spectrum", "--config", str(tmp_path / "missing.yml"))
+    assert_input_error(code, out, err)
+    assert "cannot read config file" in err
+
+
+def test_sin_squared_schedule_replays_its_q2_form(capsys, tmp_path):
+    path = tmp_path / "ccnot.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--q2-form", "sin-squared", "--omegaQ", "0.05",
+        "--theta", "0.5", "--out", str(path))
+    assert '  q2_form: "sin-squared"\n' in path.read_text()
+    plain = run(capsys, "simulate", str(path), "--format", "csv")
+    assert plain[0] == 0
+    assert plain == run(capsys, "simulate", str(path), "--format", "csv",
+                        "--q2-form", "sin-squared")
+    # a default-form schedule keeps its bytes: no q2_form key
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    assert "q2_form" not in path.read_text()
+
+
+def test_huge_phi_names_phi(capsys):
+    code, out, err = run(capsys, "spectrum", "--phi", "1e308")
+    assert_input_error(code, out, err)
+    assert "phi" in err and "omegaQ" not in err
+    assert run(capsys, "spectrum", "--phi", "8e307")[0] == 0
+
+
+def test_pulse_too_long_to_place_in_floating_point_exits_3(capsys, tmp_path):
+    # a 3.9e19-long pulse: neighbouring doubles are 8192 apart, about 1000 drive periods
+    path = tmp_path / "long.st"
+    assert run(capsys, "compile", "CCUT:QR->S(1e17,0)", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "floating-point" in err

@@ -247,3 +247,19 @@ def test_schedule_rejects_overlapping_group():
     with pytest.raises(OverlappingTonesError):
         PulseSchedule(gates=(parse_gate("CNOT:R->S"),),
                       groups=((Tone(2, 3, np.pi), Tone(3, 7, np.pi)),))
+
+
+def test_compile_rejects_sequences_of_non_gatespecs():
+    for bad in (["NOT:S"], [], (parse_gate("NOT:S"), "NOT:S")):
+        with pytest.raises(InputError, match="sequence of GateSpec"):
+            compile_gate(bad)
+
+
+def test_non_default_q2_form_round_trips_as_a_parameter():
+    parameters = {"omega0": 1.0, "omegaQ": 0.05, "q2_form": "sin-squared"}
+    sched = compile_gate("CCNOT:QR->S", parameters=parameters)
+    text = format_schedule(sched)
+    assert '  q2_form: "sin-squared"\n' in text
+    assert parse_schedule(text) == sched
+    with pytest.raises(ScheduleFormatError, match="q2_form must be one of"):
+        parse_schedule(text.replace('"sin-squared"', "0.5"))

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          ForbiddenTransitionError, InputError,
-                         IntegrationConfig, PulseParams,
+                         IntegrationConfig, PulseParams, PulseSchedule,
                          ResolutionError, SpinSystem, Tone, build_hamiltonian,
                          compile_gate, evolve, exact_spectrum,
                          forbidden_scaling, interaction_propagator,
@@ -432,3 +432,10 @@ def test_simulate_schedule_two_tone_gate_in_the_acceptance_regime():
     result = simulate_schedule(SYS, compile_gate("CNOT:R->S"), gamma_hrf=1e-3)
     assert min(prob for _, prob in result.transfer.values()) > 0.99
     assert np.abs(result.actual.conj().T @ result.actual - np.eye(DIM)).max() < 1e-10
+
+
+def test_zero_angle_tone_plays_no_drive():
+    pi_tone, idle = Tone(upper=6, lower=7, angle=np.pi), Tone(upper=4, lower=5, angle=0.0)
+    alone, both = (simulate_schedule(SYS, PulseSchedule(gates=(), groups=(group,)), 2e-3).actual
+                   for group in ((pi_tone,), (pi_tone, idle)))
+    assert np.array_equal(both, alone)

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from virtualspin import (DIM, GateGrammarError, GateSpec, InputError, decode,
-                         encode, parse_gate,
+from virtualspin import (DIM, GateGrammarError, GateSpec, InputError, parse_gate,
                          parse_gate_sequence, target_gate)
 
 BITS = {"Q": 4, "R": 2, "S": 1}
@@ -21,26 +20,6 @@ def classical_flip(label: int, spec: GateSpec) -> int:
     if (label & control_mask) == control_mask:
         return label ^ BITS[spec.target]
     return label
-
-
-def test_encoding_examples():
-    assert encode(5).bits == (1, 0, 1)
-    assert encode(0).bits == (0, 0, 0)
-    assert encode(6).bits == (1, 1, 0)
-    for label in range(DIM):
-        assert decode(encode(label).bits) == label
-    assert decode((1, 1, 1)) == 7
-
-
-def test_encoding_range_errors():
-    with pytest.raises(InputError):
-        encode(8)
-    with pytest.raises(InputError):
-        encode(-1)
-    with pytest.raises(InputError):
-        decode((0, 1))
-    with pytest.raises(InputError):
-        decode((0, 1, 2))
 
 
 def test_ccnot_qr_s_matrix():
@@ -143,3 +122,10 @@ def test_gatespec_validation():
         GateSpec(kind="NOT", target="S", phi=1.0, f=0.0)
     with pytest.raises(InputError):
         GateSpec(kind="CCUT", target="S", controls=frozenset("QR"), phi=1.0)
+
+
+def test_gatespec_rejects_spins_outside_qrs():
+    with pytest.raises(InputError, match="target must be one of"):
+        GateSpec(kind="NOT", target="T")
+    with pytest.raises(InputError, match="controls must be a subset"):
+        GateSpec(kind="CNOT", target="S", controls=frozenset("X"))

@@ -12,6 +12,7 @@ from the mutations and YAML 1.1 scalar forms of the CLI contract tests.
 import argparse
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from virtualspin import (InputError, ScheduleFormatError, SpinSystem, compile_ga
                          exact_spectrum, format_schedule, parse_schedule)
 from virtualspin import compiler
 from virtualspin.cli import DEFAULTS, _load_config_file, _merge_config
-from virtualspin.compiler import read_tree
+from virtualspin.compiler import format_scalar, format_tree, read_tree
 from test_cli_contract import CONTRACT, SCHEDULE_GATES, config_texts, mutated_schedules
 from test_gates import ALL_NOT_FAMILY
 
@@ -212,3 +213,26 @@ def test_config_files_read_as_yaml_reads_them_or_fail_as_input_errors(text, conf
             yaml_config(yaml_tree)
         return
     assert config == yaml_config(yaml_tree), text
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no integer digit limit")
+def test_integer_beyond_the_digit_limit_names_the_line():
+    text = "a: 1\nb: 1" + "0" * sys.get_int_max_str_digits() + "\n"
+    with pytest.raises(ScheduleFormatError, match="^line 2: "):
+        read_tree(text)
+
+
+def test_format_tree_writes_mappings_lists_and_scalars_as_yaml_reads_them():
+    tree = {"name": 'a "quoted" \\ word', "count": np.int64(3), "ratio": np.float64(0.1),
+            "none": None, "block": {"x": 1.5, "y": -2}, "empty": [],
+            "rows": [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}],
+            "nested": [[{"k": 1}, {"k": 2}], [{"k": 3}]]}
+    text = format_tree(tree)
+    assert text == ('name: "a \\"quoted\\" \\\\ word"\ncount: 3\nratio: 0.1\nnone: null\n'
+                    "block:\n  x: 1.5\n  y: -2\nempty:\n"
+                    'rows:\n- a: 1\n  b: "x"\n- a: 2\n  b: "y"\n'
+                    "nested:\n- - k: 1\n  - k: 2\n- - k: 3\n")
+    assert yaml.safe_load(text) == {**tree, "count": 3, "ratio": 0.1, "empty": None}
+    assert [format_scalar(v) for v in (np.float64(2.5), np.int32(-4), 7, 1e-05)] == [
+        "2.5", "-4", "7", "1e-05"]

@@ -71,3 +71,10 @@ def test_q2_form_switch():
     printed0 = quadrupole_hamiltonian(SpinSystem(**base, q2_form="as-printed"))
     squared0 = quadrupole_hamiltonian(SpinSystem(**base, q2_form="sin-squared"))
     assert np.abs(printed0 - squared0).max() == 0
+
+
+def test_phi_whose_double_overflows_is_refused():
+    # e^{2i phi} of 2 phi = inf is NaN, which used to surface as a coupling overflow
+    with pytest.raises(InputError, match=r"^phi = 1e\+308 "):
+        SpinSystem(phi=1e308)
+    assert np.isfinite(quadrupole_hamiltonian(SpinSystem(theta=0.5, phi=8e307))).all()

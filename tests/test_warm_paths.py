@@ -285,8 +285,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(omega_q=10.0, theta=np.pi / 2, phi=0.0)
 @example(omega_q=0.01, theta=0.5, phi=1e308)
 def test_exact_spectrum_labels_cleanly_or_refuses(omega_q, theta, phi):
-    sys = SpinSystem(omegaQ=omega_q, theta=theta, phi=phi)
-    try:
+    try:   # SpinSystem refuses a phi whose 2*phi overflows
+        sys = SpinSystem(omegaQ=omega_q, theta=theta, phi=phi)
         spec = exact_spectrum(sys)
     except (AmbiguousLabelingError, InputError):
         return
