@@ -5,9 +5,12 @@ expressed in units of omega0 (frequencies divided by omega0, durations
 multiplied by omega0), so changing --omega0 rescales the input
 interpretation of --omegaQ / --gammaHrf but never the printed numbers.
 
+Each command offers only the parameter flags it reads; a config file holds
+defaults for every parameter, all checked, of which each command reads its own.
+
 Exit codes: 0 success / gate verified; 1 verification mismatch;
-2 input error (bad parameters, gate grammar, schedule format, degenerate
-sweep); 3 numerical-resolution error.
+2 input error (usage, bad parameters, gate grammar, schedule format,
+degenerate sweep); 3 numerical-resolution error.
 """
 
 import argparse
@@ -28,20 +31,22 @@ from .system import Q2_FORMS, SpinSystem
 FORMATS = ("table", "csv", "st")
 METHODS = ("pert", "exact")
 
-# name -> (default, allowed values or "finite"/"positive" for a float, help); each
-# is a --flag (q2_form as --q2-form) and a config key, checked alike by _merge_config
+# name -> (default, allowed values or "finite"/"positive" for a float, help, the
+# commands that read it); each is a --flag (q2_form as --q2-form) of those commands
+# and a config key that _merge_config checks for every command
 PARAMETERS = {
-    "omega0": (1.0, "positive", "Zeeman frequency (the unit)"),
-    "omegaQ": (0.01, "finite", "quadrupole coupling strength"),
-    "theta": (np.pi / 5, "finite", "field-gradient polar angle (rad)"),
-    "phi": (0.0, "finite", "field-gradient azimuth (rad)"),
-    "method": ("exact", METHODS, "spectrum method"),
-    "gammaHrf": (1e-3, "positive", "RF drive amplitude gamma*H_rf"),
-    "format": ("table", FORMATS, "output format (compile always writes schedule "
-                                 "text, sweep always CSV)"),
-    "q2_form": ("as-printed", Q2_FORMS, "quadrupole q_+-2 coefficient form"),
+    "omega0": (1.0, "positive", "Zeeman frequency (the unit)", "spectrum compile simulate"),
+    "omegaQ": (0.01, "finite", "quadrupole coupling strength", "spectrum compile simulate"),
+    "theta": (np.pi / 5, "finite", "field-gradient polar angle (rad)",
+              "spectrum compile sweep simulate"),
+    "phi": (0.0, "finite", "field-gradient azimuth (rad)", "spectrum compile sweep simulate"),
+    "method": ("exact", METHODS, "spectrum method", "spectrum"),
+    "gammaHrf": (1e-3, "positive", "RF drive amplitude gamma*H_rf", "compile simulate"),
+    "format": ("table", FORMATS, "output format", "spectrum verify simulate"),
+    "q2_form": ("as-printed", Q2_FORMS, "quadrupole q_+-2 coefficient form",
+                "spectrum compile sweep simulate"),
 }
-DEFAULTS = {name: default for name, (default, _, _) in PARAMETERS.items()}
+DEFAULTS = {name: default for name, (default, *_) in PARAMETERS.items()}
 
 STRONG_DRIVE_RATIO = 0.05
 # sweep --points bound: at about 0.2 ms a point the largest sweep takes about 21 s
@@ -58,15 +63,6 @@ class RunConfig(namedtuple("RunConfig", PARAMETERS)):
         return SpinSystem(omega0=1.0, omegaQ=self.omegaQ / self.omega0,
                           theta=self.theta, phi=self.phi, q2_form=self.q2_form)
 
-    def spectrum(self):
-        sys_ = self.system()
-        if self.method == "pert":
-            spec = perturbative_spectrum(sys_)
-            if spec.warning is not None:
-                sys.stderr.write(f"warning: {spec.warning}\n")
-            return spec
-        return exact_spectrum(sys_)
-
     def gamma_normalized(self) -> float:
         return self.gammaHrf / self.omega0
 
@@ -80,7 +76,7 @@ class RunConfig(namedtuple("RunConfig", PARAMETERS)):
 
 def _merge_config(args, file_defaults: dict) -> RunConfig:
     values = {}
-    for key, (default, allowed, _) in PARAMETERS.items():
+    for key, (default, allowed, *_) in PARAMETERS.items():
         flag = getattr(args, key, None)
         value = flag if flag is not None else file_defaults.get(key, default)
         if isinstance(allowed, tuple):
@@ -139,15 +135,22 @@ def _emit(text: str, out_path: str | None):
 
 
 def _csv(rows: list, **comments) -> str:
-    """`# key: value` comment lines, a header of the row keys, then one line per row."""
+    """`# key: value` comment lines, a header of the row keys, then one line per row.
+
+    A row cell holding `,` or `"` is quoted as RFC 4180 says; comment lines are not.
+    """
     lines = [f"# {key}: {_cell(value)}" for key, value in comments.items()]
     lines.append(",".join(rows[0]))
-    lines += [",".join(_cell(value) for value in row.values()) for row in rows]
+    lines += [",".join(_quoted(_cell(value)) for value in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _cell(value) -> str:
     return value if isinstance(value, str) else format_scalar(value)
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,11 @@ def _cell(value) -> str:
 
 def cmd_spectrum(args) -> int:
     config = _merge_config(args, _load_config_file(args.config))
-    transitions = transition_table(config.spectrum())
+    spectrum = (perturbative_spectrum if config.method == "pert" else exact_spectrum)(
+        config.system())
+    if spectrum.warning is not None:
+        sys.stderr.write(f"warning: {spectrum.warning}\n")
+    transitions = transition_table(spectrum)
     rows = [{"upper": r.upper, "lower": r.lower, "omega_over_omega0": r.omega,
              "ix_element": r.ix_element, "flag": r.flag} for r in transitions]
     if config.format == "csv":
@@ -179,7 +186,7 @@ def cmd_spectrum(args) -> int:
 def cmd_compile(args) -> int:
     config = _merge_config(args, _load_config_file(args.config))
     gates = parse_gate_sequence(args.gate)
-    sched = compile_gate(gates, spectrum=config.spectrum(),
+    sched = compile_gate(gates, spectrum=exact_spectrum(config.system()),
                          gamma_hrf=config.gamma_normalized(),
                          parameters=config.parameters())
     _emit(format_schedule(sched), args.out)
@@ -238,8 +245,8 @@ def cmd_sweep(args) -> int:
     rows = [{"omegaQ_over_omega0": ratio, "pair": pair_label, "element": element,
              "slope_window": local}
             for ratio, element, local in zip(fit.ratios, fit.elements, fit.local_slopes)]
-    _emit(_csv(rows), args.out)
-    sys.stdout.write(f"# fitted_slope: pair={pair_label} slope={format_scalar(fit.slope)}\n")
+    _emit(_csv(rows) + f"# fitted_slope: pair={pair_label} slope={format_scalar(fit.slope)}\n",
+          args.out)
     return 0
 
 
@@ -293,57 +300,61 @@ def cmd_simulate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for name, (_, allowed, text) in PARAMETERS.items():
-        kind = {"choices": allowed} if isinstance(allowed, tuple) else {"type": float}
-        common.add_argument("--" + name.replace("_", "-"), dest=name, help=text, **kind)
-    common.add_argument("--out", help="write output to FILE instead of stdout")
-    common.add_argument("--config", help="config file with default parameter values")
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, so main reports it on one line and returns 2."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="virtualspin",
         description="Compile three-qubit gates into resonant RF pulses on a "
                     "spin-7/2 and verify them.")
     parser.add_argument("--version", action="version", version=f"virtualspin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="print all 28 level pairs with frequency, Ix element, flag")
-    p.set_defaults(func=cmd_spectrum)
+    def command(func, text):
+        """The subparser of cmd_<name>, with the PARAMETERS flags it reads, --out and --config."""
+        name = func.__name__.removeprefix("cmd_")
+        p = sub.add_parser(name, help=text)
+        for key, (_, allowed, help_text, readers) in PARAMETERS.items():
+            if name in readers.split():
+                kind = {"choices": allowed} if isinstance(allowed, tuple) else {"type": float}
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **kind)
+        p.add_argument("--out", help="write output to FILE instead of stdout")
+        p.add_argument("--config", help="config file with default parameter values")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("compile", parents=[common],
-                       help="compile a gate string into a pulse schedule")
+    command(cmd_spectrum, "print all 28 level pairs with frequency, Ix element, flag")
+    p = command(cmd_compile, "compile a gate string into a pulse schedule")
     p.add_argument("gate", help="gate string, e.g. CCNOT:QR->S (';'-separated for sequences)")
-    p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="compile (or replay) and check against the target gate")
+    p = command(cmd_verify, "compile (or replay) and check against the target gate")
     p.add_argument("gate", nargs="?", help="gate string (defaults to the schedule's)")
     p.add_argument("--schedule", help="verify the propagator of this schedule file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="forbidden-transition scaling sweep over omegaQ/omega0")
+    p = command(cmd_sweep, "forbidden-transition scaling sweep over omegaQ/omega0")
     p.add_argument("--pair", required=True, help="level pair, e.g. 5,7")
     p.add_argument("--points", type=int, default=20, help="number of sweep points")
     p.add_argument("--min", type=float, default=1e-4, help="smallest omegaQ/omega0")
     p.add_argument("--max", type=float, default=1e-2, help="largest omegaQ/omega0")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="integrate the physical drive realizing a schedule file")
+    p = command(cmd_simulate, "integrate the physical drive realizing a schedule file")
     p.add_argument("schedule", help="schedule file produced by compile")
     p.add_argument("--steps", type=int, default=32,
                    help="integrator steps per shortest oscillation period")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:
+            raise InputError(f"virtualspin {args.command}: unrecognized arguments: "
+                             + " ".join(extra))
         return args.func(args)
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")

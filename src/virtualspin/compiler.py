@@ -237,7 +237,8 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 #       duration: 1187.4100664449326
 #
 # format_tree writes it, for schedules and for every `st` listing of the CLI.
-# Floats are written with repr() so that serialize -> parse is lossless.
+# Floats are written with repr() so that serialize -> parse is lossless, an
+# exponent-only repr with a `.0` mantissa (1.0e-05) so that YAML 1.1 reads a float.
 # ---------------------------------------------------------------------------
 
 # schedule key -> Tone attribute, in the order format_schedule writes them
@@ -247,14 +248,20 @@ _tone_values = attrgetter(*_TONE_FIELDS.values())
 
 
 def format_scalar(value) -> str:
-    """One scalar: repr of an int or of any other number as a float, a quoted string or null."""
+    """One scalar: an int, any other number as a float (_number_text), a quoted string or null."""
     if value is None:
         return "null"
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return repr(int(value))
-    return repr(float(value))
+    return _number_text(float(value))
+
+
+def _number_text(value) -> str:
+    """repr of an int or float; an exponent-only mantissa gets `.0` (1e-05 as 1.0e-05)."""
+    text = repr(value)
+    return text.replace("e", ".0e") if "e" in text and "." not in text else text
 
 
 def format_tree(tree) -> str:
@@ -274,7 +281,7 @@ def _block(tree, lines: list, first: str, rest: str):
     if isinstance(tree, dict):
         for key, value in tree.items():
             if type(value) is float or type(value) is int:   # format_scalar's common case
-                lines.append(f"{first}{key}: {value!r}")
+                lines.append(f"{first}{key}: {_number_text(value)}")
             elif isinstance(value, (dict, list)):
                 lines.append(f"{first}{key}:")
                 inner = rest + "  " if isinstance(value, dict) else rest

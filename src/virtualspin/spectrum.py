@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AmbiguousLabelingError, InputError
 from .operators import DIM, M_VALUES, make_spin_operators
-from .system import SpinSystem, build_hamiltonian, quadrupole_hamiltonian
+from .system import SpinSystem, build_hamiltonian
 
 PERTURBATIVE = "perturbative-first-order"
 EXACT = "exact"
@@ -48,8 +48,6 @@ class Spectrum:
     warning: str | None = None
 
 
-# an overflowing coupling is reported once, by the InputError below
-@np.errstate(over="ignore", invalid="ignore")
 def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     """First-order energies and (orthonormalized) first-order eigenvectors.
 
@@ -57,14 +55,22 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     where first-order theory is unreliable; the values are still computed.
     Raises InputError when they overflow floating point.
     """
+    return _first_order(sys)[0]
+
+
+# an overflowing coupling is reported once, by the InputError below
+@np.errstate(over="ignore", invalid="ignore")
+def _first_order(sys: SpinSystem) -> tuple[Spectrum, np.ndarray]:
+    """perturbative_spectrum and the static Hamiltonian it was derived from."""
+    hamiltonian = build_hamiltonian(sys)
     m = M_VALUES
     q0 = 3 * np.cos(sys.theta) ** 2 - 1
     energies = -sys.omega0 * m + sys.omegaQ * q0 * (m ** 2 - 21 / 4)
 
-    hq = quadrupole_hamiltonian(sys)
+    # the mixing reads only the off-diagonal part, which is the quadrupole term's
     denom = sys.omega0 * (m[:, None] - m[None, :])  # omega0 * (k - m)
     np.fill_diagonal(denom, 1.0)
-    raw = np.eye(DIM, dtype=complex) + hq * (1.0 / denom) * (1 - np.eye(DIM))
+    raw = np.eye(DIM, dtype=complex) + hamiltonian * (1.0 / denom) * (1 - np.eye(DIM))
 
     ratio = sys.omegaQ / sys.omega0
     try:
@@ -80,7 +86,7 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
         warning = (f"omegaQ/omega0 = {ratio:.3g} >= {PERTURBATIVE_RATIO_LIMIT}: "
                    "first-order perturbation theory is unreliable here")
     return Spectrum(energies=energies, states=states,
-                    method=PERTURBATIVE, warning=warning)
+                    method=PERTURBATIVE, warning=warning), hamiltonian
 
 
 def exact_spectrum(sys: SpinSystem) -> Spectrum:
@@ -96,8 +102,9 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
     assignment, so no assignment solver is needed.
     """
     # first, so its overflow check keeps a non-finite Hamiltonian from eigh
-    reference = perturbative_spectrum(sys).states
-    evals, evecs = np.linalg.eigh(build_hamiltonian(sys))
+    first_order, hamiltonian = _first_order(sys)
+    reference = first_order.states
+    evals, evecs = np.linalg.eigh(hamiltonian)
     overlap = np.abs(reference.conj().T @ evecs)  # overlap[M, j]
 
     assignment = overlap.argmax(axis=1)

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import os
 import re
 import subprocess
@@ -151,13 +153,25 @@ def test_sweep_forbidden_pair(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "sweep", "--pair", "5,7", "--points", "8",
                        "--out", str(path))
-    assert code == 0
-    slope = float(out.split("slope=")[1])
+    assert code == 0 and out == ""
+    text = path.read_text()
+    slope = float(text.split("slope=")[1])
     assert 0.85 <= slope <= 1.15
-    lines = path.read_text().strip().splitlines()
+    lines = text.strip().splitlines()
     assert lines[0] == "omegaQ_over_omega0,pair,element,slope_window"
-    assert len(lines) == 9
-    assert all(line.split(",")[1] == "5-7" for line in lines[1:])
+    assert len(lines) == 10 and lines[-1].startswith("# fitted_slope: pair=5-7 ")
+    assert all(line.split(",")[1] == "5-7" for line in lines[1:-1])
+
+
+def test_sweep_out_file_holds_what_stdout_gets(capsys, tmp_path):
+    # the fitted-slope line goes with the rows, not to stdout alone
+    path = tmp_path / "sweep.csv"
+    code, printed, err = run(capsys, "sweep", "--pair", "4,6", "--points", "5")
+    assert (code, err) == (0, "")
+    assert run(capsys, "sweep", "--pair", "4,6", "--points", "5", "--out", str(path)) == (
+        0, "", "")
+    assert path.read_text() == printed
+    assert printed.splitlines()[-1].startswith("# fitted_slope: pair=4-6 slope=")
 
 
 def test_sweep_allowed_pair_flat(capsys):
@@ -311,9 +325,12 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
 
 
 def test_argparse_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--format", "json"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "spectrum", "--format", "json")
+    assert_input_error(code, out, err)
+    assert "virtualspin spectrum: argument --format: invalid choice: 'json'" in err
+    code, out, err = run(capsys, "compile")
+    assert_input_error(code, out, err)
+    assert "virtualspin compile: the following arguments are required: gate" in err
 
 
 def assert_input_error(code, out, err):
@@ -359,7 +376,7 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, line):
     ("spectrum", "--omega0", "inf"),
     ("compile", "NOT:S", "--phi", "inf"),
     ("compile", "NOT:S", "--gammaHrf", "inf"),
-    ("verify", "NOT:S", "--theta", "nan"),
+    ("sweep", "--pair", "5,7", "--theta", "nan"),
 ])
 def test_non_finite_flags_exit_2(capsys, argv):
     assert_input_error(*run(capsys, *argv))
@@ -509,3 +526,67 @@ def test_pulse_too_long_to_place_in_floating_point_exits_3(capsys, tmp_path):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "floating-point" in err
+
+
+# --- each command takes only the parameter flags it reads --------------------------
+
+COMMAND_FLAGS = {
+    "spectrum": ("--omega0", "--omegaQ", "--theta", "--phi", "--q2-form", "--method", "--format"),
+    "compile": ("--omega0", "--omegaQ", "--theta", "--phi", "--q2-form", "--gammaHrf"),
+    "verify": ("--format",),
+    "sweep": ("--theta", "--phi", "--q2-form"),
+    "simulate": ("--omega0", "--omegaQ", "--theta", "--phi", "--q2-form", "--gammaHrf",
+                 "--format"),
+}
+FLAG_VALUES = {"--omega0": "2.0", "--omegaQ": "0.02", "--theta": "0.5", "--phi": "0.3",
+               "--q2-form": "sin-squared", "--method": "pert", "--gammaHrf": "2e-3",
+               "--format": "csv"}
+OWN_FLAGS = {"verify": ("--schedule",), "sweep": ("--pair", "--points", "--min", "--max"),
+             "simulate": ("--steps",)}
+
+
+@pytest.fixture(scope="module")
+def command_args(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "ccnot.st"
+    assert main(["compile", "CCNOT:QR->S", "--out", str(path)]) == 0
+    return {"spectrum": [], "compile": ["NOT:S"], "verify": ["NOT:S"],
+            "sweep": ["--pair", "5,7", "--points", "3"], "simulate": [str(path)]}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in COMMAND_FLAGS
+                                           for flag in FLAG_VALUES])
+def test_each_command_takes_only_the_flags_it_reads(capsys, command_args, command, flag):
+    code, out, err = run(capsys, command, *command_args[command], flag, FLAG_VALUES[flag])
+    if flag in COMMAND_FLAGS[command]:
+        assert code == 0 and "error" not in err, err
+    else:
+        assert_input_error(code, out, err)
+        assert f"virtualspin {command}: unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_help_lists_exactly_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z0-9-]+", capsys.readouterr().out))
+    assert listed == {*COMMAND_FLAGS[command], *OWN_FLAGS.get(command, ()),
+                      "--help", "--out", "--config"}
+
+
+def test_csv_cells_with_commas_read_back_whole(capsys):
+    code, out, _ = run(capsys, "verify", "CCUT:QR->S(2.5,-0.7)", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith('"CCUT:QR->S(2.5,-0.7)",exact,')
+    header, row = csv.reader(io.StringIO(out))
+    assert header == ["gate", "verdict", "max_deviation"]
+    assert row[:2] == ["CCUT:QR->S(2.5,-0.7)", "exact"] and len(row) == 3
+
+
+def test_exponent_only_floats_read_back_as_yaml_floats(capsys):
+    yaml = pytest.importorskip("yaml")
+    code, out, _ = run(capsys, "compile", "CCUT:QR->S(1e-05,0)")
+    assert code == 0 and "    angle_rad: 1.0e-05\n" in out
+    tone = yaml.safe_load(out)["groups"][0][0]
+    assert type(tone["angle_rad"]) is float and tone["angle_rad"] == 1e-05
+    assert parse_schedule(out).groups[0][0].angle == 1e-05

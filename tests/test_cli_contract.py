@@ -5,7 +5,8 @@ Every call exits 0 (ok), 1 (verification mismatch), 2 (input error) or 3
 3 end stderr with one "error:" line; and a schedule that compile writes
 holds only finite or null frequencies and pulse lengths.  Arguments are
 drawn over every float (nan, +-inf, subnormals, +-1e308) for each
-parameter flag, grammar gate strings with drawn UT payloads, mutated
+parameter flag a command reads, plus, in one draw of five, a parameter
+flag it does not read, grammar gate strings with drawn UT payloads, mutated
 compile output for verify --schedule and simulate, flat --config files
 over the config keys, unknown keys and YAML 1.1 scalar forms, and sweep's
 own flags: level pairs, point counts and omegaQ/omega0 bounds.
@@ -20,14 +21,13 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virtualspin.cli import DEFAULTS, FORMATS, MAX_SWEEP_POINTS, METHODS, main
+from virtualspin.cli import DEFAULTS, FORMATS, MAX_SWEEP_POINTS, METHODS, PARAMETERS, main
 from virtualspin.gates import CONTROL_COUNT, SPINS, UT_FAMILY
 from virtualspin.system import Q2_FORMS
 
 # an overflow is reported by the one "error:" line, never by a numpy warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-PARAMETER_FLAGS = ("--omega0", "--omegaQ", "--theta", "--phi", "--gammaHrf")
 CONTRACT = settings(derandomize=True, deadline=None, database=None)
 
 
@@ -62,16 +62,33 @@ def gate_strings(draw):
 
 gate_sequences = st.lists(gate_strings(), min_size=1, max_size=3).map(";".join)
 
-options = st.fixed_dictionaries(
-    {}, optional={**{flag: st.floats().map(repr) for flag in PARAMETER_FLAGS},
-                  "--method": st.sampled_from(METHODS),
-                  "--format": st.sampled_from(FORMATS)},
-).map(lambda flags: [f"{flag}={value}" for flag, value in sorted(flags.items())])
+
+def mostly(good, bad):
+    """good four times in five, so most draws get past the flag checks."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 4 else good)
+
+
+def parameter_values(name):
+    allowed = PARAMETERS[name][1]
+    return st.sampled_from(allowed) if isinstance(allowed, tuple) else st.floats().map(repr)
+
+
+def options(command):
+    """--flag=value lists of command's parameters; one draw in five adds one it does not read."""
+    reads = [name for name, entry in PARAMETERS.items() if command in entry[3].split()]
+    own = st.fixed_dictionaries({}, optional={name: parameter_values(name) for name in reads})
+    stray = st.sampled_from([name for name in PARAMETERS if name not in reads]).flatmap(
+        lambda name: parameter_values(name).map(lambda value: {name: value}))
+    drawn = mostly(own, st.tuples(own, stray).map(lambda both: {**both[0], **both[1]}))
+    return drawn.map(lambda flags: [f"--{name.replace('_', '-')}={value}"
+                                    for name, value in sorted(flags.items())])
+
 
 command_argv = st.one_of(
-    options.map(lambda opts: ["spectrum", *opts]),
-    st.tuples(st.sampled_from(("compile", "verify")), gate_sequences, options).map(
-        lambda drawn: [drawn[0], drawn[1], *drawn[2]]),
+    options("spectrum").map(lambda opts: ["spectrum", *opts]),
+    st.sampled_from(("compile", "verify")).flatmap(
+        lambda command: st.tuples(gate_sequences, options(command)).map(
+            lambda drawn: [command, drawn[0], *drawn[1]])),
 )
 
 
@@ -162,11 +179,6 @@ def test_config_files_keep_the_exit_code_contract(text, argv, config_path):
     check_contract([*argv, "--config", str(config_path)])
 
 
-def mostly(good, bad):
-    """good four times in five, so most drawn sweeps get past the flag checks."""
-    return st.integers(0, 4).flatmap(lambda k: bad if k == 4 else good)
-
-
 def joined(pairs):
     return pairs.map(lambda drawn: "".join(map(str, drawn)))
 
@@ -182,18 +194,17 @@ point_counts = mostly(st.integers(2, 40), st.one_of(
 sweep_bounds = mostly(
     st.tuples(st.floats(1e-6, 1e-3), st.floats(1.5, 100)).map(lambda d: (d[0], d[0] * d[1])),
     st.tuples(st.floats(), st.floats()))
-sweep_options = mostly(st.lists(st.sampled_from(("--format=csv", "--method=pert", "--theta=0",
-                                                 "--theta=0.5", "--phi=1.0",
+sweep_options = mostly(st.lists(st.sampled_from(("--theta=0", "--theta=0.5", "--phi=1.0",
                                                  "--q2-form=sin-squared")),
                                 unique=True, max_size=3),
-                       options)
+                       options("sweep"))
 
 
 @settings(CONTRACT, max_examples=150)
 @given(pair=pair_strings, points=point_counts, bounds=sweep_bounds, opts=sweep_options)
 # an infinite upper bound, once a numpy RuntimeWarning and an error naming omegaQ
 @example(pair="5,7", points=20, bounds=(1e-4, math.inf), opts=[])
-@example(pair="5,7", points=3, bounds=(1e-4, math.inf), opts=["--format=csv"])
+@example(pair="5,7", points=3, bounds=(1e-4, math.inf), opts=["--theta=0.5"])
 # bounds one rounding apart, once a RuntimeWarning and a nan slope with exit 0
 @example(pair="5,7", points=2, bounds=(1e-4, 1.0000000000000002e-4), opts=[])
 # bounds 1e-13 apart, once exit 0 with a slope fitted over rounding noise

@@ -235,4 +235,15 @@ def test_format_tree_writes_mappings_lists_and_scalars_as_yaml_reads_them():
                     "nested:\n- - k: 1\n  - k: 2\n- - k: 3\n")
     assert yaml.safe_load(text) == {**tree, "count": 3, "ratio": 0.1, "empty": None}
     assert [format_scalar(v) for v in (np.float64(2.5), np.int32(-4), 7, 1e-05)] == [
-        "2.5", "-4", "7", "1e-05"]
+        "2.5", "-4", "7", "1.0e-05"]
+
+
+def test_exponent_only_floats_get_a_mantissa_yaml_reads_as_a_float():
+    # repr writes 1e-05, which YAML 1.1 reads as a string; the writers add ".0"
+    values = {"a": 1e-05, "b": 1e+16, "c": 5e-324, "d": -2e-300, "e": 1.5e-07, "f": 12.0}
+    text = format_tree(values)
+    assert text == ("a: 1.0e-05\nb: 1.0e+16\nc: 5.0e-324\nd: -2.0e-300\ne: 1.5e-07\n"
+                    "f: 12.0\n")
+    assert [format_scalar(np.float64(v)) for v in values.values()] == [
+        line.partition(": ")[2] for line in text.splitlines()]
+    assert yaml.safe_load(text) == values == read_tree(text)

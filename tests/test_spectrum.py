@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 from virtualspin import (DIM, SPIN, AmbiguousLabelingError, SpinSystem,
                          build_hamiltonian, exact_spectrum, make_spin_operators,
                          perturbative_spectrum, transition_table)
+from virtualspin import system
 from virtualspin.spectrum import OVERLAP_DOMINANCE
 
 m = np.arange(DIM) - SPIN
@@ -168,3 +169,26 @@ def test_exact_energy_sum_is_zero():
                          theta=float(rng.uniform(0, np.pi)),
                          phi=float(rng.uniform(-np.pi, np.pi)))
         assert abs(exact_spectrum(sys).energies.sum()) < 1e-10
+
+
+def test_exact_spectrum_builds_the_quadrupole_hamiltonian_once(monkeypatch):
+    built = []
+    original = system.quadrupole_hamiltonian
+    monkeypatch.setattr(system, "quadrupole_hamiltonian",
+                        lambda sys: built.append(sys) or original(sys))
+    sys = SpinSystem(omegaQ=0.05, theta=np.pi / 6, phi=0.4)
+    exact_spectrum(sys)
+    assert built == [sys]
+    # the first-order mixing reads the full Hamiltonian's off-diagonal part, which is
+    # the quadrupole term's to the bit
+    assert np.array_equal(perturbative_spectrum(sys).states,
+                          _first_order_states(sys, original(sys)))
+
+
+def _first_order_states(sys, hq):
+    """The first-order vectors built from the quadrupole term alone, Loewdin-orthonormalized."""
+    denom = sys.omega0 * (m[:, None] - m[None, :])
+    np.fill_diagonal(denom, 1.0)
+    raw = np.eye(DIM, dtype=complex) + hq * (1.0 / denom) * (1 - np.eye(DIM))
+    w, v = np.linalg.eigh(raw.conj().T @ raw)
+    return raw @ ((v * (w ** -0.5)[None, :]) @ v.conj().T)
