@@ -22,12 +22,12 @@ from .errors import (AmbiguousLabelingError, DegenerateFitError,
                      OverlappingTonesError, ResolutionError,
                      ScheduleFormatError, TruthTableError, VirtualSpinError)
 from .gates import GateSpec, parse_gate, parse_gate_sequence, target_gate
-from .operators import DIM, SPIN, SpinOperators, make_spin_operators
 from .pulses import (PulseParams, Projector, Tone, multi_tone_propagator,
                      projector, pulse_duration, pulse_propagator)
 from .spectrum import (Spectrum, Transition, drive_elements, exact_spectrum,
                        perturbative_spectrum, transition_table)
-from .system import SpinSystem, build_hamiltonian, quadrupole_hamiltonian
+from .system import (DIM, SPIN, SpinOperators, SpinSystem, build_hamiltonian,
+                     make_spin_operators, quadrupole_hamiltonian)
 
 __version__ = "0.1.0"
 

@@ -265,8 +265,10 @@ def cmd_simulate(args) -> int:
     file_defaults = _load_config_file(args.config)
     sched = _read_schedule(args.schedule)
     _check_keys(sched.parameters or {}, "schedule parameter")
-    # schedule parameters act as config-file-level defaults; flags still win
-    config = _merge_config(args, {**(sched.parameters or {}), **file_defaults})
+    # flags > the schedule's parameters > the config file > defaults; schedule
+    # parameters name q2_form only when it is not the default
+    schedule = {"q2_form": DEFAULTS["q2_form"], **sched.parameters} if sched.parameters else {}
+    config = _merge_config(args, {**file_defaults, **schedule})
 
     cfg = IntegrationConfig(steps_per_shortest_period=args.steps)
     gamma = config.gamma_normalized()
@@ -301,7 +303,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as an InputError, so main reports it on one line and returns 2."""
+    """Takes each flag by its full name only, and raises a usage error as an
+    InputError, so main reports it on one line and returns 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
@@ -353,8 +359,9 @@ def main(argv=None) -> int:
     try:
         args, extra = _build_parser().parse_known_args(argv)
         if extra:
+            # name the unread flags, not a positional that one of them pushed along
             raise InputError(f"virtualspin {args.command}: unrecognized arguments: "
-                             + " ".join(extra))
+                             + " ".join([a for a in extra if a.startswith("-")] or extra))
         return args.func(args)
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")

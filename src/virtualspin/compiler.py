@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import InputError, ScheduleFormatError, TruthTableError
 from .gates import GateSpec, parse_gate_sequence, target_gate
-from .operators import DIM
 from .pulses import PulseParams, Tone, check_disjoint, multi_tone_propagator, pulse_duration
 from .spectrum import Spectrum, drive_elements
-from .system import Q2_FORMS
+from .system import DIM, Q2_FORMS
 
 EXACT_MATCH = "exact"
 UP_TO_I = "equal-up-to-i"

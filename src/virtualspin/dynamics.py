@@ -58,16 +58,14 @@ start time, matching how the idealized schedule product is written.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
 from .errors import DegenerateFitError, InputError, ResolutionError
-from .operators import DIM, make_spin_operators
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
-from .system import SpinSystem, build_hamiltonian
+from .system import DIM, SpinSystem, build_hamiltonian
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -78,6 +76,16 @@ MAX_SLICES = 10**8
 
 # narrowest ln(max/min) of a scaling sweep; see forbidden_scaling
 MIN_LOG_RANGE = 1e-6
+
+
+def _eigenbasis(op: np.ndarray) -> np.ndarray:
+    _, w = np.linalg.eigh(op)
+    w.setflags(write=False)
+    return w
+
+
+# eigenvectors of Ix and Iy; both have the eigenvalues of Iz, M_VALUES, in ascending order
+_AXIS_EIGENBASES = {"X": _eigenbasis(SpinSystem.ops.Ix), "Y": _eigenbasis(SpinSystem.ops.Iy)}
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,7 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
 
     axes = sorted({tone.axis for tone in drive.tones})
     mixed = len(axes) > 1
-    w = _axis_eigenbasis("Y" if axes == ["Y"] else "X")
+    w = _AXIS_EIGENBASES["Y" if axes == ["Y"] else "X"]
     w_dagger = w.conj().T
     if mixed:
         frame = half
@@ -251,14 +259,6 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         runs = _chain_products(stages(block, start), block.late_start, block.work)
         product = _polar_unitary(_time_ordered_product(runs) @ product)
     return frame @ product @ frame.conj().T
-
-
-@lru_cache(maxsize=None)
-def _axis_eigenbasis(axis: str) -> np.ndarray:
-    """Eigenvectors of I_axis; Ix and Iy have the eigenvalues of Iz, M_VALUES, in ascending order."""
-    _, w = np.linalg.eigh(getattr(make_spin_operators(), "I" + axis.lower()))
-    w.setflags(write=False)
-    return w
 
 
 class _Block:

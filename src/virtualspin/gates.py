@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateGrammarError, InputError
-from .operators import DIM
+from .system import DIM
 
 SPINS = ("Q", "R", "S")
 BIT_OF_SPIN = {"Q": 4, "R": 2, "S": 1}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ForbiddenTransitionError, InputError, OverlappingTonesError
-from .operators import DIM
+from .system import DIM
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,14 @@
-"""Static spin system: Zeeman + quadrupole Hamiltonian of one spin-7/2.
+"""Spin-7/2 operator matrices and the static Hamiltonian of one spin-7/2.
+
+The eight levels are indexed M = 0..7 with magnetic quantum number
+m = M - 7/2, i.e. row/column 0 is m = -7/2 and row/column 7 is m = +7/2.
+All matrices are written in this basis and use hbar = 1; the operator
+matrices are read-only constants built once at import.
 
 A nucleus with spin 7/2 sits in a strong magnetic field along z (Zeeman
 frequency omega0) and an axially symmetric electric field gradient whose
 symmetry axis points along the polar angles (theta, phi) in the lab frame.
-In units of hbar = 1 the static Hamiltonian is
+The static Hamiltonian is
 
     H = -omega0 * Iz + omegaQ * sum_a Q_a q_{-a},  a in {0, +-1, +-2}
 
@@ -16,18 +21,61 @@ omegaQ * q0 * (m^2 - 21/4) exactly (see spectrum module).  The q_+-2
 coefficient above is the default ("as-printed") form; the conventional
 coefficient obtained by rotating an axial field-gradient tensor is
 (1/2) sin^2(theta) e^{+-2i phi} and can be selected with
-q2_form="sin-squared"; the operators Q_a are built once per SpinOperators.
+q2_form="sin-squared".
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InputError
-from .operators import DIM, SPIN, SpinOperators, make_spin_operators
 
+SPIN = 3.5
+DIM = 8
 Q2_FORMS = ("as-printed", "sin-squared")
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# m values in label order M = 0..7
+M_VALUES = np.arange(DIM) - SPIN
+M_VALUES.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SpinOperators:
+    """Spin-7/2 operator matrices (complex 8x8, units of hbar = 1)."""
+
+    Ix: np.ndarray
+    Iy: np.ndarray
+    Iz: np.ndarray
+    Iplus: np.ndarray
+    Iminus: np.ndarray
+
+
+# <m+1|I+|m> = sqrt(I(I+1) - m(m+1)); Ix = (I+ + I-)/2, Iy = (I+ - I-)/2i
+_IPLUS = np.zeros((DIM, DIM), dtype=complex)
+_IPLUS[np.arange(1, DIM), np.arange(DIM - 1)] = np.sqrt(
+    SPIN * (SPIN + 1) - M_VALUES[:-1] * (M_VALUES[:-1] + 1))
+_IMINUS = _IPLUS.conj().T
+_IZ = np.diag(M_VALUES).astype(complex)
+_OPERATORS = SpinOperators(*_read_only(
+    (_IPLUS + _IMINUS) / 2, (_IPLUS - _IMINUS) / 2j, _IZ, _IPLUS, _IMINUS))
+
+# Q_0, Q_+1, Q_-1, Q_+2, Q_-2
+_QUADRUPOLE_OPERATORS = _read_only(
+    _IZ @ _IZ - SPIN * (SPIN + 1) / 3 * np.eye(DIM), _IZ @ _IPLUS + _IPLUS @ _IZ,
+    _IZ @ _IMINUS + _IMINUS @ _IZ, _IPLUS @ _IPLUS, _IMINUS @ _IMINUS)
+
+
+def make_spin_operators() -> SpinOperators:
+    """Ix, Iy, Iz and the ladder operators for I = 7/2: the one read-only set."""
+    return _OPERATORS
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +87,7 @@ class SpinSystem:
     theta: float = 0.0
     phi: float = 0.0
     q2_form: str = "as-printed"
-    ops: SpinOperators = field(default_factory=make_spin_operators)
+    ops: ClassVar[SpinOperators] = _OPERATORS
 
     def __post_init__(self):
         for name in ("omega0", "omegaQ", "phi"):
@@ -57,20 +105,9 @@ class SpinSystem:
             raise InputError(f"q2_form must be one of {Q2_FORMS}, got {self.q2_form!r}")
 
 
-@lru_cache(maxsize=1)
-def _quadrupole_operators(ops: SpinOperators) -> tuple:
-    """Q_0, Q_+1, Q_-1, Q_+2, Q_-2 of one operator set (read-only)."""
-    iz, ip, im = ops.Iz, ops.Iplus, ops.Iminus
-    products = (iz @ iz - SPIN * (SPIN + 1) / 3 * np.eye(DIM),
-                iz @ ip + ip @ iz, iz @ im + im @ iz, ip @ ip, im @ im)
-    for a in products:
-        a.setflags(write=False)
-    return products
-
-
 def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Quadrupole part omegaQ * sum_a Q_a q_{-a} as a complex 8x8 matrix."""
-    big_q0, big_qp1, big_qm1, big_qp2, big_qm2 = _quadrupole_operators(sys.ops)
+    big_q0, big_qp1, big_qm1, big_qp2, big_qm2 = _QUADRUPOLE_OPERATORS
     q0 = 3 * np.cos(sys.theta) ** 2 - 1
     qp1 = np.sin(sys.theta) * np.cos(sys.theta) * np.exp(1j * sys.phi)
     if sys.q2_form == "as-printed":
@@ -88,4 +125,4 @@ def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
 
 def build_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Full static Hamiltonian -omega0*Iz + quadrupole term (Hermitian 8x8)."""
-    return -sys.omega0 * sys.ops.Iz + quadrupole_hamiltonian(sys)
+    return -sys.omega0 * _IZ + quadrupole_hamiltonian(sys)

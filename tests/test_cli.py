@@ -316,6 +316,30 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert abs(float(row.split(",")[2]) - 0.88) < 1e-12
 
 
+def test_simulate_takes_flags_over_schedule_over_config_over_defaults(capsys, tmp_path):
+    def simulate(schedule, *argv):
+        code, out, err = run(capsys, "simulate", str(schedule), "--gammaHrf", "5e-3", *argv)
+        assert code == 0, err
+        return out
+
+    compiled = {}
+    for omega_q in ("0.05", "0.02"):
+        compiled[omega_q] = tmp_path / f"ccnot_{omega_q}.st"
+        run(capsys, "compile", "CCNOT:QR->S", "--omegaQ", omega_q, "--theta", "0.5",
+            "--out", str(compiled[omega_q]))
+    config = tmp_path / "config.yml"
+    config.write_text("omegaQ: 0.02\ntheta: 0.3\nformat: csv\nq2_form: sin-squared\n")
+    at_schedule = simulate(compiled["0.05"], "--format", "csv")
+    # the config file gives the format, which the schedule does not hold, and
+    # loses omegaQ, theta and the (default, so unwritten) q2_form to the schedule
+    assert simulate(compiled["0.05"], "--config", str(config)) == at_schedule
+    # a flag beats the schedule: tones are re-resolved at --omegaQ 0.02
+    flagged = simulate(compiled["0.05"], "--config", str(config), "--omegaQ", "0.02")
+    assert flagged == simulate(compiled["0.02"], "--format", "csv") != at_schedule
+    # with no flag and no config file, the default table format
+    assert simulate(compiled["0.05"]).startswith("schedule:       CCNOT:QR->S\n")
+
+
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     config = tmp_path / "config.yml"
     config.write_text("omegaq: 0.02\n")
@@ -331,6 +355,30 @@ def test_argparse_usage_error_exits_2(capsys):
     code, out, err = run(capsys, "compile")
     assert_input_error(code, out, err)
     assert "virtualspin compile: the following arguments are required: gate" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("verify", "NOT:S", "--form", "csv"), "--form"),
+    (("sweep", "--pair", "5,7", "--the", "0.5", "--po", "3"), "--the --po"),
+    (("compile", "NOT:S", "--gamma", "2e-3"), "--gamma"),
+    (("spectrum", "--meth", "pert"), "--meth"),
+])
+def test_flags_take_only_their_full_names(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, out, err)
+    assert err.endswith(f"unrecognized arguments: {named}\n")
+    assert run(capsys, "verify", "NOT:S", "--format=csv")[0] == 0
+
+
+def test_unread_flag_before_the_positional_is_named_alone(capsys):
+    # `pert` is taken as the gate and NOT:S left over; the message names only --method
+    code, out, err = run(capsys, "compile", "--method", "pert", "NOT:S")
+    assert_input_error(code, out, err)
+    assert err == "error: virtualspin compile: unrecognized arguments: --method\n"
+    # with no flag left over, the leftover positional is named
+    code, out, err = run(capsys, "compile", "NOT:S", "NOT:R")
+    assert_input_error(code, out, err)
+    assert err == "error: virtualspin compile: unrecognized arguments: NOT:R\n"
 
 
 def assert_input_error(code, out, err):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,11 @@ def test_phi_whose_double_overflows_is_refused():
     with pytest.raises(InputError, match=r"^phi = 1e\+308 "):
         SpinSystem(phi=1e308)
     assert np.isfinite(quadrupole_hamiltonian(SpinSystem(theta=0.5, phi=8e307))).all()
+
+
+def test_operator_set_is_fixed_not_a_parameter():
+    with pytest.raises(TypeError):
+        SpinSystem(ops=make_spin_operators())
+    assert [f.name for f in dataclasses.fields(SpinSystem)] == [
+        "omega0", "omegaQ", "theta", "phi", "q2_form"]
+    assert SpinSystem(theta=0.4).ops is make_spin_operators()

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from virtualspin import (DIM, SPIN, AmbiguousLabelingError, InputError, SpinSystem,
                          Spectrum, TruthTableError, Transition, compile_gate, drive_elements,
-                         exact_spectrum, format_schedule, parse_gate_sequence,
+                         exact_spectrum, format_schedule, make_spin_operators, parse_gate_sequence,
                          perturbative_spectrum, quadrupole_hamiltonian,
                          schedule_propagator, target_gate, transition_table, truth_table,
                          verify)
@@ -31,7 +31,8 @@ from virtualspin import pulses
 from virtualspin.compiler import (EXACT_MATCH, MISMATCH, TRUTH_TABLE_TOL, UP_TO_GLOBAL_PHASE,
                                   UP_TO_I, VERIFY_TOL)
 from virtualspin.spectrum import OVERLAP_DOMINANCE, _loewdin_orthonormalize
-from virtualspin.system import _quadrupole_operators
+from virtualspin.dynamics import _AXIS_EIGENBASES
+from virtualspin.system import _QUADRUPOLE_OPERATORS
 from test_cli_contract import CONTRACT
 from test_schedule_reader import GRAMMAR_GATES
 
@@ -215,10 +216,12 @@ def test_spectra_and_tables_are_bit_identical():
     assert labeled > 100 and refused > 10
 
 
-def test_quadrupole_operators_are_built_once_per_operator_set():
+def test_spin_matrices_are_read_only_constants():
     sys_a, sys_b = SpinSystem(theta=0.3), SpinSystem(omegaQ=0.05, theta=2.0, phi=1.0)
-    assert _quadrupole_operators(sys_a.ops) is _quadrupole_operators(sys_b.ops)
-    assert not any(q.flags.writeable for q in _quadrupole_operators(sys_a.ops))
+    assert sys_a.ops is sys_b.ops is SpinSystem().ops is make_spin_operators()
+    assert not any(q.flags.writeable for q in _QUADRUPOLE_OPERATORS)
+    assert sorted(_AXIS_EIGENBASES) == ["X", "Y"]
+    assert not any(w.flags.writeable for w in _AXIS_EIGENBASES.values())
     assert np.array_equal(quadrupole_hamiltonian(sys_b), old_quadrupole_hamiltonian(sys_b))
 
 
