@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .compiler import (OK_VERDICTS, compile_gate, format_scalar, format_schedule, format_tree,
-                       parse_schedule, read_tree, schedule_propagator, verify)
+                       number, parse_schedule, read_tree, schedule_propagator, verify)
 from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
 from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
@@ -58,20 +58,23 @@ class RunConfig(namedtuple("RunConfig", PARAMETERS)):
 
     __slots__ = ()
 
-    def system(self) -> SpinSystem:
-        # work in units of omega0 throughout
-        return SpinSystem(omega0=1.0, omegaQ=self.omegaQ / self.omega0,
-                          theta=self.theta, phi=self.phi, q2_form=self.q2_form)
+    def per_omega0(self, key: str) -> float:
+        """omegaQ or gammaHrf in units of omega0, or an InputError naming both if it overflows."""
+        value = getattr(self, key)
+        if not np.isfinite(value / self.omega0):
+            raise InputError(f"{key}/omega0 = {value}/{self.omega0} overflows floating point")
+        return value / self.omega0
 
-    def gamma_normalized(self) -> float:
-        return self.gammaHrf / self.omega0
+    def system(self) -> SpinSystem:
+        return SpinSystem(omega0=1.0, omegaQ=self.per_omega0("omegaQ"),
+                          theta=self.theta, phi=self.phi, q2_form=self.q2_form)
 
     def parameters(self) -> dict:
         # q2_form only when not the default, so default-form schedules keep their bytes
         form = {} if self.q2_form == DEFAULTS["q2_form"] else {"q2_form": self.q2_form}
-        return {"omega0": 1.0, "omegaQ": self.omegaQ / self.omega0,
+        return {"omega0": 1.0, "omegaQ": self.per_omega0("omegaQ"),
                 "theta": self.theta, "phi": self.phi,
-                "gammaHrf": self.gammaHrf / self.omega0, **form}
+                "gammaHrf": self.per_omega0("gammaHrf"), **form}
 
 
 def _merge_config(args, file_defaults: dict) -> RunConfig:
@@ -83,10 +86,7 @@ def _merge_config(args, file_defaults: dict) -> RunConfig:
             if value not in allowed:
                 raise InputError(f"{key} must be one of {allowed}, got {value!r}")
         else:
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"{key} must be a number, got {value!r}") from exc
+            value = number(value, key)
             if not np.isfinite(value):
                 raise InputError(f"{key} must be finite, got {value}")
             if allowed == "positive" and not value > 0:
@@ -99,12 +99,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = read_tree(handle.read())
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        doc = read_tree(_read_text(path, "config"))
     except ScheduleFormatError as exc:
         raise InputError(f"config file {path} is not flat `key: value` text: {exc}") from exc
     _check_keys(doc, "config")
@@ -117,13 +112,15 @@ def _check_keys(keys, source: str):
         raise InputError(f"unknown {source} keys {sorted(unknown)}; allowed: {sorted(PARAMETERS)}")
 
 
-def _read_schedule(path: str):
+def _read_text(path: str, what: str) -> str:
+    """The text of a `what` (config or schedule) file, or an InputError naming it."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InputError(f"schedule file {path} is not UTF-8 text: {exc}") from exc
-    return parse_schedule(text)
+        raise InputError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None):
@@ -171,7 +168,7 @@ def cmd_spectrum(args) -> int:
     elif config.format == "st":
         text = format_tree({"method": config.method, "transitions": rows})
     else:
-        header = (f"spin-7/2 transitions  (omegaQ/omega0={config.omegaQ / config.omega0:g}, "
+        header = (f"spin-7/2 transitions  (omegaQ/omega0={config.per_omega0('omegaQ'):g}, "
                   f"theta={config.theta:g}, phi={config.phi:g}, method={config.method})")
         lines = [header,
                  f"{'pair':>7}  {'omega/omega0':>18}  {'|<n|Ix|m>|':>14}  flag"]
@@ -187,7 +184,7 @@ def cmd_compile(args) -> int:
     config = _merge_config(args, _load_config_file(args.config))
     gates = parse_gate_sequence(args.gate)
     sched = compile_gate(gates, spectrum=exact_spectrum(config.system()),
-                         gamma_hrf=config.gamma_normalized(),
+                         gamma_hrf=config.per_omega0("gammaHrf"),
                          parameters=config.parameters())
     _emit(format_schedule(sched), args.out)
     return 0
@@ -198,7 +195,7 @@ def cmd_verify(args) -> int:
     if args.gate is None and args.schedule is None:
         raise InputError("verify needs a gate string, a --schedule file, or both")
     if args.schedule is not None:
-        sched = _read_schedule(args.schedule)
+        sched = parse_schedule(_read_text(args.schedule, "schedule"))
         gates = parse_gate_sequence(args.gate) if args.gate is not None else sched.gates
     else:
         gates = parse_gate_sequence(args.gate)
@@ -263,7 +260,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 def cmd_simulate(args) -> int:
     file_defaults = _load_config_file(args.config)
-    sched = _read_schedule(args.schedule)
+    sched = parse_schedule(_read_text(args.schedule, "schedule"))
     _check_keys(sched.parameters or {}, "schedule parameter")
     # flags > the schedule's parameters > the config file > defaults; schedule
     # parameters name q2_form only when it is not the default
@@ -271,7 +268,7 @@ def cmd_simulate(args) -> int:
     config = _merge_config(args, {**file_defaults, **schedule})
 
     cfg = IntegrationConfig(steps_per_shortest_period=args.steps)
-    gamma = config.gamma_normalized()
+    gamma = config.per_omega0("gammaHrf")
     if gamma >= STRONG_DRIVE_RATIO:
         sys.stderr.write(f"warning: strong drive gammaHrf/omega0 = {gamma:g} >= "
                          f"{STRONG_DRIVE_RATIO}; the idealized pulse model degrades\n")
@@ -350,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_simulate, "integrate the physical drive realizing a schedule file")
     p.add_argument("schedule", help="schedule file produced by compile")
-    p.add_argument("--steps", type=int, default=32,
+    p.add_argument("--steps", type=int, default=IntegrationConfig.steps_per_shortest_period,
                    help="integrator steps per shortest oscillation period")
     return parser
 

@@ -416,7 +416,7 @@ def parse_schedule(text: str) -> PulseSchedule:
         _require(isinstance(parameters, dict), "parameters must be a mapping or null")
         form = parameters.get("q2_form", Q2_FORMS[0])
         _require(form in Q2_FORMS, "q2_form must be one of {}, got {!r}", Q2_FORMS, form)
-        parameters = {key: value if key == "q2_form" else _number(value, key)
+        parameters = {key: value if key == "q2_form" else number(value, key)
                       for key, value in parameters.items()}
 
     raw_groups = doc["groups"]
@@ -441,13 +441,13 @@ def _tone(entry) -> Tone:
         if key in ("upper", "lower"):
             _require(type(value) is int, "tone {} must be an integer, got {!r}", key, value)
         elif key != "axis" and not (value is None and key in ("omega", "duration")):
-            value = _number(value, key)
+            value = number(value, key)
         fields[attr] = value
     return Tone(**fields)
 
 
-def _number(value, key: str) -> float:
-    """A number as read_tree gives it: an int, a float or an exponent word such as 1e-05."""
+def number(value, key: str) -> float:
+    """A schedule or config number as read_tree gives it: an int, a float or a word like 1e-05."""
     if type(value) in (int, float) or isinstance(value, str) and _EXPONENT.match(value):
         try:
             return float(value)

@@ -57,7 +57,7 @@ start time, matching how the idealized schedule product is written.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
 from .errors import DegenerateFitError, InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
-from .system import DIM, SpinSystem, build_hamiltonian
+from .system import AXIS_OPERATORS, DIM, SpinSystem, build_hamiltonian
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -84,8 +84,8 @@ def _eigenbasis(op: np.ndarray) -> np.ndarray:
     return w
 
 
-# eigenvectors of Ix and Iy; both have the eigenvalues of Iz, M_VALUES, in ascending order
-_AXIS_EIGENBASES = {"X": _eigenbasis(SpinSystem.ops.Ix), "Y": _eigenbasis(SpinSystem.ops.Iy)}
+# eigenvectors of each axis operator; all have the eigenvalues of Iz, M_VALUES, in ascending order
+_AXIS_EIGENBASES = {axis: _eigenbasis(op) for axis, op in AXIS_OPERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -465,9 +465,8 @@ class ScalingFit:
     local_slopes: np.ndarray
 
 
-def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
-                      ratios=None) -> ScalingFit:
-    """Fit |<psi_N|Ix|psi_M>| ~ (omegaQ/omega0)^slope over a coupling sweep.
+def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int], ratios) -> ScalingFit:
+    """Fit |<psi_N|Ix|psi_M>| ~ (omegaQ/omega0)^slope over the omegaQ/omega0 `ratios`.
 
     Allowed (delta-m = +-1) pairs give slope ~ 0; pairs that open up
     through first-order quadrupole mixing give slope ~ 1; higher-order
@@ -475,19 +474,21 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
     when every element is numerically zero (e.g. theta = 0, where the
     mixing vanishes identically).
 
-    Raises InputError, before any spectrum is computed, when the ratios
-    span ln(max/min) < MIN_LOG_RANGE.  The slope's noise is about the
-    relative rounding of the elements divided by the log range.  A weak
-    element (~1e-4 of unit eigenvectors) is rounded by up to ~1e-12
-    relative, so at the floor the slope is good to ~1e-6, while over
-    ratios 1e-13 apart it is pure noise (slopes of 6.6 for a pair near 1).
+    Raises InputError, before any spectrum is computed, when a ratio is
+    not positive and finite, or the ratios span ln(max/min) < MIN_LOG_RANGE.
+    The slope's noise is about the relative rounding of the elements
+    divided by the log range.  A weak element (~1e-4 of unit eigenvectors)
+    is rounded by up to ~1e-12 relative, so at the floor the slope is good
+    to ~1e-6, while over ratios 1e-13 apart it is pure noise (slopes of 6.6
+    for a pair near 1).
     """
     m_label, n_label = pair
     if not (0 <= m_label < DIM and 0 <= n_label < DIM) or m_label == n_label:
         raise InputError(f"pair must be two distinct labels in 0..{DIM - 1}, got {pair}")
-    if ratios is None:
-        ratios = np.logspace(-4, -2, 20)
     ratios = np.asarray(ratios, dtype=float)
+    bad = ratios[~(np.isfinite(ratios) & (ratios > 0))]
+    if bad.size:
+        raise InputError(f"sweep ratios omegaQ/omega0 must be positive and finite, got {bad[0]}")
     log_r = np.log(ratios)
     if np.unique(log_r).size < max(2, ratios.size):
         raise InputError("need at least two sweep points, with distinct logarithms, to fit a slope")
@@ -497,8 +498,7 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int],
                          f"a slope fitted over so narrow a range is rounding noise")
     elements = np.empty_like(ratios)
     for i, ratio in enumerate(ratios):
-        swept = SpinSystem(omega0=sys.omega0, omegaQ=ratio * sys.omega0,
-                           theta=sys.theta, phi=sys.phi, q2_form=sys.q2_form)
+        swept = replace(sys, omegaQ=ratio * sys.omega0)
         elements[i] = abs(drive_elements(exact_spectrum(swept))[n_label, m_label])
     if np.all(elements < 1e-14):
         message = (f"all |<psi_{n_label}|Ix|psi_{m_label}>| elements are below "

@@ -23,11 +23,12 @@ Gate strings follow the grammar
 
 with KIND in {NOT, CNOT, CCNOT, UT, CUT, CCUT}, CONTROLS a set of distinct
 spins from {Q, R, S} (size fixed by KIND), TARGET a single spin not among
-the controls, and the (phi, f) payload (radians) required exactly for the
-UT family.  Examples: "NOT:S", "CNOT:R->Q", "CCNOT:QR->S",
+the controls, and the finite (phi, f) payload (radians) required exactly
+for the UT family.  Examples: "NOT:S", "CNOT:R->Q", "CCNOT:QR->S",
 "CCUT:QR->S(1.2,0.4)".
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -74,6 +75,9 @@ class GateSpec:
         else:
             if self.phi is None or self.f is None:
                 raise InputError(f"{self.kind} requires a (phi, f) payload")
+            if not (math.isfinite(self.phi) and math.isfinite(self.f)):
+                raise InputError(f"{self.kind} payload (phi, f) must be finite, "
+                                 f"got ({self.phi}, {self.f})")
 
     @property
     def is_not_family(self) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ForbiddenTransitionError, InputError, OverlappingTonesError
-from .system import DIM
+from .system import AXIS_OPERATORS, DIM
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,7 @@ def projector(m: int, n: int) -> Projector:
     return Projector(m=m, n=n, matrix=mat)
 
 
-AXES = ("X", "Y")
+AXES = tuple(AXIS_OPERATORS)
 
 
 @dataclass(frozen=True)

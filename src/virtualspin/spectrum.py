@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousLabelingError, InputError
-from .system import DIM, M_VALUES, SpinSystem, build_hamiltonian
+from .system import AXIS_OPERATORS, DIM, M_VALUES, SpinSystem, build_hamiltonian
 
 PERTURBATIVE = "perturbative-first-order"
 EXACT = "exact"
@@ -32,9 +32,6 @@ PERTURBATIVE_RATIO_LIMIT = 0.1
 # a label assignment is trusted only if the best overlap beats the
 # runner-up by this factor
 OVERLAP_DOMINANCE = 2.0
-
-# the spin operator each coil axis drives
-_AXIS_OPERATORS = {"X": SpinSystem.ops.Ix, "Y": SpinSystem.ops.Iy}
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +154,7 @@ def drive_elements(spec: Spectrum, axis: str = "X") -> np.ndarray:
 
     Every pulse angle, duration and drive phase derives from this product.
     """
-    return spec.states.conj().T @ _AXIS_OPERATORS[axis] @ spec.states
+    return spec.states.conj().T @ AXIS_OPERATORS[axis] @ spec.states
 
 
 def transition_table(spec: Spectrum) -> list[Transition]:

@@ -67,6 +67,9 @@ _IZ = np.diag(M_VALUES).astype(complex)
 _OPERATORS = SpinOperators(*_read_only(
     (_IPLUS + _IMINUS) / 2, (_IPLUS - _IMINUS) / 2j, _IZ, _IPLUS, _IMINUS))
 
+# coil axis -> the spin operator it drives: the one list of axes
+AXIS_OPERATORS = {"X": _OPERATORS.Ix, "Y": _OPERATORS.Iy}
+
 # Q_0, Q_+1, Q_-1, Q_+2, Q_-2
 _QUADRUPOLE_OPERATORS = _read_only(
     _IZ @ _IZ - SPIN * (SPIN + 1) / 3 * np.eye(DIM), _IZ @ _IPLUS + _IPLUS @ _IZ,

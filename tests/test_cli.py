@@ -638,3 +638,73 @@ def test_exponent_only_floats_read_back_as_yaml_floats(capsys):
     tone = yaml.safe_load(out)["groups"][0][0]
     assert type(tone["angle_rad"]) is float and tone["angle_rad"] == 1e-05
     assert parse_schedule(out).groups[0][0].angle == 1e-05
+
+
+def test_unreadable_schedule_file_exits_2_naming_it(capsys, tmp_path):
+    missing = str(tmp_path / "missing.st")
+    for argv in (("verify", "--schedule", missing), ("simulate", missing)):
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert err.startswith(f"error: cannot read schedule file {missing}: ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("omegaQ: inf", "omegaQ must be a number, got 'inf'"),      # a string to YAML 1.1
+    ("theta: nan", "theta must be a number, got 'nan'"),
+    pytest.param("omegaQ: 1" + "0" * 400, "omegaQ: int too large to convert to float",
+                 id="omegaQ-huge-int"),
+])
+def test_config_numbers_follow_the_schedule_number_rule(capsys, tmp_path, line, message):
+    config = tmp_path / "config.yml"
+    config.write_text(line + "\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(config))
+    assert_input_error(code, out, err)
+    assert err == f"error: {message}\n"
+    # an exponent word is a number, in a config file as in a schedule
+    config.write_text("omegaQ: 2e-2\n")
+    assert run(capsys, "spectrum", "--config", str(config)) == run(capsys, "spectrum",
+                                                                   "--omegaQ", "0.02")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, named", [
+    (("spectrum", "--omega0", "1e-320", "--omegaQ", "1"), "omegaQ/omega0 = 1.0/1e-320"),
+    (("compile", "NOT:S", "--omega0", "1e-320", "--omegaQ", "0", "--gammaHrf", "1"),
+     "gammaHrf/omega0 = 1.0/1e-320"),
+])
+def test_overflowing_normalization_names_omega0(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, out, err)
+    assert err == f"error: {named} overflows floating point\n"
+
+
+def test_simulate_overflowing_normalization_exits_2_before_any_warning(capsys, tmp_path):
+    path = tmp_path / "ccnot.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    code, out, err = run(capsys, "simulate", str(path), "--omega0", "1e-320")
+    assert_input_error(code, out, err)
+    assert "/omega0 = " in err
+    # verify divides by nothing, so the same omega0 in a config file does not stop it
+    config = tmp_path / "config.yml"
+    config.write_text("omega0: 1.0e-320\n")
+    assert run(capsys, "verify", "NOT:S", "--config", str(config))[0] == 0
+
+
+@pytest.mark.parametrize("gate, y_tones", [("CCNOT:QR->S", -1), ("CNOT:R->S", 1)])
+def test_simulate_plays_y_coil_tones(capsys, tmp_path, gate, y_tones):
+    # every tone (count -1) or one tone of the compiled schedule moved to the Y coil
+    theta = np.pi / 6
+    path = tmp_path / "y.st"
+    run(capsys, "compile", gate, "--omegaQ", "0.05", "--theta", repr(theta), "--out", str(path))
+    text = path.read_text().replace('axis: "X"', 'axis: "Y"', y_tones)
+    path.write_text(text)
+    sched = parse_schedule(text)
+    axes = [tone.axis for group in sched.groups for tone in group]
+    assert "Y" in axes and (y_tones == -1 or "X" in axes)
+    code, out, _ = run(capsys, "simulate", str(path), "--format", "csv")
+    assert code == 0
+    result = simulate_schedule(SpinSystem(omegaQ=0.05, theta=theta), sched, 1e-3)
+    lines = out.splitlines()
+    assert lines[1] == f"# deviation: {result.deviation!r}"
+    assert {int(i): (int(o), float(p)) for i, o, p in
+            (line.split(",") for line in lines[4:])} == result.transfer

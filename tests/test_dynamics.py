@@ -15,6 +15,8 @@ from virtualspin import dynamics
 
 # weak-coupling system used by most drive tests
 SYS = SpinSystem(omega0=1.0, omegaQ=0.05, theta=np.pi / 6)
+# the omegaQ/omega0 grid of `sweep` at its default --points, --min and --max
+GRID = np.logspace(-4, -2, 20)
 
 
 def test_integration_config_validation():
@@ -319,21 +321,21 @@ def test_rwa_deviation_pins_phase_and_axis_conventions():
 
 def test_forbidden_scaling_slopes():
     sys = SpinSystem(omega0=1.0, omegaQ=0.01, theta=np.pi / 5)
-    fit_57 = forbidden_scaling(sys, (5, 7))
+    fit_57 = forbidden_scaling(sys, (5, 7), GRID)
     assert 0.85 <= fit_57.slope <= 1.15
     assert fit_57.ratios.size == 20
     assert fit_57.elements.shape == fit_57.local_slopes.shape == fit_57.ratios.shape
-    fit_67 = forbidden_scaling(sys, (6, 7))
+    fit_67 = forbidden_scaling(sys, (6, 7), GRID)
     assert abs(fit_67.slope) < 0.05
     # (3,7) opens at higher order than first; measured slope ~ 3
-    fit_37 = forbidden_scaling(sys, (3, 7))
+    fit_37 = forbidden_scaling(sys, (3, 7), GRID)
     assert fit_37.slope >= 1.0
     assert 2.5 < fit_37.slope < 3.5
 
 
 def test_forbidden_scaling_theta_zero_degenerate():
     with pytest.raises(DegenerateFitError):
-        forbidden_scaling(SpinSystem(theta=0.0), (5, 7))
+        forbidden_scaling(SpinSystem(theta=0.0), (5, 7), GRID)
 
 
 def test_theta_zero_null_elements_for_any_coupling():
@@ -368,14 +370,19 @@ def test_strong_coupling_elements_become_comparable():
 
 def test_forbidden_scaling_input_validation():
     with pytest.raises(InputError):
-        forbidden_scaling(SpinSystem(theta=0.5), (5, 5))
+        forbidden_scaling(SpinSystem(theta=0.5), (5, 5), GRID)
     with pytest.raises(InputError):
-        forbidden_scaling(SpinSystem(theta=0.5), (0, 9))
+        forbidden_scaling(SpinSystem(theta=0.5), (0, 9), GRID)
     with pytest.raises(InputError):
         forbidden_scaling(SpinSystem(theta=0.5), (5, 7), ratios=[1e-3])
     # distinct ratios 1e-13 apart differ only by rounding: no slope is fitted
     with pytest.raises(InputError, match="rounding noise"):
         forbidden_scaling(SpinSystem(theta=0.5), (5, 7), ratios=[1e-4, 1.0000000000001e-4])
+    # a ratio that is not positive and finite is named before any spectrum is computed
+    for ratios, named in (([0, 1e-3, 1e-2], "0.0"), ([-1e-3, 1e-3], "-0.001"),
+                          ([1e-3, np.nan, 1e-2], "nan"), ([1e-3, np.inf], "inf")):
+        with pytest.raises(InputError, match=f"must be positive and finite, got {named}$"):
+            forbidden_scaling(SpinSystem(theta=0.5), (5, 7), ratios)
 
 
 def test_simulate_schedule_zero_angle():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -129,3 +130,13 @@ def test_gatespec_rejects_spins_outside_qrs():
         GateSpec(kind="NOT", target="T")
     with pytest.raises(InputError, match="controls must be a subset"):
         GateSpec(kind="CNOT", target="S", controls=frozenset("X"))
+
+
+def test_non_finite_payload_is_a_grammar_error_naming_the_gate():
+    for text in ("CCUT:QR->S(nan,0)", "UT:S(1e999,0)", "CUT:Q->S(0,-inf)"):
+        with pytest.raises(GateGrammarError,
+                           match=rf"^invalid gate '{re.escape(text)}': .*payload \(phi, f\) "
+                                 "must be finite"):
+            parse_gate(text)
+    with pytest.raises(InputError, match="must be finite"):
+        GateSpec(kind="UT", target="S", phi=0.0, f=np.nan)
