@@ -59,11 +59,15 @@ class RunConfig(namedtuple("RunConfig", PARAMETERS)):
     __slots__ = ()
 
     def per_omega0(self, key: str) -> float:
-        """omegaQ or gammaHrf in units of omega0, or an InputError naming both if it overflows."""
+        """omegaQ or gammaHrf in units of omega0, or an InputError naming both values
+        if the quotient overflows, or underflows to 0 from a nonzero value."""
         value = getattr(self, key)
-        if not np.isfinite(value / self.omega0):
+        ratio = value / self.omega0
+        if not np.isfinite(ratio):
             raise InputError(f"{key}/omega0 = {value}/{self.omega0} overflows floating point")
-        return value / self.omega0
+        if ratio == 0 and value != 0:
+            raise InputError(f"{key}/omega0 = {value}/{self.omega0} underflows to 0")
+        return ratio
 
     def system(self) -> SpinSystem:
         return SpinSystem(omega0=1.0, omegaQ=self.per_omega0("omegaQ"),
@@ -236,7 +240,9 @@ def cmd_sweep(args) -> int:
     if not 0 < args.min < args.max < np.inf:
         raise InputError("need 0 < --min < --max < inf for the omegaQ/omega0 range")
     ratios = np.logspace(np.log10(args.min), np.log10(args.max), args.points)
-    fit = forbidden_scaling(config.system(), pair, ratios)
+    # forbidden_scaling sets omegaQ to each ratio times omega0: sweep reads neither value
+    swept = SpinSystem(theta=config.theta, phi=config.phi, q2_form=config.q2_form)
+    fit = forbidden_scaling(swept, pair, ratios)
 
     pair_label = f"{pair[0]}-{pair[1]}"
     rows = [{"omegaQ_over_omega0": ratio, "pair": pair_label, "element": element,

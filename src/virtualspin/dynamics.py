@@ -23,9 +23,10 @@ uniform grid a tone's field over a block of slices is one complex
 coefficient, from the block's start time, times phasors computed once per
 block size, and every per-slice array lives in buffers that are reused
 block after block.  Every factor is unitary up to rounding, and each block
-of slices is projected back onto the unitaries.  Slices resolve the fastest
-scale present (static level spread and every drive frequency) with at
-least `steps_per_shortest_period` points per period.
+of slices is projected back onto the unitaries by Newton-Schulz steps (see
+_polar_unitary): a few 8x8 products, not an SVD.  Slices resolve the
+fastest scale present (static level spread and every drive frequency)
+with at least `steps_per_shortest_period` points per period.
 
 The drive selects how much of the pulse is sliced.  Without tones the
 Hamiltonian is constant and the propagator is one exact exponential.  A
@@ -34,13 +35,14 @@ with T = 2 pi / |Omega|, so U(n T) = U(T)^n (Floquet; Shirley, Phys. Rev.
 138, B979, 1965): once the pulse lasts at least two periods, only one
 period is sliced, its propagator is raised to n = floor(duration / T) by
 repeated squaring with every product projected back onto the nearest
-unitary (the polar factor of its SVD), and the sliced remainder is applied
-last.  The cost is then independent of the pulse length.  Multi-tone
-drives are sliced uniformly over the whole pulse.  `evolve` diagonalizes
-H_static once per drive and counts the slices of the span and of the
-remainder once: a drive needing more than MAX_SLICES slices is refused
-before any integration starts, and the kernel is handed both.  So is a
-drive whose end time floating point cannot place within one slice.
+unitary (its polar factor, again by Newton-Schulz), and the sliced
+remainder is applied last.  The cost is then independent of the pulse
+length.  Multi-tone drives are sliced uniformly over the whole pulse.
+`evolve` diagonalizes H_static once per drive and counts the slices of the
+span and of the remainder once: a drive needing more than MAX_SLICES
+slices is refused before any integration starts, and the kernel is handed
+both.  So is a drive whose end time floating point cannot place within
+one slice.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -73,6 +75,14 @@ _SLICE_CHUNK = 1 << 12
 _CHAIN = 16
 
 MAX_SLICES = 10**8
+
+# _polar_unitary corrects a max|U^dagger U - I| up to _POLAR_REACH and takes one up
+# to _UNITARY_ROUNDING as unitary; from _POLAR_REACH, two steps get there
+_POLAR_REACH = 1e-6
+_UNITARY_ROUNDING = 1e-14
+_POLAR_STEPS = 4
+_IDENTITY = np.eye(DIM)
+_IDENTITY.setflags(write=False)
 
 # narrowest ln(max/min) of a scaling sweep; see forbidden_scaling
 MIN_LOG_RANGE = 1e-6
@@ -214,7 +224,7 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     its _Block's buffers, refilled in place for each block of that size.
     """
     dt = span / n_slices
-    step = _polar_unitary(_phase_conjugate(basis, np.exp(-1j * energies * dt)))
+    step = _phase_conjugate(basis, np.exp(-1j * energies * dt))
     half = _phase_conjugate(basis, np.exp(-0.5j * energies * dt))
 
     axes = sorted({tone.axis for tone in drive.tones})
@@ -223,6 +233,7 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     w_dagger = w.conj().T
     if mixed:
         frame = half
+        step = _polar_unitary(step)
     else:
         frame = half @ w
         step = _polar_unitary(w_dagger @ step @ w)
@@ -349,20 +360,42 @@ def _time_ordered_product(props: np.ndarray) -> np.ndarray:
 
 
 def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u**n by repeated squaring, each product projected back onto the unitaries."""
+    """u**n by repeated squaring, each product projected back onto the unitaries.
+
+    u is squared only while bits of n are left: popcount(n) + bit_length(n) - 1 projections.
+    """
     result = np.eye(DIM, dtype=complex)
-    while n:
+    while True:
         if n & 1:
             result = _polar_unitary(u @ result)
-        u = _polar_unitary(u @ u)
         n >>= 1
-    return result
+        if not n:
+            return result
+        u = _polar_unitary(u @ u)
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Nearest unitary to m in the Frobenius norm: the polar factor of its SVD."""
-    left, _, right = np.linalg.svd(m)
-    return left @ right
+    """Nearest unitary to m in the Frobenius norm (its polar factor), by Newton-Schulz.
+
+    m must be unitary up to rounding, as a product of unitaries is.  With
+    R = m^dagger m - I, each step m <- m - m R / 2 = m (3 I - m^dagger m) / 2
+    squares the residual (Bjorck and Bowie, SIAM J. Numer. Anal. 8, 358,
+    1971), so one step takes a product of unitaries to rounding level.
+    Raises ResolutionError when max|R| exceeds _POLAR_REACH (1e-6): far from
+    the unitaries the iteration can settle on the wrong one (2 I goes to -I).
+    """
+    for _ in range(_POLAR_STEPS):
+        residual = m.conj().T @ m
+        residual -= _IDENTITY
+        drift = np.abs(residual).max()
+        if drift <= _UNITARY_ROUNDING:
+            return m
+        if not drift <= _POLAR_REACH:
+            raise ResolutionError(f"a propagator drifted from the unitaries by "
+                                  f"max|U^dagger U - I| = {drift:.3g}, beyond the "
+                                  f"{_POLAR_REACH:g} a projection can restore")
+        m = m - 0.5 * (m @ residual)
+    return m
 
 
 def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,

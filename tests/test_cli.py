@@ -174,6 +174,21 @@ def test_sweep_out_file_holds_what_stdout_gets(capsys, tmp_path):
     assert printed.splitlines()[-1].startswith("# fitted_slope: pair=4-6 slope=")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_reads_neither_omega0_nor_omegaQ(capsys, tmp_path):
+    # the sweep sets omegaQ/omega0 itself, so an omega0 that would overflow omegaQ/omega0 is unread
+    plain, tiny = tmp_path / "plain.yml", tmp_path / "tiny.yml"
+    plain.write_text("theta: 0.5\n")
+    tiny.write_text("theta: 0.5\nomega0: 1.0e-320\n")
+    argv = ("sweep", "--pair", "5,7", "--points", "3", "--config")
+    code, out, err = run(capsys, *argv, str(tiny))
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv, str(plain))
+    # the config file's keys are still checked
+    tiny.write_text("omega0: 1.0e-320\nomegaq: 0.02\n")
+    assert_input_error(*run(capsys, *argv, str(tiny)))
+
+
 def test_sweep_allowed_pair_flat(capsys):
     code, out, _ = run(capsys, "sweep", "--pair", "6-7", "--points", "6")
     assert code == 0
@@ -676,6 +691,19 @@ def test_overflowing_normalization_names_omega0(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert_input_error(code, out, err)
     assert err == f"error: {named} overflows floating point\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, named", [
+    (("compile", "NOT:S", "--omega0", "1e10", "--gammaHrf", "1e-320"),
+     "gammaHrf/omega0 = 1e-320/10000000000.0"),
+    (("spectrum", "--omega0", "1e10", "--omegaQ", "1e-320"), "omegaQ/omega0 = 1e-320/10000000000.0"),
+])
+def test_underflowing_normalization_names_both_values(capsys, argv, named):
+    # the quotient rounds to 0.0, a value the user never gave
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, out, err)
+    assert err == f"error: {named} underflows to 0\n"
 
 
 def test_simulate_overflowing_normalization_exits_2_before_any_warning(capsys, tmp_path):

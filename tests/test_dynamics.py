@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +108,68 @@ def test_stroboscopic_unitarity_over_a_million_periods():
     duration = (1e6 + 0.3) * 2 * np.pi / tone.frequency
     u = evolve(SYS, DriveSpec(tones=(tone,), duration=duration))
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+def _svd_polar(m):
+    """The polar factor of m from its SVD: the oracle of the Newton-Schulz projection."""
+    left, _, right = np.linalg.svd(m)
+    return left @ right
+
+
+def _random_unitary(rng):
+    z = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("size", [1e-15, 1e-12, 1e-10, 1e-8])
+def test_polar_unitary_matches_the_svd_polar_factor(size):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        m = _random_unitary(rng) + size * (rng.normal(size=(DIM, DIM))
+                                           + 1j * rng.normal(size=(DIM, DIM)))
+        projected = dynamics._polar_unitary(m)
+        assert np.abs(projected - _svd_polar(m)).max() <= 1e-14
+        assert np.abs(projected.conj().T @ projected - np.eye(DIM)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2 * np.eye(DIM), (1 + 1e-5) * np.eye(DIM),
+                               np.full((DIM, DIM), np.nan)], ids=["2I", "1e-5 off", "nan"])
+def test_polar_unitary_refuses_a_matrix_far_from_unitary(m):
+    # one Newton-Schulz step takes 2 I to 2 I (3 I - 4 I) / 2 = -I, a unitary but the wrong one
+    with pytest.raises(ResolutionError, match="drifted from the unitaries"):
+        dynamics._polar_unitary(m)
+
+
+def _svd_power(u, n):
+    """u**n by repeated squaring, each product projected by the SVD oracle."""
+    result = np.eye(DIM, dtype=complex)
+    for bit in reversed(bin(n)[2:]):
+        if bit == "1":
+            result = _svd_polar(u @ result)
+        u = _svd_polar(u @ u)
+    return result
+
+
+@pytest.mark.parametrize("n", [2, 3, 185, 2**20 + 1])
+def test_unitary_power_matches_svd_projected_squaring(n):
+    u = _random_unitary(np.random.default_rng(n))
+    with mock.patch.object(dynamics, "_polar_unitary",
+                           wraps=dynamics._polar_unitary) as projection:
+        power = dynamics._unitary_power(u, n)
+    # one projection per set bit and one per squaring, none after the last bit
+    assert projection.call_count == bin(n).count("1") + n.bit_length() - 1
+    # squaring amplifies a rounding-level change of u about n-fold, for the SVD path as well
+    assert np.abs(power - _svd_power(u, n)).max() <= max(1e-12, n * 1e-15)
+
+
+@pytest.mark.parametrize("gate", ["CCNOT:QR->S", "CCUT:QR->S(1.2,0.4)", "NOT:S"])
+def test_simulate_schedule_matches_the_svd_projected_run(gate):
+    sched = compile_gate(gate)
+    actual = simulate_schedule(SYS, sched, 1e-3).actual
+    with mock.patch.object(dynamics, "_polar_unitary", _svd_polar):
+        oracle = simulate_schedule(SYS, sched, 1e-3).actual
+    assert np.abs(actual - oracle).max() <= 1e-10
 
 
 def _midpoint_reference(system, drive, steps_per_period):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtualspin import (DIM, SPIN, InputError, SpinSystem, build_hamiltonian,
                          make_spin_operators, quadrupole_hamiltonian)
@@ -73,6 +75,17 @@ def test_q2_form_switch():
     printed0 = quadrupole_hamiltonian(SpinSystem(**base, q2_form="as-printed"))
     squared0 = quadrupole_hamiltonian(SpinSystem(**base, q2_form="sin-squared"))
     assert np.abs(printed0 - squared0).max() == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega_q=st.floats(1e-3, 10.0), theta=st.floats(0.0, np.pi), phi=st.floats(-1e6, 1e6))
+def test_sin_squared_quadrupole_spectrum_does_not_depend_on_orientation(omega_q, theta, phi):
+    # a rotated axial field-gradient tensor keeps its theta = 0 levels, omegaQ (2 m^2 - 21/2),
+    # at every orientation; the default as-printed form does not (see the README)
+    system = SpinSystem(omegaQ=omega_q, theta=theta, phi=phi, q2_form="sin-squared")
+    levels = np.linalg.eigvalsh(quadrupole_hamiltonian(system))
+    expected = omega_q * np.repeat([-10.0, -6.0, 2.0, 14.0], 2)
+    assert np.abs(levels - expected).max() <= 1e-12 * omega_q
 
 
 def test_phi_whose_double_overflows_is_refused():
