@@ -30,19 +30,19 @@ with at least `steps_per_shortest_period` points per period.
 
 The drive selects how much of the pulse is sliced.  Without tones the
 Hamiltonian is constant and the propagator is one exact exponential.  A
-single tone of frequency Omega makes H periodic
-with T = 2 pi / |Omega|, so U(n T) = U(T)^n (Floquet; Shirley, Phys. Rev.
-138, B979, 1965): once the pulse lasts at least two periods, only one
-period is sliced, its propagator is raised to n = floor(duration / T) by
-repeated squaring with every product projected back onto the nearest
-unitary (its polar factor, again by Newton-Schulz), and the sliced
-remainder is applied last.  The cost is then independent of the pulse
-length.  Multi-tone drives are sliced uniformly over the whole pulse.
-`evolve` diagonalizes H_static once per drive and counts the slices of the
-span and of the remainder once: a drive needing more than MAX_SLICES
-slices is refused before any integration starts, and the kernel is handed
-both.  So is a drive whose end time floating point cannot place within
-one slice.
+single tone of frequency Omega makes H periodic with T = 2 pi / |Omega|,
+so U(n T) = U(T)^n (Floquet; Shirley, Phys. Rev. 138, B979, 1965): once
+the pulse lasts at least two periods, only one period is sliced, and its
+propagator is raised to n = floor(duration / T) by repeated squaring,
+starting from U(T) itself at the lowest set bit of n, with every product
+projected back onto the nearest unitary (its polar factor, again by
+Newton-Schulz); the sliced remainder is applied last.  The cost is then
+independent of the pulse length.  Multi-tone drives are sliced uniformly
+over the whole pulse.  `evolve` diagonalizes H_static once per drive and
+counts the slices of the span and of the remainder once: a drive needing
+more than MAX_SLICES slices is refused before any integration starts, and
+the kernel is handed both.  So is a drive whose end time floating point
+cannot place within one slice.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -139,11 +139,11 @@ class IntegrationConfig:
     steps_per_shortest_period: int = 32
 
     def __post_init__(self):
-        if self.steps_per_shortest_period < MIN_STEPS_PER_PERIOD:
+        if not MIN_STEPS_PER_PERIOD <= self.steps_per_shortest_period <= MAX_SLICES:
             raise ResolutionError(
-                f"steps_per_shortest_period = {self.steps_per_shortest_period} "
-                f"under-resolves the shortest oscillation period; "
-                f"need at least {MIN_STEPS_PER_PERIOD}")
+                f"steps_per_shortest_period = {self.steps_per_shortest_period} is outside "
+                f"{MIN_STEPS_PER_PERIOD}..{MAX_SLICES:.0e}: fewer steps under-resolve the shortest "
+                f"oscillation period, more exceed the slice limit within one such period")
 
 
 def evolve(sys: SpinSystem, drive: DriveSpec,
@@ -181,11 +181,10 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     if n_span + n_rest > MAX_SLICES:
         raise ResolutionError(
             f"the drive needs {n_span + n_rest:.3g} time slices, more than the limit of "
-            f"{MAX_SLICES:.0e}; shorten the pulse or raise gammaHrf")
+            f"{MAX_SLICES:.0e}; shorten the pulse, raise gammaHrf or lower "
+            f"steps_per_shortest_period = {cfg.steps_per_shortest_period}")
 
-    u_total = _slice_product(energies, basis, drive, span, n_span)
-    if n_periods > 1:
-        u_total = _unitary_power(u_total, n_periods)
+    u_total = _unitary_power(_slice_product(energies, basis, drive, span, n_span), n_periods)
     if n_rest:
         u_total = _polar_unitary(_slice_product(energies, basis, drive, remainder, n_rest) @ u_total)
     return u_total
@@ -211,8 +210,8 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     diagonal scaling of the constant M = W^dagger C W; a mixed drive applies
     C, e^{i alpha Iz}, W^dagger, the phase, W and e^{-i alpha Iz} in turn.
     Each block of slices is cut into runs of up to _CHAIN consecutive slices
-    that _chain_products multiplies in lock step, and the run products are
-    then multiplied pairwise.
+    that _block_product advances in lock step and then multiplies pairwise,
+    and each block's product is projected as it joins the blocks before it.
 
     Blocks of one size share the slice midpoints' offsets s from the block
     start t_b, so each tone's phasor e^{i Omega s} is computed once per
@@ -261,14 +260,14 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         return ((step, turns[:, ::-1]), (w_dagger, phases), (w, turns))
 
     blocks = {}
-    product = np.eye(DIM, dtype=complex)
+    product = _IDENTITY
     for start in range(0, n_slices, _SLICE_CHUNK):
         count = min(_SLICE_CHUNK, n_slices - start)
         if count not in blocks:
             blocks[count] = _Block(count, dt, frequencies, len(axes), mixed)
         block = blocks[count]
-        runs = _chain_products(stages(block, start), block.late_start, block.work)
-        product = _polar_unitary(_time_ordered_product(runs) @ product)
+        product = _polar_unitary(_block_product(stages(block, start), block.late_start,
+                                                block.work) @ product)
     return frame @ product @ frame.conj().T
 
 
@@ -322,8 +321,8 @@ def _iz_phases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_products(stages, late_start: int, work: np.ndarray) -> np.ndarray:
-    """Products of runs of consecutive slices, multiplied in lock step.
+def _block_product(stages, late_start: int, work: np.ndarray) -> np.ndarray:
+    """Time-ordered product of a block of slices, from runs advanced in lock step.
 
     Each stage is a constant (DIM, DIM) matrix and per-slice diagonals of
     shape (steps, DIM, runs); a slice applies every stage's matrix and then
@@ -331,47 +330,44 @@ def _chain_products(stages, late_start: int, work: np.ndarray) -> np.ndarray:
     one array, so each stage of a step is one matrix product and one row
     scaling along the contiguous run axis.  The last run restarts from the
     identity at step late_start (if there is such a step), dropping the
-    slices before it.  work is a (2, DIM, DIM, runs) buffer, overwritten.
-    Returns (runs, DIM, DIM), the product of run r being entry r: a view
-    into work, valid until work is used again.
+    slices before it.  The run products are multiplied pairwise into a new
+    array; work, a (2, DIM, DIM, runs) buffer, is overwritten.
     """
     stacked, spare = work
     steps = stages[0][1].shape[0]
     # entry [i, j, r] of run r's partial product
-    stacked[...] = np.eye(DIM)[:, :, None]
+    stacked[...] = _IDENTITY[:, :, None]
     for k in range(steps):
         if k == late_start:
-            stacked[:, :, -1] = np.eye(DIM)
+            stacked[:, :, -1] = _IDENTITY
         for matrix, diagonals in stages:
             np.matmul(matrix, stacked.reshape(DIM, -1), out=spare.reshape(DIM, -1))
             stacked, spare = spare, stacked
             stacked *= diagonals[k][:, None, :]
-    return stacked.transpose(2, 0, 1)
-
-
-def _time_ordered_product(props: np.ndarray) -> np.ndarray:
-    """Product props[-1] @ ... @ props[0] by pairwise batched reduction."""
-    while props.shape[0] > 1:
-        n = props.shape[0]
-        half = n // 2
-        paired = props[1:2 * half:2] @ props[0:2 * half:2]
-        props = np.concatenate([paired, props[2 * half:]], axis=0) if n % 2 else paired
-    return props[0]
+    runs = stacked.transpose(2, 0, 1)
+    if len(runs) == 1:   # a one-slice block: copy its product out of work
+        return runs[0].copy()
+    while len(runs) > 1:
+        half = len(runs) // 2
+        paired = runs[1:2 * half:2] @ runs[:2 * half:2]
+        runs = np.concatenate([paired, runs[2 * half:]]) if len(runs) % 2 else paired
+    return runs[0]
 
 
 def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u**n by repeated squaring, each product projected back onto the unitaries.
+    """u**n (n >= 1) by repeated squaring, each product projected back onto the unitaries.
 
-    u is squared only while bits of n are left: popcount(n) + bit_length(n) - 1 projections.
+    The power starts as u at the lowest set bit of n: popcount(n) + bit_length(n) - 2 projections.
     """
-    result = np.eye(DIM, dtype=complex)
-    while True:
-        if n & 1:
-            result = _polar_unitary(u @ result)
-        n >>= 1
-        if not n:
-            return result
+    while not n & 1:
         u = _polar_unitary(u @ u)
+        n >>= 1
+    power = u
+    while n := n >> 1:
+        u = _polar_unitary(u @ u)
+        if n & 1:
+            power = _polar_unitary(u @ power)
+    return power
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -381,8 +377,9 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     R = m^dagger m - I, each step m <- m - m R / 2 = m (3 I - m^dagger m) / 2
     squares the residual (Bjorck and Bowie, SIAM J. Numer. Anal. 8, 358,
     1971), so one step takes a product of unitaries to rounding level.
-    Raises ResolutionError when max|R| exceeds _POLAR_REACH (1e-6): far from
-    the unitaries the iteration can settle on the wrong one (2 I goes to -I).
+    Raises ResolutionError when max|R| exceeds _POLAR_REACH (1e-6), where the
+    iteration can settle on the wrong unitary (2 I goes to -I), or when
+    _POLAR_STEPS steps leave it above rounding (_UNITARY_ROUNDING).
     """
     for _ in range(_POLAR_STEPS):
         residual = m.conj().T @ m
@@ -395,7 +392,8 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
                                   f"max|U^dagger U - I| = {drift:.3g}, beyond the "
                                   f"{_POLAR_REACH:g} a projection can restore")
         m = m - 0.5 * (m @ residual)
-    return m
+    raise ResolutionError(f"a propagator did not settle onto the unitaries in {_POLAR_STEPS} "
+                          f"Newton-Schulz steps; max|U^dagger U - I| = {drift:.3g} before the last")
 
 
 def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
@@ -416,7 +414,7 @@ def _play_group(sys: SpinSystem, spectrum: Spectrum, group,
     """
     duration = max((t.duration for t in group), default=0.0)
     if duration == 0:
-        return duration, np.eye(DIM, dtype=complex)
+        return duration, _IDENTITY
     elements = {axis: drive_elements(spectrum, axis) for axis in {t.axis for t in group}}
     drive = []
     for tone in group:
@@ -467,12 +465,13 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
     """
     spectrum = exact_spectrum(sys)
     sched = resolve_schedule(sched, spectrum, gamma_hrf)
-    u_actual = np.eye(DIM, dtype=complex)
+    u_actual = _IDENTITY
     durations = []
     for group in sched.groups:
         group_duration, u_group = _play_group(sys, spectrum, group, cfg)
         durations.append(group_duration)
         u_actual = u_group @ u_actual
+    u_actual = u_actual.astype(complex, copy=False)   # without drive, a copy of the real _IDENTITY
 
     u_ideal = schedule_propagator(sched)
     deviation = float(np.abs(u_actual - u_ideal).max())

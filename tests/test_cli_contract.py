@@ -9,7 +9,8 @@ parameter flag a command reads, plus, in one draw of five, a parameter
 flag it does not read, grammar gate strings with drawn UT payloads, mutated
 compile output for verify --schedule and simulate, flat --config files
 over the config keys, unknown keys and YAML 1.1 scalar forms, and sweep's
-own flags: level pairs, point counts and omegaQ/omega0 bounds.
+own flags: level pairs, point counts and omegaQ/omega0 bounds.  simulate's
+--steps is tried at and beyond its bounds.
 """
 
 import contextlib
@@ -157,6 +158,21 @@ def test_mutated_schedules_keep_the_exit_code_contract(data, compiled_schedules,
     fmt = data.draw(st.sampled_from(FORMATS))
     check_contract(["verify", "--schedule", str(schedule_path), "--format", fmt])
     check_contract(["simulate", str(schedule_path), "--format", fmt])
+
+
+# --steps below 20 under-resolves a period; above the 1e8-slice limit it once overflowed
+# (10**400, a traceback with exit 1) or blamed the pulse alone (10**8, 10**20)
+@pytest.mark.parametrize("steps, expected", [(0, 3), (19, 3), (20, 0), (10**8, 3), (10**20, 3),
+                                             (10**400, 3)],
+                         ids=["0", "19", "20", "1e8", "1e20", "1e400"])
+def test_simulate_steps_keep_the_exit_code_contract(steps, expected, compiled_schedules,
+                                                    schedule_path):
+    schedule_path.write_text(compiled_schedules["CCNOT:QR->S"])
+    code, _, err = call(["simulate", str(schedule_path), f"--steps={steps}"])
+    assert code == expected
+    if code:
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and f"steps_per_shortest_period = {steps}" in line
 
 
 CONFIG_KEYS = (*DEFAULTS, "omegaq", "gate", "steps")

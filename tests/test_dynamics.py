@@ -21,9 +21,11 @@ GRID = np.logspace(-4, -2, 20)
 
 
 def test_integration_config_validation():
-    with pytest.raises(ResolutionError):
-        IntegrationConfig(steps_per_shortest_period=10)
+    for steps in (10, dynamics.MAX_SLICES + 1, 10**400):
+        with pytest.raises(ResolutionError, match="steps_per_shortest_period"):
+            IntegrationConfig(steps_per_shortest_period=steps)
     assert IntegrationConfig().steps_per_shortest_period >= 20
+    IntegrationConfig(steps_per_shortest_period=dynamics.MAX_SLICES)
 
 
 def test_drive_validation():
@@ -141,6 +143,14 @@ def test_polar_unitary_refuses_a_matrix_far_from_unitary(m):
         dynamics._polar_unitary(m)
 
 
+def test_polar_unitary_refuses_what_its_steps_leave_unsettled():
+    rng = np.random.default_rng(3)
+    m = _random_unitary(rng) + 1e-7 * rng.normal(size=(DIM, DIM))
+    with mock.patch.object(dynamics, "_POLAR_STEPS", 1):
+        with pytest.raises(ResolutionError, match="did not settle"):
+            dynamics._polar_unitary(m)
+
+
 def _svd_power(u, n):
     """u**n by repeated squaring, each product projected by the SVD oracle."""
     result = np.eye(DIM, dtype=complex)
@@ -157,8 +167,8 @@ def test_unitary_power_matches_svd_projected_squaring(n):
     with mock.patch.object(dynamics, "_polar_unitary",
                            wraps=dynamics._polar_unitary) as projection:
         power = dynamics._unitary_power(u, n)
-    # one projection per set bit and one per squaring, none after the last bit
-    assert projection.call_count == bin(n).count("1") + n.bit_length() - 1
+    # one projection per set bit after the lowest and one per squaring, none after the highest
+    assert projection.call_count == bin(n).count("1") + n.bit_length() - 2
     # squaring amplifies a rounding-level change of u about n-fold, for the SVD path as well
     assert np.abs(power - _svd_power(u, n)).max() <= max(1e-12, n * 1e-15)
 
@@ -170,6 +180,18 @@ def test_simulate_schedule_matches_the_svd_projected_run(gate):
     with mock.patch.object(dynamics, "_polar_unitary", _svd_polar):
         oracle = simulate_schedule(SYS, sched, 1e-3).actual
     assert np.abs(actual - oracle).max() <= 1e-10
+
+
+def test_propagators_without_drive_are_fresh_writable_arrays():
+    cut = compile_gate("CCUT:QR->S(0,0)")
+    empty = PulseSchedule(gates=(), groups=())
+    results = [evolve(SYS, DriveSpec(tones=(DriveTone(1.0, 1e-3),), duration=0.0)),
+               simulate_schedule(SYS, empty, 1e-3).actual, simulate_schedule(SYS, cut, 1e-3).actual]
+    assert simulate_schedule(SYS, cut, 1e-3).group_durations == (0.0,)
+    for u in results:
+        assert u.dtype == complex and np.array_equal(u, np.eye(DIM))
+        u[0, 0] = 2   # raises ValueError on a read-only array
+    assert np.array_equal(dynamics._IDENTITY, np.eye(DIM))
 
 
 def _midpoint_reference(system, drive, steps_per_period):
