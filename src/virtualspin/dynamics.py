@@ -15,18 +15,20 @@ Neighbouring half steps merge into one constant e^{-i H_static dt}, and the
 drive step is a diagonal phase in the fixed eigenbasis of Ix (turned by
 the diagonal e^{-i alpha Iz} when X and Y tones mix), so no slice needs an
 eigendecomposition.  No per-slice 8x8 factor is formed either: runs of up
-to 16 consecutive slices advance in lock step, their partial products side
-by side in one 8 x (8 runs) array, so a slice step is one matrix product
-and one row scaling for every run at once; the run products are then
-multiplied pairwise.  No tone's cosine is evaluated per slice: on the
-uniform grid a tone's field over a block of slices is one complex
-coefficient, from the block's start time, times phasors computed once per
-block size, and every per-slice array lives in buffers that are reused
-block after block.  Every factor is unitary up to rounding, and each block
-of slices is projected back onto the unitaries by Newton-Schulz steps (see
-_polar_unitary): a few 8x8 products, not an SVD.  Slices resolve the
-fastest scale present (static level spread and every drive frequency)
-with at least `steps_per_shortest_period` points per period.
+to 16 consecutive slices advance in lock step, each run's partial product
+P kept transposed, X = P^T, and all runs' rows side by side in one
+(8 runs) x 8 complex array.  A slice step P <- D M P is then X <- (X M^T) D:
+one real matrix product of that array's float view, (8 runs) x 16, with
+the 16 x 16 real form of M^T, and one scaling of every row by the diagonal
+D; the run products are then multiplied pairwise.  No tone's cosine is
+evaluated per slice: on the uniform grid a tone's field over a block of
+slices is one complex coefficient, from the block's start time, times
+phasors computed once per block size, and every per-slice array lives in
+buffers that are reused block after block.  Every factor is unitary up to
+rounding, and each block of slices is projected back onto the unitaries by
+Newton-Schulz steps (see _polar_unitary): a few 8x8 products, not an SVD.
+Slices resolve the fastest scale present (static level spread and every
+drive frequency) with at least `steps_per_shortest_period` points per period.
 
 The drive selects how much of the pulse is sliced.  Without tones the
 Hamiltonian is constant and the propagator is one exact exponential.  A
@@ -94,8 +96,27 @@ def _eigenbasis(op: np.ndarray) -> np.ndarray:
     return w
 
 
+def _right_multiplier(m: np.ndarray) -> np.ndarray:
+    """The real (2 DIM, 2 DIM) g with  x.view(float) @ g == (x @ m.T).view(float).
+
+    x holds complex rows of length DIM, so its float view interleaves each
+    entry's real part a and imaginary part b.  (a + ib) n = a n + b (i n),
+    so the rows of g that a and b multiply are row l of n = m^T and of i n,
+    each viewed as floats.
+    """
+    rows = np.empty((DIM, 2, DIM), dtype=complex)
+    rows[:, 0] = m.T
+    np.multiply(m.T, 1j, out=rows[:, 1])
+    g = rows.view(float).reshape(2 * DIM, 2 * DIM)
+    g.setflags(write=False)
+    return g
+
+
 # eigenvectors of each axis operator; all have the eigenvalues of Iz, M_VALUES, in ascending order
 _AXIS_EIGENBASES = {axis: _eigenbasis(op) for axis, op in AXIS_OPERATORS.items()}
+# right multipliers into (W^dagger) and out of (W) the Ix eigenframe, for mixed X+Y drives
+_IX_FRAME = (_right_multiplier(_AXIS_EIGENBASES["X"].conj().T),
+             _right_multiplier(_AXIS_EIGENBASES["X"]))
 
 
 @dataclass(frozen=True)
@@ -179,10 +200,12 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     # the fewest slices at most dt_max wide, for the span and for the remainder
     n_span, n_rest = (max(1, math.ceil(t / dt_max)) if t > 0 else 0 for t in (span, remainder))
     if n_span + n_rest > MAX_SLICES:
+        # a periodic drive slices one period and less, however long its pulse
+        remedy = "lower" if n_periods > 1 else "shorten the pulse, raise gammaHrf or lower"
         raise ResolutionError(
             f"the drive needs {n_span + n_rest:.3g} time slices, more than the limit of "
-            f"{MAX_SLICES:.0e}; shorten the pulse, raise gammaHrf or lower "
-            f"steps_per_shortest_period = {cfg.steps_per_shortest_period}")
+            f"{MAX_SLICES:.0e}; {remedy} steps_per_shortest_period = "
+            f"{cfg.steps_per_shortest_period}")
 
     u_total = _unitary_power(_slice_product(energies, basis, drive, span, n_span), n_periods)
     if n_rest:
@@ -212,6 +235,9 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     Each block of slices is cut into runs of up to _CHAIN consecutive slices
     that _block_product advances in lock step and then multiplies pairwise,
     and each block's product is projected as it joins the blocks before it.
+    The runs are kept transposed, so each stage's matrix m enters as the
+    real right multiplier of m^T (see _right_multiplier): built once per
+    drive for the step, once at import for the Ix eigenframe.
 
     Blocks of one size share the slice midpoints' offsets s from the block
     start t_b, so each tone's phasor e^{i Omega s} is computed once per
@@ -229,13 +255,12 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     axes = sorted({tone.axis for tone in drive.tones})
     mixed = len(axes) > 1
     w = _AXIS_EIGENBASES["Y" if axes == ["Y"] else "X"]
-    w_dagger = w.conj().T
     if mixed:
         frame = half
-        step = _polar_unitary(step)
+        step = _right_multiplier(_polar_unitary(step))
     else:
         frame = half @ w
-        step = _polar_unitary(w_dagger @ step @ w)
+        step = _right_multiplier(_polar_unitary(w.conj().T @ step @ w))
 
     frequencies = np.array([tone.frequency for tone in drive.tones])
     tone_phases = np.array([tone.phase for tone in drive.tones])
@@ -257,7 +282,7 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         np.multiply(np.hypot(x, y), -0.5j * dt, out=block.kicks)
         phases = _iz_phases(np.exp(block.kicks, out=block.kicks), block.phases)
         # z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
-        return ((step, turns[:, ::-1]), (w_dagger, phases), (w, turns))
+        return ((step, turns[..., ::-1]), (_IX_FRAME[0], phases), (_IX_FRAME[1], turns))
 
     blocks = {}
     product = _IDENTITY
@@ -266,8 +291,7 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         if count not in blocks:
             blocks[count] = _Block(count, dt, frequencies, len(axes), mixed)
         block = blocks[count]
-        product = _polar_unitary(_block_product(stages(block, start), block.late_start,
-                                                block.work) @ product)
+        product = _polar_unitary(_block_product(stages(block, start), block) @ product)
     return frame @ product @ frame.conj().T
 
 
@@ -279,7 +303,10 @@ class _Block:
     over form one more run over the block's last `length` slices, started
     late at step late_start.  phasors holds cos(Omega s) and sin(Omega s)
     for each tone in turn, with s = (index + 1/2) dt the offsets of the
-    slice midpoints from the block start on that grid, flattened.
+    slice midpoints from the block start on that grid, flattened.  work
+    holds two (DIM, runs, DIM) arrays of transposed run products (see
+    _block_product); rows is each one's float view as (DIM runs, 2 DIM)
+    rows, for matmul's out=, and trees its memory as (runs, DIM, DIM).
     """
 
     def __init__(self, count: int, dt: float, frequencies: np.ndarray, n_axes: int,
@@ -299,59 +326,69 @@ class _Block:
         self.phasors = phasors.reshape(-1, index.size)
         self.fields = np.empty((n_axes, *shape))
         self.kicks = np.empty(shape, dtype=complex)
-        self.phases = np.empty((shape[0], DIM, shape[1]), dtype=complex)
+        self.phases = np.empty((*shape, DIM), dtype=complex)
         self.turns = np.empty_like(self.phases) if mixed else None
-        self.work = np.empty((2, DIM, DIM, shape[1]), dtype=complex)
+        # two run arrays; rows and trees are views of their memory, never copies
+        self.work = np.empty((2, DIM, shape[1], DIM), dtype=complex)
+        self.rows = self.work.view(float).reshape(2, -1, 2 * DIM)
+        self.trees = self.work.reshape(2, shape[1], DIM, DIM)
 
 
 def _iz_phases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write z**(2 m) for the Iz eigenvalues m of M_VALUES into out[:, i], and return out.
+    """Write z**(2 m) for the Iz eigenvalues m of M_VALUES into out[..., i], and return out.
 
-    z has shape (steps, runs) and unit modulus, and out (steps, DIM, runs).
-    The negative powers are the conjugates of the positive ones; the odd
-    powers come from repeated multiplication by z**2, which is held in
-    out[:, 0] until the conjugates overwrite it.
+    z has shape (steps, runs) and unit modulus, and out (steps, runs, DIM),
+    so that out[k] scales the DIM entries of every row of step k's run
+    arrays.  The negative powers are the conjugates of the positive ones;
+    the odd powers come from repeated multiplication by z**2, which is held
+    in out[..., 0] until the conjugates overwrite it.
     """
     middle = DIM // 2
-    square = np.multiply(z, z, out=out[:, 0])
-    out[:, middle] = z
+    square = np.multiply(z, z, out=out[..., 0])
+    out[..., middle] = z
     for i in range(middle + 1, DIM):
-        np.multiply(out[:, i - 1], square, out=out[:, i])
-    np.conjugate(out[:, middle:][:, ::-1], out=out[:, :middle])
+        np.multiply(out[..., i - 1], square, out=out[..., i])
+    np.conjugate(out[..., middle:][..., ::-1], out=out[..., :middle])
     return out
 
 
-def _block_product(stages, late_start: int, work: np.ndarray) -> np.ndarray:
+def _block_product(stages, block: _Block) -> np.ndarray:
     """Time-ordered product of a block of slices, from runs advanced in lock step.
 
-    Each stage is a constant (DIM, DIM) matrix and per-slice diagonals of
-    shape (steps, DIM, runs); a slice applies every stage's matrix and then
-    its diagonal, in order.  The runs' partial products sit side by side in
-    one array, so each stage of a step is one matrix product and one row
-    scaling along the contiguous run axis.  The last run restarts from the
-    identity at step late_start (if there is such a step), dropping the
-    slices before it.  The run products are multiplied pairwise into a new
-    array; work, a (2, DIM, DIM, runs) buffer, is overwritten.
+    Each stage is the real right multiplier g of a constant (DIM, DIM)
+    matrix m (see _right_multiplier) and per-slice diagonals d of shape
+    (steps, runs, DIM); a slice applies every stage's matrix and then its
+    diagonal, in order.  Each run's partial product P is kept transposed,
+    X = P^T, in one of block.work's (DIM, runs, DIM) arrays, entry [j, r, i]
+    holding P[i, j] of run r.  A stage of a step, P <- diag(d) m P, is then
+    X <- (X m^T) diag(d): one real product of the array's float rows with g,
+    written into the other array, and one scaling of its rows by d[k],
+    broadcast over the outer axis.  The last run restarts from the identity
+    at step late_start (if there is such a step), dropping the slices before
+    it.  The transposes are then copied, one contiguous (DIM, DIM) matrix a
+    run, into the spare array and multiplied pairwise, (P_{r+1} P_r)^T =
+    X_r X_{r+1}, into new arrays; block.work is overwritten.
     """
-    stacked, spare = work
+    work, rows = block.work, block.rows
     steps = stages[0][1].shape[0]
-    # entry [i, j, r] of run r's partial product
-    stacked[...] = _IDENTITY[:, :, None]
+    current = 0
+    work[0] = _IDENTITY[:, None, :]
     for k in range(steps):
-        if k == late_start:
-            stacked[:, :, -1] = _IDENTITY
-        for matrix, diagonals in stages:
-            np.matmul(matrix, stacked.reshape(DIM, -1), out=spare.reshape(DIM, -1))
-            stacked, spare = spare, stacked
-            stacked *= diagonals[k][:, None, :]
-    runs = stacked.transpose(2, 0, 1)
+        if k == block.late_start:
+            work[current, :, -1] = _IDENTITY
+        for right, diagonals in stages:
+            np.matmul(rows[current], right, out=rows[1 - current])
+            current = 1 - current
+            work[current] *= diagonals[k]
+    runs = block.trees[1 - current]
+    np.copyto(runs, work[current].transpose(1, 0, 2))
     if len(runs) == 1:   # a one-slice block: copy its product out of work
-        return runs[0].copy()
+        return runs[0].T.copy()
     while len(runs) > 1:
         half = len(runs) // 2
-        paired = runs[1:2 * half:2] @ runs[:2 * half:2]
+        paired = runs[:2 * half:2] @ runs[1:2 * half:2]
         runs = np.concatenate([paired, runs[2 * half:]]) if len(runs) % 2 else paired
-    return runs[0]
+    return runs[0].T
 
 
 def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:

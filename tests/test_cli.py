@@ -306,6 +306,19 @@ def test_simulate_over_slice_budget_exits_3_at_once(capsys, tmp_path):
     assert re.search(r"1\.9\de\+09 time slices", err)
 
 
+def test_single_tone_over_slice_budget_names_only_the_steps(capsys, tmp_path):
+    # one period of the single-tone CCNOT:QR->S at 1e8 steps needs about 1e9
+    # slices; a shorter pulse or a stronger drive slices the same one period
+    path = tmp_path / "toffoli.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    code, _, err = run(capsys, "simulate", str(path), "--steps", "100000000")
+    assert code == 3
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "time slices" in line
+    assert "steps_per_shortest_period" in line
+    assert "pulse" not in line and "gammaHrf" not in line
+
+
 def test_simulate_csv_format(capsys, tmp_path):
     path = tmp_path / "cut.st"
     run(capsys, "compile", "CCUT:QR->S(0.5,0.1)", "--omegaQ", "0.05",

@@ -311,6 +311,63 @@ def test_slice_kernel_matches_one_slice_at_a_time(axes):
             assert np.abs(u - expected).max() <= max(1e-12, 5e-16 * n), (shift, n)
 
 
+def test_right_multiplier_is_the_real_form_of_the_transpose():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(37, DIM)) + 1j * rng.normal(size=(37, DIM))
+    w = dynamics._AXIS_EIGENBASES
+    for m in (_random_unitary(rng), _random_unitary(rng), w["X"], w["Y"],
+              w["X"].conj().T, w["Y"].conj().T):
+        g = dynamics._right_multiplier(m)
+        assert g.shape == (2 * DIM, 2 * DIM) and g.dtype == float
+        assert np.abs(x.view(float) @ g - (x @ m.T).view(float)).max() < 1e-13
+    frame = (dynamics._right_multiplier(w["X"].conj().T), dynamics._right_multiplier(w["X"]))
+    assert all(np.array_equal(a, b) for a, b in zip(dynamics._IX_FRAME, frame))
+    assert not any(g.flags.writeable for g in dynamics._IX_FRAME)
+
+
+@pytest.mark.parametrize("count", [1, 5, 9, 10, 4097])
+def test_block_buffers_are_views_of_the_run_arrays(count):
+    # 1 slice: one run; 5 and 9: three runs (5 with a late start); 10: four; 4097: 257
+    block = dynamics._Block(count, 0.01, np.array([0.9, 0.7]), 2, True)
+    runs = block.work.shape[2]
+    assert block.work.shape == (2, DIM, runs, DIM) and block.work.flags.c_contiguous
+    assert block.rows.shape == (2, DIM * runs, 2 * DIM)
+    assert block.trees.shape == (2, runs, DIM, DIM)
+    # a reshape that copied would take matmul's out= writes and the tree's copy elsewhere
+    for view in (block.rows, block.trees):
+        for side in (0, 1):
+            assert np.shares_memory(view[side], block.work[side])
+            assert not np.shares_memory(view[side], block.work[1 - side])
+    block.rows[1][...] = 0.5
+    assert np.all(block.work[1] == 0.5 + 0.5j)
+    block.trees[0][...] = 2.0
+    assert np.all(block.work[0] == 2.0)
+
+
+@pytest.mark.parametrize("axes,n_slices", [
+    (("X", "X"), 1), (("X", "X"), 9), (("X", "X"), 5), (("X", "Y"), 1), (("X", "Y"), 15),
+    (("X", "Y"), 4097)])
+def test_block_products_do_not_alias_the_work_buffers(axes, n_slices):
+    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
+    tones = tuple(DriveTone(_transition(*pair), 0.05, 0.3, axis)
+                  for pair, axis in zip(((6, 7), (4, 5)), axes))
+    drive = DriveSpec(tones=tones, duration=1.0)
+    kernel, aliased = dynamics._block_product, []
+
+    def recording(stages, block):
+        product = kernel(stages, block)
+        aliased.append(np.shares_memory(product, block.work))
+        block.work[...] = np.nan   # a view into work would now read nan
+        return product
+
+    with mock.patch.object(dynamics, "_block_product", recording):
+        u = dynamics._slice_product(energies, basis, drive, n_slices * KERNEL_DT, n_slices)
+    assert aliased and not any(aliased)
+    assert np.all(np.isfinite(u))
+    expected = _split_prefix_products(drive, (n_slices,))[n_slices]
+    assert np.abs(u - expected).max() <= 1e-12
+
+
 def test_slice_budget_is_checked_before_integrating():
     drive = DriveSpec(tones=(DriveTone(0.9, 1e-3), DriveTone(0.8, 1e-3)), duration=1e8)
     with pytest.raises(ResolutionError, match=r"3\.\d+e\+09 time slices"):
