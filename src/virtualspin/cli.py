@@ -117,9 +117,12 @@ def _check_keys(keys, source: str):
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a `what` (config or schedule) file, or an InputError naming it."""
+    """The text of a `what` (config or schedule) file, or an InputError naming it.
+
+    A leading byte-order mark, as some Windows editors write, is read past.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc

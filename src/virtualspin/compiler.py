@@ -19,10 +19,11 @@ Schedules serialize to a small structured-text tree, a YAML subset that
 read_tree reads back, so they can be written, inspected, and replayed losslessly.
 """
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import InputError, ScheduleFormatError, TruthTableError
 from .gates import GateSpec, parse_gate_sequence, target_gate
 from .pulses import PulseParams, Tone, check_disjoint, multi_tone_propagator, pulse_duration
 from .spectrum import Spectrum, drive_elements
-from .system import DIM, Q2_FORMS
+from .system import DIM, IDENTITY, Q2_FORMS
 
 EXACT_MATCH = "exact"
 UP_TO_I = "equal-up-to-i"
@@ -127,7 +128,7 @@ def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
 
 def schedule_propagator(sched: PulseSchedule) -> np.ndarray:
     """Idealized unitary of the whole schedule (ordered product over groups)."""
-    u = np.eye(DIM, dtype=complex)
+    u = IDENTITY.astype(complex)
     for group in sched.groups:
         u = multi_tone_propagator(group) @ u
     return u
@@ -147,7 +148,7 @@ class EquivalenceReport:
 
 
 def _sequence_target(gates) -> np.ndarray:
-    u = np.eye(DIM, dtype=complex)
+    u = IDENTITY.astype(complex)
     for g in gates:
         u = target_gate(g) @ u
     return u
@@ -173,8 +174,9 @@ def verify(gate, u: np.ndarray) -> EquivalenceReport:
     dev_exact = float(np.abs(u - target).max())
     dev_i = float(np.abs(u - target_i).max())
     inner = np.trace(target.conj().T @ u)
+    # numpy's abs and angle of inner: cmath's can differ from them in the last bit
     alpha = np.angle(inner) if abs(inner) > VERIFY_TOL else 0.0
-    dev_global = float(np.abs(u - np.exp(1j * alpha) * target).max())
+    dev_global = float(np.abs(u - cmath.exp(1j * alpha) * target).max())
 
     rows, cols = np.nonzero(support)
     phase_map = dict(zip(zip(rows.tolist(), cols.tolist()),
@@ -235,7 +237,8 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 #       omega: 0.8800000000000001
 #       duration: 1187.4100664449326
 #
-# format_tree writes it, for schedules and for every `st` listing of the CLI.
+# format_tree writes it, for every `st` listing of the CLI and a schedule's first
+# lines; format_schedule writes each tone from one template of its seven lines.
 # Floats are written with repr() so that serialize -> parse is lossless, an
 # exponent-only repr with a `.0` mantissa (1.0e-05) so that YAML 1.1 reads a float.
 # ---------------------------------------------------------------------------
@@ -244,10 +247,15 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 _TONE_FIELDS = {"upper": "upper", "lower": "lower", "angle_rad": "angle", "phase_rad": "phase",
                 "axis": "axis", "omega": "omega", "duration": "duration"}
 _tone_values = attrgetter(*_TONE_FIELDS.values())
+_tone_entries = itemgetter(*_TONE_FIELDS)
+# a tone's lines: the first led by "- - " (a group's first tone) or "  - ", the others by 4 spaces
+_TONE_LINES = "{}" + "\n    ".join(key + ": {}" for key in _TONE_FIELDS) + "\n"
 
 
 def format_scalar(value) -> str:
     """One scalar: an int, any other number as a float (_number_text), a quoted string or null."""
+    if type(value) is float or type(value) is int:   # the common case
+        return _number_text(value)
     if value is None:
         return "null"
     if isinstance(value, str):
@@ -279,9 +287,7 @@ def _block(tree, lines: list, first: str, rest: str):
     """Append the lines of tree, the first led by `first` and the others by `rest`."""
     if isinstance(tree, dict):
         for key, value in tree.items():
-            if type(value) is float or type(value) is int:   # format_scalar's common case
-                lines.append(f"{first}{key}: {_number_text(value)}")
-            elif isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list)):
                 lines.append(f"{first}{key}:")
                 inner = rest + "  " if isinstance(value, dict) else rest
                 _block(value, lines, inner, inner)
@@ -297,10 +303,14 @@ def _block(tree, lines: list, first: str, rest: str):
 def format_schedule(sched: PulseSchedule) -> str:
     """Serialize a schedule to its structured-text form (deterministic bytes)."""
     parameters = sched.parameters and dict(sorted(sched.parameters.items()))
-    groups = [[dict(zip(_TONE_FIELDS, _tone_values(tone))) for tone in group]
-              for group in sched.groups]
-    return format_tree({"gate": sched.gate_string(), "spectrum_method": sched.spectrum_method,
-                        "parameters": parameters, "groups": groups})
+    parts = [format_tree({"gate": sched.gate_string(), "spectrum_method": sched.spectrum_method,
+                          "parameters": parameters, "groups": []})]   # ends with "groups:"
+    for group in sched.groups:
+        lead = "- - "
+        for tone in group:
+            parts.append(_TONE_LINES.format(lead, *map(format_scalar, _tone_values(tone))))
+            lead = "  - "
+    return "".join(parts)
 
 
 # read_tree reads back exactly the layout above, with comments, blank lines
@@ -310,11 +320,26 @@ def format_schedule(sched: PulseSchedule) -> str:
 # X, and 1e-05, a string to YAML 1.1).  Booleans (yes, on), 010, 0x1f, 1:30,
 # dates, flow collections, anchors, tags, single quotes, multi-line scalars and
 # repeated keys are rejected, so a file means what it meant to a YAML reader.
+#
+# One pattern, _LINE, reads every line of a text in one findall.  A `key: value`
+# line gives its lead (the indentation, or a tone's `- `), its key, and its value:
+# typed already when it is a decimal integer or a dotted float, absent for a block
+# head or null, and else raw text for _value.  A key YAML 1.1 reads as a boolean
+# or null, and a line outside the grammar, each fill a group of their own; a
+# blank or comment line fills none.  Tabs and other unprintable characters are
+# looked for once, in the whole text.
 
-_LINE = re.compile(r"(- - |  - |    |  |)([A-Za-z_][A-Za-z0-9_]{0,63}):(?: +(.*))?$")
-_QUOTED = re.compile(r'"((?:[^"\\]|\\["\\])*)"(?: +#.*)?$')
-_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)$")
-_FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?$")
+_LINE = re.compile(r"^(?:(- - |  - |    |  |)"                                   # lead
+                   r"(?:((?i:yes|no|true|false|on|off)|null|Null|NULL)(?=:)"    # not a string key
+                   r"|([A-Za-z_][A-Za-z0-9_]{0,63})):"                          # key
+                   r"(?: +(?:([-+]?(?:0|[1-9][0-9]*))"                           # integer
+                   r"|((?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?))"    # float
+                   r"(?: +#.*| *)$"
+                   r"|(?: +#.*| *)$"                                             # no value
+                   r"| +(.*))"                                                   # raw value
+                   r"| *(?:#.*)?$"                                               # blank, comment
+                   r"|(.*))", re.MULTILINE)                                      # anything else
+_QUOTED = re.compile(r'"((?:[^"\\]|\\["\\])*)"(?: +#.*| *)$')
 _EXPONENT = re.compile(r"[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")   # a word to YAML 1.1
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.+:;(),>-]*(?<!:)$|" + _EXPONENT.pattern)
 _NAMED = {"~": None, "null": None, "Null": None, "NULL": None, ".nan": math.nan,
@@ -324,25 +349,19 @@ _BOOLS = {"yes", "no", "true", "false", "on", "off"}
 _BLOCK = object()   # `key:` with no value: null, or the head of an indented block
 
 
-def _value(raw: str | None, number: int):
-    if raw is None or raw.startswith("#"):
-        return _BLOCK
+def _value(raw: str):
+    """The value of raw text that is neither a decimal integer nor a dotted float."""
     if raw.startswith('"'):
         quoted = _QUOTED.match(raw)
-        _require(quoted, "line {}: unclosed string or an escape other than \\\\ and \\\"", number)
-        return re.sub(r'\\(["\\])', r"\1", quoted[1])
+        if not quoted:
+            raise ScheduleFormatError('unclosed string or an escape other than \\\\ and \\"')
+        text = quoted[1]
+        return re.sub(r'\\(["\\])', r"\1", text) if "\\" in text else text
     token = raw.partition(" #")[0].rstrip(" ")
     if token in _NAMED:
         return _NAMED[token]
-    if _INT.match(token):
-        try:
-            return int(token)
-        except ValueError as exc:   # beyond Python's integer digit limit
-            raise ScheduleFormatError(f"line {number}: {exc}") from exc
-    if _FLOAT.match(token):
-        return float(token)
-    _require(_WORD.match(token) and token.lower() not in _BOOLS,
-             "line {}: unsupported value {!r}", number, token)
+    if not _WORD.match(token) or token.lower() in _BOOLS:
+        raise ScheduleFormatError(f"unsupported value {token!r}")
     return token
 
 
@@ -351,37 +370,52 @@ def read_tree(text: str) -> dict:
 
     Raises ScheduleFormatError naming the first line outside the grammar.
     """
-    doc, head, block = {}, None, None
-    for number, line in enumerate(text.split("\n"), 1):
-        line = line.rstrip(" ")
-        _require(line.isprintable(), "line {}: tab or other unprintable character", number)
-        if not line or line.lstrip(" ").startswith("#"):
-            continue
-        match = _LINE.match(line)
-        _require(match, "line {}: expected `key: value`, indented by 0, 2 or 4 "
-                        "spaces, or a `- - ` / `  - ` tone line", number)
-        lead, key, raw = match.groups()
-        _require(key.lower() not in _BOOLS and key not in _NAMED,
-                 "line {}: {!r} is not a string key in YAML 1.1", number, key)
-        value = _value(raw, number)
-        if lead == "":
-            mapping, head, block = doc, (key if value is _BLOCK else None), None
-        elif lead == "  " and head is not None and not isinstance(block, list):
-            if block is None:
-                block = doc[head] = {}
-            mapping = block
-        elif lead == "- - " and head is not None and not isinstance(block, dict):
-            if block is None:
-                block = doc[head] = []
-            block.append([{}])
-            mapping = block[-1][-1]
-        elif lead != "  " and isinstance(block, list):
-            if lead == "  - ":
-                block[-1].append({})
-            mapping = block[-1][-1]
-        else:
-            raise ScheduleFormatError(f"line {number}: no open block at this indentation")
-        _require(key not in mapping, "line {}: repeated key {!r}", number, key)
+    if text.replace("\n", "").isprintable():
+        return _tree(text)
+    lines = text.split("\n")
+    bad = next(index for index, line in enumerate(lines) if not line.isprintable())
+    _tree("\n".join(lines[:bad]))   # an error on an earlier line comes first
+    raise ScheduleFormatError(f"line {bad + 1}: tab or other unprintable character")
+
+
+def _tree(text: str) -> dict:
+    doc, head, block = {}, None, None   # block: the open block of the top-level key head
+    # one match per line, each group "" where it took no part
+    for number, (lead, not_key, key, integer, real, raw, other) in enumerate(
+            _LINE.findall(text), 1):
+        try:
+            if not key:
+                if not_key:
+                    raise ScheduleFormatError(f"{not_key!r} is not a string key in YAML 1.1")
+                if other:
+                    raise ScheduleFormatError("expected `key: value`, indented by 0, 2 or 4 "
+                                              "spaces, or a `- - ` / `  - ` tone line")
+                continue   # a blank or comment line
+            if integer:
+                value = int(integer)
+            elif real:
+                value = float(real)
+            else:
+                value = _value(raw) if raw else _BLOCK
+            if lead == "":
+                mapping, head, block = doc, (key if value is _BLOCK else None), None
+            elif type(block) is list and lead != "  ":   # a tone line; "    " adds to the open tone
+                if lead == "- - ":
+                    block.append([])
+                if lead != "    ":
+                    mapping = {}
+                    block[-1].append(mapping)
+            elif head is not None and block is None and lead in ("  ", "- - "):
+                mapping = {}
+                block = doc[head] = mapping if lead == "  " else [[mapping]]
+            elif lead == "  " and type(block) is dict:
+                mapping = block
+            else:
+                raise ScheduleFormatError("no open block at this indentation")
+            if key in mapping:
+                raise ScheduleFormatError(f"repeated key {key!r}")
+        except ValueError as exc:   # a ScheduleFormatError, or an int past Python's digit limit
+            raise ScheduleFormatError(f"line {number}: {exc}") from exc
         mapping[key] = None if value is _BLOCK else value
     return doc
 
@@ -433,17 +467,16 @@ def parse_schedule(text: str) -> PulseSchedule:
 def _tone(entry) -> Tone:
     """The Tone of one schedule entry, each field checked as read_tree typed it."""
     _require(isinstance(entry, dict), "each tone must be a mapping")
-    missing = [key for key in _TONE_FIELDS if key not in entry]
-    _require(not missing, "tone is missing fields {}", missing)
-    fields = {}
-    for key, attr in _TONE_FIELDS.items():
-        value = entry[key]
-        if key in ("upper", "lower"):
-            _require(type(value) is int, "tone {} must be an integer, got {!r}", key, value)
-        elif key != "axis" and not (value is None and key in ("omega", "duration")):
-            value = number(value, key)
-        fields[attr] = value
-    return Tone(**fields)
+    try:
+        upper, lower, angle, phase, axis, omega, duration = _tone_entries(entry)
+    except KeyError:
+        missing = [key for key in _TONE_FIELDS if key not in entry]
+        raise ScheduleFormatError(f"tone is missing fields {missing}") from None
+    for key, level in (("upper", upper), ("lower", lower)):
+        _require(type(level) is int, "tone {} must be an integer, got {!r}", key, level)
+    return Tone(upper, lower, number(angle, "angle_rad"), number(phase, "phase_rad"), axis,
+                None if omega is None else number(omega, "omega"),
+                None if duration is None else number(duration, "duration"))
 
 
 def number(value, key: str) -> float:

@@ -70,6 +70,7 @@ from .errors import DegenerateFitError, InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import AXIS_OPERATORS, DIM, SpinSystem, build_hamiltonian
+from .system import IDENTITY as _IDENTITY
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -83,8 +84,6 @@ MAX_SLICES = 10**8
 _POLAR_REACH = 1e-6
 _UNITARY_ROUNDING = 1e-14
 _POLAR_STEPS = 4
-_IDENTITY = np.eye(DIM)
-_IDENTITY.setflags(write=False)
 
 # narrowest ln(max/min) of a scaling sweep; see forbidden_scaling
 MIN_LOG_RANGE = 1e-6
@@ -175,7 +174,7 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     more than MAX_SLICES slices or floating point cannot place its end in one.
     """
     if drive.duration == 0:
-        return np.eye(DIM, dtype=complex)
+        return _IDENTITY.astype(complex)
 
     energies, basis = np.linalg.eigh(build_hamiltonian(sys))
     if not drive.tones:

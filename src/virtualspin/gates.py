@@ -28,6 +28,7 @@ for the UT family.  Examples: "NOT:S", "CNOT:R->Q", "CCNOT:QR->S",
 "CCUT:QR->S(1.2,0.4)".
 """
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateGrammarError, InputError
-from .system import DIM
+from .system import DIM, IDENTITY
 
 SPINS = ("Q", "R", "S")
 BIT_OF_SPIN = {"Q": 4, "R": 2, "S": 1}
@@ -85,12 +86,16 @@ class GateSpec:
 
     def payload(self) -> np.ndarray:
         """2x2 block applied to each control-satisfying target pair."""
+        return np.array(self._payload_entries(), dtype=complex).reshape(2, 2)
+
+    def _payload_entries(self) -> tuple:
+        """The payload's entries in row order, as Python scalars (math and cmath)."""
         if self.is_not_family:
-            return np.array([[0, 1], [1, 0]], dtype=complex)
+            return 0, 1, 1, 0
         half = self.phi / 2
-        return np.array(
-            [[np.cos(half), 1j * np.exp(1j * self.f) * np.sin(half)],
-             [1j * np.exp(-1j * self.f) * np.sin(half), np.cos(half)]])
+        cosine, sine = math.cos(half), math.sin(half)
+        return (cosine, 1j * cmath.exp(1j * self.f) * sine,
+                1j * cmath.exp(-1j * self.f) * sine, cosine)
 
     def level_pairs(self) -> list[tuple[int, int]]:
         """Level pairs (M_target-bit-0, M_target-bit-1) it acts on, ascending."""
@@ -155,12 +160,9 @@ def parse_gate_sequence(text: str) -> tuple[GateSpec, ...]:
 
 def target_gate(spec: GateSpec) -> np.ndarray:
     """Textbook 8x8 matrix of the gate in the M-ordered basis."""
-    block = spec.payload()
-    u = np.eye(DIM, dtype=complex)
+    a, b, c, d = spec._payload_entries()
+    u = IDENTITY.astype(complex)
     for m0, m1 in spec.level_pairs():
-        u[m0, m0] = block[0, 0]
-        u[m0, m1] = block[0, 1]
-        u[m1, m0] = block[1, 0]
-        u[m1, m1] = block[1, 1]
+        u[m0, m0], u[m0, m1], u[m1, m0], u[m1, m1] = a, b, c, d
     return u
 

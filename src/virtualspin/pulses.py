@@ -15,13 +15,14 @@ pairs are disjoint the total propagator is the (order-independent) product
 of the per-tone propagators: one helper writes each tone's 2x2 block into an identity.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ForbiddenTransitionError, InputError, OverlappingTonesError
-from .system import AXIS_OPERATORS, DIM
+from .system import AXIS_OPERATORS, DIM, IDENTITY
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +88,22 @@ class PulseParams:
 
 
 def _write_tone(v: np.ndarray, tone: Tone) -> np.ndarray:
-    """v with the projector form of one tone written into its 2x2 block, entry by entry."""
+    """v with the projector form of one tone written into its 2x2 block, entry by entry,
+    each computed with math and cmath on Python floats (the bits numpy's ufuncs give)."""
     m, n = tone.upper, tone.lower
-    f_eff = tone.phase + (np.pi / 2 if tone.axis == "Y" else 0.0)
+    f_eff = tone.phase + (math.pi / 2 if tone.axis == "Y" else 0.0)
     half = tone.angle / 2
+    sine = math.sin(half)
     # 1 + (cos - 1) rounds as the projector sum does; a plain cos would not
-    v[m, m] = v[n, n] = 1 + (np.cos(half) - 1)
-    v[m, n] = 1j * np.exp(1j * f_eff) * np.sin(half)
-    v[n, m] = 1j * np.exp(-1j * f_eff) * np.sin(half)
+    v[m, m] = v[n, n] = 1 + (math.cos(half) - 1)
+    v[m, n] = 1j * cmath.exp(1j * f_eff) * sine
+    v[n, m] = 1j * cmath.exp(-1j * f_eff) * sine
     return v
 
 
 def pulse_propagator(tone: Tone) -> np.ndarray:
     """Idealized unitary propagator of one resonant tone."""
-    return _write_tone(np.eye(DIM, dtype=complex), tone)
+    return _write_tone(IDENTITY.astype(complex), tone)
 
 
 def check_disjoint(tones):
@@ -122,7 +125,7 @@ def multi_tone_propagator(tones) -> np.ndarray:
     into one identity; overlapping pairs are rejected: the product form would be wrong there.
     """
     check_disjoint(tones)
-    u = np.eye(DIM, dtype=complex)
+    u = IDENTITY.astype(complex)
     for tone in tones:
         _write_tone(u, tone)
     return u

@@ -42,6 +42,10 @@ def _read_only(*arrays):
     return arrays
 
 
+# the one identity, real and read-only; IDENTITY.astype(complex) is a writable complex copy
+IDENTITY = np.eye(DIM)
+IDENTITY.setflags(write=False)
+
 # m values in label order M = 0..7
 M_VALUES = np.arange(DIM) - SPIN
 M_VALUES.setflags(write=False)
@@ -72,7 +76,7 @@ AXIS_OPERATORS = {"X": _OPERATORS.Ix, "Y": _OPERATORS.Iy}
 
 # Q_0, Q_+1, Q_-1, Q_+2, Q_-2
 _QUADRUPOLE_OPERATORS = _read_only(
-    _IZ @ _IZ - SPIN * (SPIN + 1) / 3 * np.eye(DIM), _IZ @ _IPLUS + _IPLUS @ _IZ,
+    _IZ @ _IZ - SPIN * (SPIN + 1) / 3 * IDENTITY, _IZ @ _IPLUS + _IPLUS @ _IZ,
     _IZ @ _IMINUS + _IMINUS @ _IZ, _IPLUS @ _IPLUS, _IMINUS @ _IMINUS)
 
 

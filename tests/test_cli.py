@@ -528,6 +528,44 @@ def test_non_utf8_files_exit_2(capsys, tmp_path, argv):
     assert str(path) in err and "UTF-8" in err
 
 
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("verify", "--schedule", "{path}"), None),
+    (("verify", "--schedule", "{path}", "--format", "st"), None),
+    (("simulate", "{path}", "--format", "csv"), None),
+    (("spectrum", "--config", "{path}"), "theta: 0.0\nomegaQ: 0.02\n"),
+    (("compile", "NOT:S", "--config", "{path}"), "gammaHrf: 0.002  # a comment\n"),
+])
+def test_a_leading_byte_order_mark_is_read_past(capsys, tmp_path, argv, text):
+    plain, marked = tmp_path / "plain.st", tmp_path / "marked.st"
+    if text is None:
+        run(capsys, "compile", "CCNOT:QR->S", "--out", str(plain))
+        text = plain.read_text()
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    results = [run(capsys, *(arg.format(path=path) for arg in argv)) for path in (plain, marked)]
+    assert results[0][0] == 0 and results[1] == results[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--schedule", "{path}"),
+    ("spectrum", "--config", "{path}"),
+])
+@pytest.mark.parametrize("text, line", [
+    (BOM + BOM + "theta: 0.0\n", 1),
+    ("theta: 0.0\n" + BOM + "omegaQ: 0.02\n", 2),
+    ("theta: 0.0\nomegaQ: 0.02" + BOM + "\n", 2),
+])
+def test_a_byte_order_mark_past_the_first_is_rejected(capsys, tmp_path, argv, text, line):
+    path = tmp_path / "input.st"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert_input_error(code, out, err)
+    assert f"line {line}: tab or other unprintable character" in err
+
+
 # --- the structured-text and csv listings ---------------------------------------
 
 def test_spectrum_st_listing_is_the_transition_table(capsys):

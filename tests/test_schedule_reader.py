@@ -172,6 +172,10 @@ def test_yaml_1_1_scalars_read_as_yaml_reads_them_or_are_rejected(form, value):
     ("a: 1\n  b: 2\n", 2),                   # continuation of a plain scalar
     ("a:\tb\n", 1), ("a: b\r\n", 1), ("\ufeffa: b\n", 1),
     ("yes: 1\n", 1),
+    # an unprintable character is found on the whole text, and named on its own line
+    ("a: 1\nb: 2\nc:\td\n", 3), ("a: 1\n\nb: x\x00y\n", 3), ("a: 1\n# note\x07\n", 2),
+    ('a: 1\nb: "x\ty"\n', 2), ('a: 1\nb: 2\ngate: "CCNOT:QR->S\x1b"\n', 3),
+    ("a: 1\nb: 2\r\n", 2), ("a: [1]\nb:\t2\n", 1),   # an error on an earlier line comes first
 ])
 def test_reader_rejects_naming_the_line(text, line):
     with pytest.raises(ScheduleFormatError, match=f"^line {line}: "):

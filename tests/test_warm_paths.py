@@ -3,16 +3,18 @@
 quadrupole_hamiltonian used to rebuild its five operator products on every
 call, exact_spectrum checked 2:1 dominance with one np.delete per row,
 transition_table converted numpy scalars one by one, multi_tone_propagator
-multiplied full per-tone matrices, and verify and truth_table worked entry by
-entry.  The copies below are those forms; every result must be bit-identical
-to theirs: the same arrays, the same schedule bytes, the same verdicts and
-the same error messages.
+multiplied full per-tone matrices, verify and truth_table worked entry by
+entry, and _write_tone, target_gate and verify took their sines, cosines and
+phase factors from numpy's ufuncs on numpy scalars.  The copies below are
+those forms; every result must be bit-identical to theirs: the same arrays,
+the same schedule bytes, the same verdicts and the same error messages.
 
 The last test is the labeling contract of exact_spectrum: over any finite
 coupling up to 10 and any angles it labels cleanly, refuses with
 AmbiguousLabelingError, or reports overflow with InputError.
 """
 
+import dataclasses
 import random
 import re
 
@@ -164,6 +166,68 @@ def old_truth_table(propagator):
     return table
 
 
+def numpy_write_tone(v, tone):
+    m, n = tone.upper, tone.lower
+    f_eff = tone.phase + (np.pi / 2 if tone.axis == "Y" else 0.0)
+    half = tone.angle / 2
+    v[m, m] = v[n, n] = 1 + (np.cos(half) - 1)
+    v[m, n] = 1j * np.exp(1j * f_eff) * np.sin(half)
+    v[n, m] = 1j * np.exp(-1j * f_eff) * np.sin(half)
+    return v
+
+
+def numpy_schedule_propagator(sched):
+    u = np.eye(DIM, dtype=complex)
+    for group in sched.groups:
+        v = np.eye(DIM, dtype=complex)
+        for tone in group:
+            numpy_write_tone(v, tone)
+        u = v @ u
+    return u
+
+
+def numpy_payload(spec):
+    if spec.is_not_family:
+        return np.array([[0, 1], [1, 0]], dtype=complex)
+    half = spec.phi / 2
+    return np.array(
+        [[np.cos(half), 1j * np.exp(1j * spec.f) * np.sin(half)],
+         [1j * np.exp(-1j * spec.f) * np.sin(half), np.cos(half)]])
+
+
+def numpy_target_gate(spec):
+    block = numpy_payload(spec)
+    u = np.eye(DIM, dtype=complex)
+    for m0, m1 in spec.level_pairs():
+        u[m0, m0] = block[0, 0]
+        u[m0, m1] = block[0, 1]
+        u[m1, m0] = block[1, 0]
+        u[m1, m1] = block[1, 1]
+    return u
+
+
+def numpy_verify(gates, u):
+    """(verdict, max_deviation, phase_map) of verify as it computed with numpy scalars."""
+    target = np.eye(DIM, dtype=complex)
+    for g in gates:
+        target = numpy_target_gate(g) @ target
+    support = np.abs(target) > VERIFY_TOL
+    target_i = np.where(support & ~np.eye(DIM, dtype=bool), target * 1j, target)
+    dev_exact = float(np.abs(u - target).max())
+    dev_i = float(np.abs(u - target_i).max())
+    inner = np.trace(target.conj().T @ u)
+    alpha = np.angle(inner) if abs(inner) > VERIFY_TOL else 0.0
+    dev_global = float(np.abs(u - np.exp(1j * alpha) * target).max())
+    rows, cols = np.nonzero(support)
+    phase_map = dict(zip(zip(rows.tolist(), cols.tolist()),
+                         (u[rows, cols] / target[rows, cols]).tolist()))
+    for verdict, dev in ((EXACT_MATCH, dev_exact), (UP_TO_I, dev_i),
+                         (UP_TO_GLOBAL_PHASE, dev_global)):
+        if dev < VERIFY_TOL:
+            return verdict, dev, phase_map
+    return MISMATCH, min(dev_exact, dev_i, dev_global), phase_map
+
+
 # --- helpers -----------------------------------------------------------------
 
 def drawn_system(rng: random.Random) -> SpinSystem:
@@ -268,6 +332,34 @@ def test_compile_path_is_bit_identical(text):
             truth_table(parse_gate_sequence(GRAMMAR_GATES[0]), propagator=u)
         with pytest.raises(TruthTableError, match=re.escape(str(caught.value))):
             old_truth_table(u)
+
+
+# UT payloads with negative and large angles and phases
+SCALAR_GATES = sequences() + ["UT:Q(-2.5,-0.7)", "CCUT:QR->S(-7.0,3.0)",
+                              "CUT:S->R(100.0,-100.0);UT:R(-0.0,-3.141592653589793)"]
+
+
+@pytest.mark.parametrize("text", SCALAR_GATES)
+def test_scalar_math_is_bit_identical_to_numpy_scalars(text):
+    rng = random.Random(text)
+    gates = parse_gate_sequence(text)
+    for g in gates:
+        assert numpy_payload(g).tobytes() == g.payload().tobytes()
+        assert numpy_target_gate(g).tobytes() == target_gate(g).tobytes()
+    sched = compile_gate(gates, exact_spectrum(SpinSystem(omegaQ=0.02, theta=0.6)), 1e-3)
+    # the compiled tones, then each on the Y coil with a drawn, often negative, angle and phase
+    drawn = dataclasses.replace(sched, groups=tuple(
+        tuple(dataclasses.replace(t, axis="Y", angle=rng.uniform(-4 * np.pi, 4 * np.pi),
+                                  phase=rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 2))
+              for t in group) for group in sched.groups))
+    for played in (sched, drawn):
+        u = schedule_propagator(played)
+        assert u.tobytes() == numpy_schedule_propagator(played).tobytes()
+        for candidate in (u, np.exp(0.7j) * u, numpy_schedule_propagator(drawn)):
+            report = verify(gates, candidate)
+            verdict, deviation, phase_map = numpy_verify(gates, candidate)
+            assert (report.verdict, report.max_deviation) == (verdict, deviation)
+            assert list(report.phase_map.items()) == list(phase_map.items())
 
 
 def test_truth_table_of_a_real_permutation_keeps_complex_amplitudes():
