@@ -20,8 +20,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .compiler import (OK_VERDICTS, compile_gate, format_scalar, format_schedule, format_tree,
-                       number, parse_schedule, read_tree, schedule_propagator, verify)
+from .compiler import (EXACT_MATCH, compile_gate, format_scalar, format_schedule, format_tree,
+                       number, parse_schedule, phase_map, read_tree, schedule_propagator, verify)
 from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
 from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
@@ -220,12 +220,12 @@ def cmd_verify(args) -> int:
         lines = [f"gate:          {fields['gate']}",
                  f"verdict:       {report.verdict}",
                  f"max deviation: {report.max_deviation:.3e}"]
-        if report.verdict != "exact" and report.phase_map:
-            factors = sorted({_phase_label(v) for v in report.phase_map.values()})
+        if report.verdict != EXACT_MATCH:
+            factors = sorted({_phase_label(v) for v in phase_map(gates, propagator).values()})
             lines.append(f"phase factors on target support: {', '.join(factors)}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    return 0 if report.verdict in OK_VERDICTS else 1
+    return 0 if report.ok else 1
 
 
 def _phase_label(factor: complex) -> str:

@@ -8,12 +8,12 @@ pi, phase 0, axis X; the UT family reuses the same level pairs with the
 requested (phi, f).
 
 A compiled NOT-family propagator equals the textbook permutation matrix
-up to a factor i on the off-diagonal entries.  verify() therefore grades
-a unitary against a target under three conventions -- exact equality,
-equality after multiplying the target's off-diagonal support by i, and
-equality up to a global phase -- and reports the best match with its
-maximum entrywise deviation.  Entrywise comparison is deliberate: a trace
-fidelity would under-report structured phase errors.
+up to a factor i on the off-diagonal entries.  verify() therefore tries
+three conventions in order -- exact equality, equality after multiplying
+the target's off-diagonal support by i, and equality up to a global phase
+-- and reports the first that holds with its maximum entrywise deviation;
+phase_map() gives the factors.  Entrywise comparison is deliberate: a
+trace fidelity would under-report structured phase errors.
 
 Schedules serialize to a small structured-text tree, a YAML subset that
 read_tree reads back, so they can be written, inspected, and replayed losslessly.
@@ -22,8 +22,8 @@ read_tree reads back, so they can be written, inspected, and replayed losslessly
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class EquivalenceReport:
 
     verdict: str
     max_deviation: float
-    phase_map: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -157,7 +156,7 @@ def _sequence_target(gates) -> np.ndarray:
 def verify(gate, u: np.ndarray) -> EquivalenceReport:
     """Grade unitary `u` against the textbook target of `gate`.
 
-    Verdicts, in order of preference:
+    Verdicts, tried in this order; the first that holds is returned:
       exact                    entrywise equal
       equal-up-to-i            equal after multiplying every nonzero
                                off-diagonal target entry by i (the phase
@@ -167,28 +166,32 @@ def verify(gate, u: np.ndarray) -> EquivalenceReport:
                                smallest deviation over the conventions
     """
     target = _sequence_target(_as_gates(gate))
+    dev_exact = float(np.abs(u - target).max())
+    if dev_exact < VERIFY_TOL:
+        return EquivalenceReport(EXACT_MATCH, dev_exact)
 
     support = np.abs(target) > VERIFY_TOL
     target_i = np.where(support & _OFF_DIAGONAL, target * 1j, target)
-
-    dev_exact = float(np.abs(u - target).max())
     dev_i = float(np.abs(u - target_i).max())
+    if dev_i < VERIFY_TOL:
+        return EquivalenceReport(UP_TO_I, dev_i)
+
     inner = np.trace(target.conj().T @ u)
     # numpy's abs and angle of inner: cmath's can differ from them in the last bit
     alpha = np.angle(inner) if abs(inner) > VERIFY_TOL else 0.0
     dev_global = float(np.abs(u - cmath.exp(1j * alpha) * target).max())
-
-    rows, cols = np.nonzero(support)
-    phase_map = dict(zip(zip(rows.tolist(), cols.tolist()),
-                         (u[rows, cols] / target[rows, cols]).tolist()))
-
-    if dev_exact < VERIFY_TOL:
-        return EquivalenceReport(EXACT_MATCH, dev_exact, phase_map)
-    if dev_i < VERIFY_TOL:
-        return EquivalenceReport(UP_TO_I, dev_i, phase_map)
     if dev_global < VERIFY_TOL:
-        return EquivalenceReport(UP_TO_GLOBAL_PHASE, dev_global, phase_map)
-    return EquivalenceReport(MISMATCH, min(dev_exact, dev_i, dev_global), phase_map)
+        return EquivalenceReport(UP_TO_GLOBAL_PHASE, dev_global)
+    return EquivalenceReport(MISMATCH, min(dev_exact, dev_i, dev_global))
+
+
+def phase_map(gate, u: np.ndarray) -> dict:
+    """u / target on each nonzero entry of `gate`'s textbook target, keyed (row, column)
+    in row order: Python complex, i off the diagonal of a compiled NOT-family gate, 1 on it."""
+    target = _sequence_target(_as_gates(gate))
+    rows, cols = np.nonzero(np.abs(target) > VERIFY_TOL)
+    return dict(zip(zip(rows.tolist(), cols.tolist()),
+                    (u[rows, cols] / target[rows, cols]).tolist()))
 
 
 def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
@@ -237,8 +240,7 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 #       omega: 0.8800000000000001
 #       duration: 1187.4100664449326
 #
-# format_tree writes it, for every `st` listing of the CLI and a schedule's first
-# lines; format_schedule writes each tone from one template of its seven lines.
+# format_tree writes it, for every schedule and every `st` listing of the CLI.
 # Floats are written with repr() so that serialize -> parse is lossless, an
 # exponent-only repr with a `.0` mantissa (1.0e-05) so that YAML 1.1 reads a float.
 # ---------------------------------------------------------------------------
@@ -246,37 +248,30 @@ def truth_table(gate, propagator: np.ndarray | None = None) -> dict:
 # schedule key -> Tone attribute, in the order format_schedule writes them
 _TONE_FIELDS = {"upper": "upper", "lower": "lower", "angle_rad": "angle", "phase_rad": "phase",
                 "axis": "axis", "omega": "omega", "duration": "duration"}
-_tone_values = attrgetter(*_TONE_FIELDS.values())
 _tone_entries = itemgetter(*_TONE_FIELDS)
-# a tone's lines: the first led by "- - " (a group's first tone) or "  - ", the others by 4 spaces
-_TONE_LINES = "{}" + "\n    ".join(key + ": {}" for key in _TONE_FIELDS) + "\n"
 
 
 def format_scalar(value) -> str:
-    """One scalar: an int, any other number as a float (_number_text), a quoted string or null."""
+    """One scalar: an int, any other number as a float, each as its repr with `.0` added
+    to an exponent-only mantissa (1e-05 as 1.0e-05), a quoted string or null."""
     if type(value) is float or type(value) is int:   # the common case
-        return _number_text(value)
+        text = repr(value)
+        return text.replace("e", ".0e") if "e" in text and "." not in text else text
     if value is None:
         return "null"
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return repr(int(value))
-    return _number_text(float(value))
-
-
-def _number_text(value) -> str:
-    """repr of an int or float; an exponent-only mantissa gets `.0` (1e-05 as 1.0e-05)."""
-    text = repr(value)
-    return text.replace("e", ".0e") if "e" in text and "." not in text else text
+    return format_scalar(float(value))
 
 
 def format_tree(tree) -> str:
-    """The structured-text block form of a mapping or list.
+    """The structured-text block form of a dict or list.
 
-    A scalar value is written `key: value`.  A mapping or list value goes
-    below a bare `key:` line, a mapping indented two spaces and a list at the
-    key's indent; list items are mappings or lists, their first line led by `- `.
+    A scalar value is written `key: value`.  A dict or list value goes
+    below a bare `key:` line, a dict indented two spaces and a list at the
+    key's indent; list items are dicts or lists, their first line led by `- `.
     """
     lines = []
     _block(tree, lines, "", "")
@@ -285,11 +280,12 @@ def format_tree(tree) -> str:
 
 def _block(tree, lines: list, first: str, rest: str):
     """Append the lines of tree, the first led by `first` and the others by `rest`."""
-    if isinstance(tree, dict):
+    if type(tree) is dict:
         for key, value in tree.items():
-            if isinstance(value, (dict, list)):
+            kind = type(value)
+            if kind is dict or kind is list:
                 lines.append(f"{first}{key}:")
-                inner = rest + "  " if isinstance(value, dict) else rest
+                inner = rest + "  " if kind is dict else rest
                 _block(value, lines, inner, inner)
             else:
                 lines.append(f"{first}{key}: {format_scalar(value)}")
@@ -302,15 +298,11 @@ def _block(tree, lines: list, first: str, rest: str):
 
 def format_schedule(sched: PulseSchedule) -> str:
     """Serialize a schedule to its structured-text form (deterministic bytes)."""
-    parameters = sched.parameters and dict(sorted(sched.parameters.items()))
-    parts = [format_tree({"gate": sched.gate_string(), "spectrum_method": sched.spectrum_method,
-                          "parameters": parameters, "groups": []})]   # ends with "groups:"
-    for group in sched.groups:
-        lead = "- - "
-        for tone in group:
-            parts.append(_TONE_LINES.format(lead, *map(format_scalar, _tone_values(tone))))
-            lead = "  - "
-    return "".join(parts)
+    return format_tree({
+        "gate": sched.gate_string(), "spectrum_method": sched.spectrum_method,
+        "parameters": sched.parameters and dict(sorted(sched.parameters.items())),
+        "groups": [[{key: getattr(tone, name) for key, name in _TONE_FIELDS.items()}
+                    for tone in group] for group in sched.groups]})
 
 
 # read_tree reads back exactly the layout above, with comments, blank lines

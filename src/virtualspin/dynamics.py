@@ -576,9 +576,9 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int], ratios) -> Scaling
         raise DegenerateFitError(message)
     log_e = np.log(np.maximum(elements, 1e-300))
     slope = float(np.polyfit(log_r, log_e, 1)[0])
-    local = np.empty_like(ratios)
-    for i in range(ratios.size):
-        j1, j2 = max(0, i - 1), min(ratios.size - 1, i + 1)
-        local[i] = (log_e[j2] - log_e[j1]) / (log_r[j2] - log_r[j1])
+    # each point's slope across its neighbours; an end point stands in for its missing one
+    index = np.arange(ratios.size)
+    below, above = np.maximum(index - 1, 0), np.minimum(index + 1, ratios.size - 1)
+    local = (log_e[above] - log_e[below]) / (log_r[above] - log_r[below])
     return ScalingFit(pair=(m_label, n_label), ratios=ratios, elements=elements,
                       slope=slope, local_slopes=local)

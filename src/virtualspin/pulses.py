@@ -45,6 +45,7 @@ def projector(m: int, n: int) -> Projector:
 
 
 AXES = tuple(AXIS_OPERATORS)
+_REAL = (int, float, np.integer, np.floating)   # a tone's omega or duration, bool excepted
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class Tone:
     """One resonant tone: level pair, rotation angle, RF phase and coil axis.
 
     compiler.resolve_schedule fills in its transition frequency `omega` and
-    pulse length `duration`; both are None before.
+    pulse length `duration`, finite numbers; both are None before.
     """
 
     upper: int
@@ -74,6 +75,11 @@ class Tone:
                 raise InputError(f"tone {name} must be finite, got {getattr(self, name)}")
         if self.axis not in AXES:
             raise InputError(f"tone axis must be one of {AXES}, got {self.axis!r}")
+        for name in ("omega", "duration"):   # no sign check: a crossed pair has omega < 0
+            value = getattr(self, name)
+            if value is not None and (type(value) is bool or not isinstance(value, _REAL)
+                                      or not math.isfinite(value)):
+                raise InputError(f"tone {name} must be a finite number or None, got {value!r}")
 
 
 @dataclass(frozen=True)

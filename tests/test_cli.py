@@ -149,6 +149,23 @@ def test_verify_machine_formats(capsys):
            "max_deviation: 1.1102230246251565e-16\n", "")
 
 
+@pytest.mark.parametrize("gate, factors, expected", [
+    ("CCNOT:QR->S", "1, i", 0),
+    ("NOT:S;NOT:S", "-1", 1),
+    ("CCNOT:QR->S;CCNOT:QR->S", "-1, 1", 1),
+    ("UT:S(1.2,0.4)", None, 0),   # an exact match prints no factors
+])
+def test_verify_table_lists_phase_factors_unless_exact(capsys, gate, factors, expected):
+    code, out, err = run(capsys, "verify", gate)
+    assert (code, err) == (expected, "")
+    printed = [line for line in out.splitlines() if line.startswith("phase factors")]
+    assert printed == ([] if factors is None else [f"phase factors on target support: {factors}"])
+    # the machine listings carry no such line
+    for fmt in ("csv", "st"):
+        code, out, _ = run(capsys, "verify", gate, "--format", fmt)
+        assert code == expected and "phase factors" not in out
+
+
 def test_sweep_forbidden_pair(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "sweep", "--pair", "5,7", "--points", "8",
@@ -428,6 +445,8 @@ def assert_input_error(code, out, err):
     pytest.param(r"omegaQ: .*", "omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
     (r"spectrum_method: .*", "spectrum_method: [1"),
     pytest.param(r"  phi: .*", '  phi: 0.0\n  q2_form: "bogus"', id="q2_form-bogus"),
+    (r"omega: .*", "omega: .inf"),
+    (r"duration: .*", "duration: .nan"),
 ])
 def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement):
     path = tmp_path / "sched.st"

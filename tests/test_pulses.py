@@ -140,6 +140,16 @@ def test_tone_validation():
             Tone(upper=2, lower=3, angle=1.0, phase=bad)
 
 
+def test_tone_omega_and_duration_are_none_or_finite_numbers():
+    for name in ("omega", "duration"):
+        for bad in ("0.88", True, np.inf, -np.inf, np.nan, [1.0]):
+            with pytest.raises(InputError, match=f"^tone {name} must be"):
+                Tone(upper=6, lower=7, angle=np.pi, **{name: bad})
+        # no sign check: a crossed level pair has a negative omega
+        for good in (None, -0.88, 0, np.float32(0.5), np.int64(3)):
+            assert getattr(Tone(upper=6, lower=7, angle=np.pi, **{name: good}), name) is good
+
+
 def test_pulse_duration():
     params = PulseParams(gammaHrf=1.0)
     duration = pulse_duration(np.pi, params, np.sqrt(7) / 2)
