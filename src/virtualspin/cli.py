@@ -26,22 +26,21 @@ from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
 from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
 from .spectrum import exact_spectrum, perturbative_spectrum, transition_table
-from .system import Q2_FORMS, SpinSystem
+from .system import Q2_FORMS, SpinSystem, one_of, positive, real
 
 FORMATS = ("table", "csv", "st")
 METHODS = ("pert", "exact")
 
-# name -> (default, allowed values or "finite"/"positive" for a float, help, the
-# commands that read it); each is a --flag (q2_form as --q2-form) of those commands
-# and a config key that _merge_config checks for every command
+# name -> (default, the allowed values or a number's rule, help, the commands that read
+# it); each is a --flag (q2_form as --q2-form) of those and a config key checked for all
 PARAMETERS = {
-    "omega0": (1.0, "positive", "Zeeman frequency (the unit)", "spectrum compile simulate"),
-    "omegaQ": (0.01, "finite", "quadrupole coupling strength", "spectrum compile simulate"),
-    "theta": (np.pi / 5, "finite", "field-gradient polar angle (rad)",
+    "omega0": (1.0, positive, "Zeeman frequency (the unit)", "spectrum compile simulate"),
+    "omegaQ": (0.01, real, "quadrupole coupling strength", "spectrum compile simulate"),
+    "theta": (np.pi / 5, real, "field-gradient polar angle (rad)",
               "spectrum compile sweep simulate"),
-    "phi": (0.0, "finite", "field-gradient azimuth (rad)", "spectrum compile sweep simulate"),
+    "phi": (0.0, real, "field-gradient azimuth (rad)", "spectrum compile sweep simulate"),
     "method": ("exact", METHODS, "spectrum method", "spectrum"),
-    "gammaHrf": (1e-3, "positive", "RF drive amplitude gamma*H_rf", "compile simulate"),
+    "gammaHrf": (1e-3, positive, "RF drive amplitude gamma*H_rf", "compile simulate"),
     "format": ("table", FORMATS, "output format", "spectrum verify simulate"),
     "q2_form": ("as-printed", Q2_FORMS, "quadrupole q_+-2 coefficient form",
                 "spectrum compile sweep simulate"),
@@ -77,25 +76,16 @@ class RunConfig(namedtuple("RunConfig", PARAMETERS)):
         # q2_form only when not the default, so default-form schedules keep their bytes
         form = {} if self.q2_form == DEFAULTS["q2_form"] else {"q2_form": self.q2_form}
         return {"omega0": 1.0, "omegaQ": self.per_omega0("omegaQ"),
-                "theta": self.theta, "phi": self.phi,
+                "theta": float(self.theta), "phi": float(self.phi),
                 "gammaHrf": self.per_omega0("gammaHrf"), **form}
 
 
 def _merge_config(args, file_defaults: dict) -> RunConfig:
     values = {}
-    for key, (default, allowed, *_) in PARAMETERS.items():
+    for key, (default, rule, *_) in PARAMETERS.items():
         flag = getattr(args, key, None)
         value = flag if flag is not None else file_defaults.get(key, default)
-        if isinstance(allowed, tuple):
-            if value not in allowed:
-                raise InputError(f"{key} must be one of {allowed}, got {value!r}")
-        else:
-            value = number(value, key)
-            if not np.isfinite(value):
-                raise InputError(f"{key} must be finite, got {value}")
-            if allowed == "positive" and not value > 0:
-                raise InputError(f"{key} must be positive, got {value}")
-        values[key] = value
+        values[key] = rule(number(value, key), key) if callable(rule) else one_of(value, key, rule)
     return RunConfig(**values)
 
 

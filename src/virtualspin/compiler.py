@@ -31,7 +31,7 @@ from .errors import InputError, ScheduleFormatError, TruthTableError
 from .gates import GateSpec, parse_gate_sequence, target_gate
 from .pulses import PulseParams, Tone, check_disjoint, multi_tone_propagator, pulse_duration
 from .spectrum import Spectrum, drive_elements
-from .system import DIM, IDENTITY, Q2_FORMS
+from .system import DIM, IDENTITY, Q2_FORMS, one_of, real
 
 EXACT_MATCH = "exact"
 UP_TO_I = "equal-up-to-i"
@@ -52,7 +52,7 @@ class PulseSchedule:
     Tones within a group are simultaneous (one multi-frequency pulse) and
     address disjoint level pairs; groups apply in order.  Each tone carries
     its own resolved frequency and pulse length (see resolve_schedule).
-    An empty `parameters` mapping is stored as None, as it reads back.
+    Gates and groups are stored as tuples, an empty `parameters` as None, as they read back.
     """
 
     gates: tuple
@@ -61,9 +61,19 @@ class PulseSchedule:
     parameters: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "parameters", dict(self.parameters) if self.parameters else None)
+        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
+        parameters = {key: one_of(value, key, Q2_FORMS) if key == "q2_form" else real(value, key)
+                      for key, value in dict(self.parameters or {}).items()}
+        object.__setattr__(self, "parameters", parameters or None)
+        if not all(isinstance(g, GateSpec) for g in self.gates):
+            raise InputError(f"schedule gates must be a sequence of GateSpec, got {self.gates!r}")
         for group in self.groups:
+            if not group or not all(isinstance(t, Tone) for t in group):
+                raise InputError(f"a pulse group must be one or more Tones, got {group!r}")
             check_disjoint(group)
+        if not (self.spectrum_method is None or isinstance(self.spectrum_method, str)):
+            raise InputError("spectrum_method must be a string or null")
 
     def gate_string(self) -> str:
         return ";".join(str(g) for g in self.gates)
@@ -72,11 +82,9 @@ class PulseSchedule:
 def _as_gates(gate) -> tuple:
     if isinstance(gate, str):
         return parse_gate_sequence(gate)
-    if isinstance(gate, GateSpec):
-        return (gate,)
-    gates = tuple(gate)
+    gates = (gate,) if isinstance(gate, GateSpec) else tuple(gate)
     if not gates or not all(isinstance(g, GateSpec) for g in gates):
-        raise InputError("expected a GateSpec, a gate string, or a sequence of GateSpec")
+        raise InputError("expected a GateSpec, a gate string, or a non-empty sequence of GateSpec")
     return gates
 
 
@@ -93,11 +101,9 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
     gates = _as_gates(gate)
     groups = []
     for g in gates:
-        angle = np.pi if g.is_not_family else g.phi
-        phase = 0.0 if g.is_not_family else g.f
-        groups.append(tuple(Tone(upper=m0, lower=m1, angle=angle, phase=phase, axis="X")
-                            for m0, m1 in g.level_pairs()))
-    sched = PulseSchedule(gates=gates, groups=tuple(groups), parameters=parameters)
+        angle, phase = (np.pi, 0.0) if g.is_not_family else (g.phi, g.f)
+        groups.append([Tone(m0, m1, angle, phase, axis="X") for m0, m1 in g.level_pairs()])
+    sched = PulseSchedule(gates=gates, groups=groups, parameters=parameters)
     if spectrum is not None:
         sched = resolve_schedule(sched, spectrum, gamma_hrf)
     return sched
@@ -412,10 +418,10 @@ def _tree(text: str) -> dict:
     return doc
 
 
-def _require(condition: bool, message: str, *args):
-    """Raise ScheduleFormatError unless condition; message.format(*args) only if args are given."""
+def _require(condition: bool, message: str):
+    """Raise ScheduleFormatError(message) unless condition."""
     if not condition:
-        raise ScheduleFormatError(message.format(*args) if args else message)
+        raise ScheduleFormatError(message)
 
 
 def parse_schedule(text: str) -> PulseSchedule:
@@ -431,27 +437,21 @@ def parse_schedule(text: str) -> PulseSchedule:
     for key in ("gate", "groups"):
         _require(key in doc, f"schedule is missing the {key!r} field")
 
-    gates = parse_gate_sequence(str(doc["gate"]))
-
-    method = doc.get("spectrum_method")
-    _require(method is None or isinstance(method, str),
-             "spectrum_method must be a string or null")
+    gates = parse_gate_sequence(str(doc["gate"])) if doc["gate"] != "" else ()   # no gates
 
     parameters = doc.get("parameters")
-    if parameters is not None:
-        _require(isinstance(parameters, dict), "parameters must be a mapping or null")
-        form = parameters.get("q2_form", Q2_FORMS[0])
-        _require(form in Q2_FORMS, "q2_form must be one of {}, got {!r}", Q2_FORMS, form)
-        parameters = {key: value if key == "q2_form" else number(value, key)
-                      for key, value in parameters.items()}
+    _require(parameters is None or isinstance(parameters, dict),
+             "parameters must be a mapping or null")
 
-    raw_groups = doc["groups"]
+    raw_groups = [] if doc["groups"] is None else doc["groups"]   # `groups:` holds none
     _require(isinstance(raw_groups, list) and all(isinstance(g, list) for g in raw_groups),
              "groups must be a list of tone lists")
-    try:   # Tone checks levels, finite angles and the axis; PulseSchedule the overlaps
+    try:   # the field rules of system, as Tone and PulseSchedule apply them
+        parameters = parameters and {key: value if key == "q2_form" else number(value, key)
+                                     for key, value in parameters.items()}
         groups = tuple(tuple(_tone(entry) for entry in group) for group in raw_groups)
         return PulseSchedule(gates=gates, groups=groups,
-                             spectrum_method=method, parameters=parameters)
+                             spectrum_method=doc.get("spectrum_method"), parameters=parameters)
     except InputError as exc:
         raise ScheduleFormatError(f"invalid schedule: {exc}") from exc
 
@@ -464,18 +464,13 @@ def _tone(entry) -> Tone:
     except KeyError:
         missing = [key for key in _TONE_FIELDS if key not in entry]
         raise ScheduleFormatError(f"tone is missing fields {missing}") from None
-    for key, level in (("upper", upper), ("lower", lower)):
-        _require(type(level) is int, "tone {} must be an integer, got {!r}", key, level)
     return Tone(upper, lower, number(angle, "angle_rad"), number(phase, "phase_rad"), axis,
                 None if omega is None else number(omega, "omega"),
                 None if duration is None else number(duration, "duration"))
 
 
-def number(value, key: str) -> float:
-    """A schedule or config number as read_tree gives it: an int, a float or a word like 1e-05."""
-    if type(value) in (int, float) or isinstance(value, str) and _EXPONENT.match(value):
-        try:
-            return float(value)
-        except OverflowError as exc:   # an integer beyond floating point
-            raise ScheduleFormatError(f"{key}: {exc}") from exc
-    raise ScheduleFormatError(f"{key} must be a number, got {value!r}")
+def number(value, key: str) -> int | float:
+    """A schedule or config number: a real (see system.real), or a word like 1e-05 as a float."""
+    if isinstance(value, str) and _EXPONENT.match(value):
+        value = float(value)
+    return real(value, key)

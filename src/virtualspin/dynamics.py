@@ -69,8 +69,8 @@ from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
 from .errors import DegenerateFitError, InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
-from .system import AXIS_OPERATORS, DIM, SpinSystem, build_hamiltonian
-from .system import IDENTITY as _IDENTITY
+from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, SpinSystem, build_hamiltonian,
+                     level, one_of, positive, real)
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -128,14 +128,10 @@ class DriveTone:
     axis: str = "X"
 
     def __post_init__(self):
-        if not (math.isfinite(self.frequency) and math.isfinite(self.phase)):
-            raise InputError(f"drive frequency and phase must be finite, "
-                             f"got {self.frequency} and {self.phase}")
-        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
-            raise InputError(f"drive amplitude must be positive and finite, "
-                             f"got {self.amplitude}")
-        if self.axis not in AXES:
-            raise InputError(f"drive axis must be one of {AXES}, got {self.axis!r}")
+        real(self.frequency, "drive frequency")
+        real(self.phase, "drive phase")
+        positive(self.amplitude, "drive amplitude")
+        one_of(self.axis, "drive axis", AXES)
 
 
 @dataclass(frozen=True)
@@ -147,9 +143,8 @@ class DriveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
-        if not (self.duration >= 0 and math.isfinite(self.duration)):
-            raise InputError(f"duration must be finite and non-negative, "
-                             f"got {self.duration}")
+        if real(self.duration, "duration") < 0:
+            raise InputError(f"duration must be non-negative, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -550,9 +545,9 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int], ratios) -> Scaling
     to ~1e-6, while over ratios 1e-13 apart it is pure noise (slopes of 6.6
     for a pair near 1).
     """
-    m_label, n_label = pair
-    if not (0 <= m_label < DIM and 0 <= n_label < DIM) or m_label == n_label:
-        raise InputError(f"pair must be two distinct labels in 0..{DIM - 1}, got {pair}")
+    m_label, n_label = (level(label, "pair label") for label in pair)
+    if m_label == n_label:
+        raise InputError(f"pair must be two distinct labels, got {pair}")
     ratios = np.asarray(ratios, dtype=float)
     bad = ratios[~(np.isfinite(ratios) & (ratios > 0))]
     if bad.size:

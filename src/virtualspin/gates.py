@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateGrammarError, InputError
-from .system import DIM, IDENTITY
+from .system import DIM, IDENTITY, one_of, real
 
 SPINS = ("Q", "R", "S")
 BIT_OF_SPIN = {"Q": 4, "R": 2, "S": 1}
@@ -48,7 +48,7 @@ CONTROL_COUNT = {"NOT": 0, "UT": 0, "CNOT": 1, "CUT": 1, "CCNOT": 2, "CCUT": 2}
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Symbolic gate: kind, master (control) spins, slave (target) spin, payload."""
+    """Symbolic gate: kind, master (control) spins, slave (target) spin, float payload."""
 
     kind: str
     target: str
@@ -57,10 +57,8 @@ class GateSpec:
     f: float | None = None
 
     def __post_init__(self):
-        if self.kind not in NOT_FAMILY + UT_FAMILY:
-            raise InputError(f"unknown gate kind {self.kind!r}")
-        if self.target not in SPINS:
-            raise InputError(f"target must be one of {SPINS}, got {self.target!r}")
+        one_of(self.kind, "gate kind", NOT_FAMILY + UT_FAMILY)
+        one_of(self.target, "target", SPINS)
         object.__setattr__(self, "controls", frozenset(self.controls))
         if not self.controls <= set(SPINS):
             raise InputError(f"controls must be a subset of {SPINS}, got {set(self.controls)}")
@@ -76,9 +74,8 @@ class GateSpec:
         else:
             if self.phi is None or self.f is None:
                 raise InputError(f"{self.kind} requires a (phi, f) payload")
-            if not (math.isfinite(self.phi) and math.isfinite(self.f)):
-                raise InputError(f"{self.kind} payload (phi, f) must be finite, "
-                                 f"got ({self.phi}, {self.f})")
+            object.__setattr__(self, "phi", float(real(self.phi, f"{self.kind} payload (phi, f)")))
+            object.__setattr__(self, "f", float(real(self.f, f"{self.kind} payload (phi, f)")))
 
     @property
     def is_not_family(self) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ForbiddenTransitionError, InputError, OverlappingTonesError
-from .system import AXIS_OPERATORS, DIM, IDENTITY
+from .system import AXIS_OPERATORS, DIM, IDENTITY, level, one_of, positive, real
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,16 +36,13 @@ class Projector:
 
 def projector(m: int, n: int) -> Projector:
     """P_mn with P_kl P_mn = delta_lm P_kn and P_mn^dag = P_nm (exact)."""
-    if not (0 <= m < DIM and 0 <= n < DIM):
-        raise InputError(f"projector indices must lie in 0..{DIM - 1}, got ({m}, {n})")
     mat = np.zeros((DIM, DIM), dtype=complex)
-    mat[m, n] = 1.0
+    mat[level(m, "projector m"), level(n, "projector n")] = 1.0
     mat.setflags(write=False)
     return Projector(m=m, n=n, matrix=mat)
 
 
 AXES = tuple(AXIS_OPERATORS)
-_REAL = (int, float, np.integer, np.floating)   # a tone's omega or duration, bool excepted
 
 
 @dataclass(frozen=True)
@@ -65,21 +62,15 @@ class Tone:
     duration: float | None = None
 
     def __post_init__(self):
-        if not (0 <= self.upper < DIM and 0 <= self.lower < DIM):
-            raise InputError(f"tone levels must lie in 0..{DIM - 1}, "
-                             f"got ({self.upper}, {self.lower})")
-        if self.upper == self.lower:
+        if level(self.upper, "tone upper") == level(self.lower, "tone lower"):
             raise InputError("tone must address two distinct levels")
-        for name in ("angle", "phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"tone {name} must be finite, got {getattr(self, name)}")
-        if self.axis not in AXES:
-            raise InputError(f"tone axis must be one of {AXES}, got {self.axis!r}")
-        for name in ("omega", "duration"):   # no sign check: a crossed pair has omega < 0
-            value = getattr(self, name)
-            if value is not None and (type(value) is bool or not isinstance(value, _REAL)
-                                      or not math.isfinite(value)):
-                raise InputError(f"tone {name} must be a finite number or None, got {value!r}")
+        real(self.angle, "tone angle")
+        real(self.phase, "tone phase")
+        one_of(self.axis, "tone axis", AXES)
+        if self.omega is not None:   # no sign check: a crossed pair has omega < 0
+            real(self.omega, "tone omega")
+        if self.duration is not None:
+            real(self.duration, "tone duration")
 
 
 @dataclass(frozen=True)
@@ -89,8 +80,7 @@ class PulseParams:
     gammaHrf: float
 
     def __post_init__(self):
-        if not (self.gammaHrf > 0 and np.isfinite(self.gammaHrf)):
-            raise InputError(f"gammaHrf must be positive and finite, got {self.gammaHrf}")
+        positive(self.gammaHrf, "gammaHrf")
 
 
 def _write_tone(v: np.ndarray, tone: Tone) -> np.ndarray:

@@ -24,6 +24,7 @@ coefficient obtained by rotating an axial field-gradient tensor is
 q2_form="sin-squared".
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -34,6 +35,43 @@ from .errors import InputError
 SPIN = 3.5
 DIM = 8
 Q2_FORMS = ("as-printed", "sin-squared")
+_REAL = (int, float, np.integer, np.floating)
+
+
+# the input rules, one per field kind: each returns its value or raises an InputError naming it
+def real(value, name: str):
+    """A finite int or float, numpy's included, that is not a bool."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, _REAL)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError as exc:   # an integer beyond floating point
+        raise InputError(f"{name}: {exc}") from None
+    raise InputError(f"{name} must be finite, got {value}")
+
+
+def positive(value, name: str):
+    """A real value above 0."""
+    if not real(value, name) > 0:
+        raise InputError(f"{name} must be positive, got {value}")
+    return value
+
+
+def level(value, name: str):
+    """A level label: an int or numpy integer, not a bool, in 0..DIM-1."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < DIM:
+        raise InputError(f"{name} must lie in 0..{DIM - 1}, got {value}")
+    return value
+
+
+def one_of(value, name: str, allowed: tuple):
+    """A member of allowed."""
+    if value not in allowed:
+        raise InputError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
 
 
 def _read_only(*arrays):
@@ -97,19 +135,14 @@ class SpinSystem:
     ops: ClassVar[SpinOperators] = _OPERATORS
 
     def __post_init__(self):
-        for name in ("omega0", "omegaQ", "phi"):
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
-        if not np.isfinite(2 * self.phi):
-            raise InputError(f"phi = {self.phi} is too large: the q_+-2 phase 2*phi overflows")
-        if not self.omega0 > 0:
-            raise InputError(f"omega0 must be positive, got {self.omega0}")
-        if self.omegaQ < 0:
+        positive(self.omega0, "omega0")
+        if real(self.omegaQ, "omegaQ") < 0:
             raise InputError(f"omegaQ must be non-negative, got {self.omegaQ}")
-        if not 0 <= self.theta <= np.pi:
+        if not 0 <= real(self.theta, "theta") <= np.pi:
             raise InputError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.q2_form not in Q2_FORMS:
-            raise InputError(f"q2_form must be one of {Q2_FORMS}, got {self.q2_form!r}")
+        if not math.isfinite(2.0 * float(real(self.phi, "phi"))):
+            raise InputError(f"phi = {self.phi} is too large: the q_+-2 phase 2*phi overflows")
+        one_of(self.q2_form, "q2_form", Q2_FORMS)
 
 
 def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:

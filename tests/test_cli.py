@@ -456,6 +456,27 @@ def test_malformed_schedule_values_exit_2(capsys, tmp_path, pattern, replacement
     assert_input_error(*run(capsys, "simulate", str(path)))
 
 
+def test_non_finite_schedule_parameter_exits_2_in_verify_too(capsys, tmp_path):
+    # verify replays only the tones, yet the reader checks every parameter by its rule
+    path = tmp_path / "sched.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    path.write_text(re.sub(r"  omegaQ: .*", "  omegaQ: .inf", path.read_text(), count=1))
+    for argv in (("verify", "--schedule", str(path)), ("simulate", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert err == "error: invalid schedule: omegaQ must be finite, got inf\n"
+
+
+def test_float_tone_level_exits_2_naming_the_field(capsys, tmp_path):
+    # Tone(6.0, 7, pi) is refused by the constructor as by the reader
+    path = tmp_path / "sched.st"
+    run(capsys, "compile", "CCNOT:QR->S", "--out", str(path))
+    path.write_text(path.read_text().replace("upper: 6\n", "upper: 6.0\n"))
+    code, out, err = run(capsys, "verify", "--schedule", str(path))
+    assert_input_error(code, out, err)
+    assert err == "error: invalid schedule: tone upper must be an integer, got 6.0\n"
+
+
 @pytest.mark.parametrize("line", ["omegaQ: abc", "theta: [1]", "gammaHrf: .inf",
                                   pytest.param("omegaQ: 1" + "0" * 400, id="omegaQ-huge-int"),
                                   "omegaQ: [1", "q2_form: foo"])

@@ -1,13 +1,21 @@
+import dataclasses
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from virtualspin import (DIM, ForbiddenTransitionError, InputError,
-                         OverlappingTonesError, PulseParams, Tone, compile_gate,
-                         multi_tone_propagator, projector, pulse_duration,
-                         pulse_propagator)
+                         OverlappingTonesError, PulseParams, PulseSchedule, Tone, compile_gate,
+                         format_schedule, multi_tone_propagator, parse_gate, parse_schedule,
+                         projector, pulse_duration, pulse_propagator)
+from virtualspin.compiler import format_scalar
+from virtualspin.pulses import AXES
+from virtualspin.system import Q2_FORMS
 from test_gates import ALL_NOT_FAMILY
 
 
@@ -185,3 +193,111 @@ def test_propagator_equals_projector_form():
                      + 1j * (projector(m, n).matrix * np.exp(1j * f_eff)
                              + projector(n, m).matrix * np.exp(-1j * f_eff)) * np.sin(half))
         assert np.array_equal(pulse_propagator(tone), reference)
+
+
+# --- the schedule writer takes only what its reader reads back ----------------------
+
+# schedule key -> Tone field
+KEYS = {"upper": "upper", "lower": "lower", "angle_rad": "angle", "phase_rad": "phase",
+        "axis": "axis", "omega": "omega", "duration": "duration"}
+# a value of any kind a caller might pass for a field: Python and numpy numbers (huge,
+# non-finite and boolean ones among them), None, and strings, numeric or not
+ANY_VALUE = st.one_of(
+    st.integers(-3, 10), st.integers(), st.integers(10**300, 10**400),
+    st.floats(), st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.booleans(), st.booleans().map(np.bool_), st.none(),
+    st.sampled_from(["X", "Y", "Z", "3.14", "1e-05", "6", ".inf", "null", ""]),
+    st.text(max_size=4))
+# the valid values of each kind, numpy's and huge ints among them
+LEVEL = st.one_of(st.integers(0, DIM - 1), st.integers(0, DIM - 1).map(np.int64),
+                  st.integers(0, DIM - 1).map(np.uint8))
+REAL = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**300, 10**300),
+                 st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                 st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32))
+VALID_TONE = st.fixed_dictionaries({
+    "upper": LEVEL, "lower": LEVEL, "angle": REAL, "phase": REAL, "axis": st.sampled_from(AXES),
+    "omega": st.one_of(st.none(), REAL), "duration": st.one_of(st.none(), REAL),
+}).filter(lambda fields: fields["upper"] != fields["lower"])
+# a tone's fields with up to two of them replaced by any value at all
+TONE_FIELDS = st.builds(lambda fields, replaced: {**fields, **replaced}, VALID_TONE,
+                        st.dictionaries(st.sampled_from(list(KEYS.values())), ANY_VALUE,
+                                        max_size=2))
+GRAMMAR_GATES = ALL_NOT_FAMILY + [g.replace("NOT", "UT") + "(1.2,-0.4)" for g in ALL_NOT_FAMILY]
+# gate strings, each with a phi that replaces a UT-family gate's payload
+GATES = st.lists(st.tuples(st.sampled_from(GRAMMAR_GATES),
+                           st.one_of(REAL, st.floats(-7, 7), ANY_VALUE)), max_size=3)
+# parameter keys and method names are drawn from names the reader's key and string
+# grammars take: the writer does not check those two grammars
+PARAMETERS = st.one_of(st.none(), st.dictionaries(
+    st.sampled_from(["omega0", "omegaQ", "theta", "phi", "gammaHrf", "other_key"]),
+    st.one_of(REAL, ANY_VALUE), max_size=5), st.fixed_dictionaries(
+    {"omegaQ": REAL, "q2_form": st.one_of(st.sampled_from(Q2_FORMS), ANY_VALUE)}))
+BASE = Tone(6, 7, math.pi, 0.0, "X", 0.88, 1187.4)
+BASE_TEXT = format_schedule(PulseSchedule(gates=(), groups=((BASE,),)))
+
+
+def read_back(sched):
+    return parse_schedule(format_schedule(sched))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=TONE_FIELDS)
+def test_every_tone_that_constructs_reads_back_equal(fields):
+    try:
+        tone = Tone(**fields)
+    except InputError:
+        return
+    assert read_back(PulseSchedule(gates=(), groups=((tone,),))).groups == ((tone,),)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(list(KEYS)), value=ANY_VALUE)
+def test_every_tone_field_the_reader_refuses_the_constructor_refuses(key, value):
+    # the field's line as format_schedule would write the value; every other field valid
+    text = re.sub(rf"(?m)^(- - |    ){key}: .*$",
+                  lambda line: f"{line[1]}{key}: {format_scalar(value)}", BASE_TEXT)
+    try:
+        parse_schedule(text)
+    except InputError:
+        with pytest.raises(InputError):
+            dataclasses.replace(BASE, **{KEYS[key]: value})
+
+
+@settings(max_examples=400, deadline=None)
+@given(gates=GATES, group=st.lists(st.one_of(VALID_TONE, TONE_FIELDS), min_size=1, max_size=3),
+       parameters=PARAMETERS,
+       method=st.sampled_from([None, "exact", "perturbative-first-order"]))
+def test_every_one_group_schedule_that_constructs_reads_back_equal(gates, group, parameters,
+                                                                  method):
+    try:
+        gates = [parse_gate(text) if "(" not in text else
+                 dataclasses.replace(parse_gate(text), phi=phi) for text, phi in gates]
+        sched = PulseSchedule(gates=gates, groups=[[Tone(**fields) for fields in group]],
+                              spectrum_method=method, parameters=parameters)
+    except InputError:
+        return
+    assert read_back(sched) == sched
+
+
+def test_schedule_stores_tuples_and_refuses_what_it_cannot_write():
+    sched = compile_gate("CCNOT:QR->S")
+    as_lists = PulseSchedule(list(sched.gates), [list(group) for group in sched.groups])
+    assert as_lists == sched and hash(as_lists) == hash(sched)
+    assert type(as_lists.gates) is tuple and type(as_lists.groups[0]) is tuple
+    for gates, groups, message in (
+            ("CCNOT:QR->S", sched.groups, "schedule gates must be a sequence of GateSpec"),
+            ((), [[]], "a pulse group must be one or more Tones"),
+            ((), [[BASE, (2, 3)]], "a pulse group must be one or more Tones"),
+            ((), (), None)):
+        if message is None:
+            assert read_back(PulseSchedule(gates, groups)) == PulseSchedule(gates, groups)
+            continue
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            PulseSchedule(gates, groups)
+    with pytest.raises(InputError, match=r"^omegaQ must be finite, got inf$"):
+        PulseSchedule((), (), parameters={"omegaQ": math.inf})
+    with pytest.raises(InputError, match="^q2_form must be one of"):
+        PulseSchedule((), (), parameters={"q2_form": 0.5})
+    with pytest.raises(InputError, match="^spectrum_method must be a string or null$"):
+        PulseSchedule((), (), spectrum_method=5)
