@@ -52,7 +52,8 @@ class PulseSchedule:
     Tones within a group are simultaneous (one multi-frequency pulse) and
     address disjoint level pairs; groups apply in order.  Each tone carries
     its own resolved frequency and pulse length (see resolve_schedule).
-    Gates and groups are stored as tuples, an empty `parameters` as None, as they read back.
+    Gates and groups are stored as tuples, an empty `parameters` as None, as they read back;
+    a `parameters` key or `spectrum_method` that parse_schedule would refuse is refused here.
     """
 
     gates: tuple
@@ -61,10 +62,17 @@ class PulseSchedule:
     parameters: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
-        parameters = {key: one_of(value, key, Q2_FORMS) if key == "q2_form" else real(value, key)
-                      for key, value in dict(self.parameters or {}).items()}
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:
+            raise InputError(f"schedule gates must be a sequence, got {self.gates!r}") from None
+        try:
+            object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
+        except TypeError:
+            raise InputError("schedule groups must be a sequence of sequences, "
+                             f"got {self.groups!r}") from None
+        parameters = {_parameter_key(key): one_of(value, key, Q2_FORMS) if key == "q2_form"
+                      else real(value, key) for key, value in dict(self.parameters or {}).items()}
         object.__setattr__(self, "parameters", parameters or None)
         if not all(isinstance(g, GateSpec) for g in self.gates):
             raise InputError(f"schedule gates must be a sequence of GateSpec, got {self.gates!r}")
@@ -72,11 +80,20 @@ class PulseSchedule:
             if not group or not all(isinstance(t, Tone) for t in group):
                 raise InputError(f"a pulse group must be one or more Tones, got {group!r}")
             check_disjoint(group)
-        if not (self.spectrum_method is None or isinstance(self.spectrum_method, str)):
-            raise InputError("spectrum_method must be a string or null")
+        method = self.spectrum_method
+        if not (method is None or isinstance(method, str) and method.isprintable()):
+            raise InputError(f"spectrum_method must be a printable string or null, got {method!r}")
 
     def gate_string(self) -> str:
         return ";".join(str(g) for g in self.gates)
+
+
+def _parameter_key(key) -> str:
+    """A `parameters` key that read_tree reads back: _LINE's key, not a YAML 1.1 bool or null."""
+    if isinstance(key, str) and _STRING_KEY.fullmatch(key):
+        return key
+    raise InputError("a parameters key must be 1-64 letters, digits or _, not led by a digit and "
+                     f"not a YAML 1.1 boolean or null, got {key!r}")
 
 
 def _as_gates(gate) -> tuple:
@@ -95,41 +112,44 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
 
     One group per gate: 1 tone for CCNOT/CCUT, 2 for CNOT/CUT, 4 for
     NOT/UT, on the level pairs selected by the control/target structure.
-    With a Spectrum the per-tone transition frequencies are resolved;
-    with gamma_hrf also the pulse durations.
+    With a Spectrum each tone is built resolved as resolve_schedule would
+    resolve it: its transition frequency, and with gamma_hrf its pulse duration.
     """
     gates = _as_gates(gate)
+    tone = Tone if spectrum is None else _resolver(spectrum, gamma_hrf, ("X",))
     groups = []
     for g in gates:
         angle, phase = (np.pi, 0.0) if g.is_not_family else (g.phi, g.f)
-        groups.append([Tone(m0, m1, angle, phase, axis="X") for m0, m1 in g.level_pairs()])
-    sched = PulseSchedule(gates=gates, groups=groups, parameters=parameters)
-    if spectrum is not None:
-        sched = resolve_schedule(sched, spectrum, gamma_hrf)
-    return sched
+        groups.append([tone(m0, m1, angle, phase, "X") for m0, m1 in g.level_pairs()])
+    return PulseSchedule(gates, groups, None if spectrum is None else spectrum.method, parameters)
 
 
 def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
                      gamma_hrf: float | None = None) -> PulseSchedule:
-    """The schedule with every tone resolved against `spectrum`: the one place this is done.
+    """The schedule with every tone resolved against `spectrum`.
 
     Level pairs, angles, phases and axes stay fixed; each tone gets omega =
     E_upper - E_lower and, when gamma_hrf is given, the duration realizing
     its |angle| at that drive amplitude (else None).
     """
+    tone = _resolver(spectrum, gamma_hrf, {t.axis for group in sched.groups for t in group})
+    return PulseSchedule(sched.gates, [[tone(t.upper, t.lower, t.angle, t.phase, t.axis)
+                                        for t in group] for group in sched.groups],
+                         spectrum.method, sched.parameters)
+
+
+def _resolver(spectrum: Spectrum, gamma_hrf: float | None, axes):
+    """resolve_schedule's rule, also compile_gate's: the resolved Tone of a tone's fields."""
     params = PulseParams(gammaHrf=gamma_hrf) if gamma_hrf is not None else None
-    elements = {axis: np.abs(drive_elements(spectrum, axis))
-                for axis in {t.axis for group in sched.groups for t in group}}
+    elements = {axis: np.abs(drive_elements(spectrum, axis)) for axis in axes}
 
-    def resolved(t: Tone) -> Tone:
+    def resolved(upper: int, lower: int, angle, phase, axis: str) -> Tone:
         duration = None if params is None else pulse_duration(
-            abs(t.angle), params, elements[t.axis][t.upper, t.lower], t.axis)
-        omega = float(spectrum.energies[t.upper] - spectrum.energies[t.lower])
-        return Tone(t.upper, t.lower, t.angle, t.phase, t.axis, omega, duration)
+            abs(angle), params, elements[axis][upper, lower], axis)
+        omega = float(spectrum.energies[upper] - spectrum.energies[lower])
+        return Tone(upper, lower, angle, phase, axis, omega, duration)
 
-    return PulseSchedule(gates=sched.gates,
-                         groups=tuple(tuple(resolved(t) for t in group) for group in sched.groups),
-                         spectrum_method=spectrum.method, parameters=sched.parameters)
+    return resolved
 
 
 def schedule_propagator(sched: PulseSchedule) -> np.ndarray:
@@ -327,9 +347,12 @@ def format_schedule(sched: PulseSchedule) -> str:
 # blank or comment line fills none.  Tabs and other unprintable characters are
 # looked for once, in the whole text.
 
+_KEY = r"[A-Za-z_][A-Za-z0-9_]{0,63}"
+_NOT_KEY = r"(?i:yes|no|true|false|on|off)|null|Null|NULL"   # YAML 1.1 booleans and null
+_STRING_KEY = re.compile(rf"(?!(?:{_NOT_KEY})\Z){_KEY}")
 _LINE = re.compile(r"^(?:(- - |  - |    |  |)"                                   # lead
-                   r"(?:((?i:yes|no|true|false|on|off)|null|Null|NULL)(?=:)"    # not a string key
-                   r"|([A-Za-z_][A-Za-z0-9_]{0,63})):"                          # key
+                   r"(?:(" + _NOT_KEY + r")(?=:)"                               # not a string key
+                   r"|(" + _KEY + r")):"                                        # key
                    r"(?: +(?:([-+]?(?:0|[1-9][0-9]*))"                           # integer
                    r"|((?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?))"    # float
                    r"(?: +#.*| *)$"

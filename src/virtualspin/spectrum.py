@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousLabelingError, InputError
-from .system import AXIS_OPERATORS, DIM, M_VALUES, SpinSystem, build_hamiltonian
+from .system import (AXIS_OPERATORS, DIM, IDENTITY, M_VALUES, SpinSystem, _read_only,
+                     build_hamiltonian)
 
 PERTURBATIVE = "perturbative-first-order"
 EXACT = "exact"
@@ -32,6 +33,8 @@ PERTURBATIVE_RATIO_LIMIT = 0.1
 # a label assignment is trusted only if the best overlap beats the
 # runner-up by this factor
 OVERLAP_DOMINANCE = 2.0
+
+_M_DIFFERENCES, _OFF_DIAGONAL = _read_only(M_VALUES[:, None] - M_VALUES[None, :], 1 - IDENTITY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +65,13 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
 def _first_order(sys: SpinSystem) -> tuple[Spectrum, np.ndarray]:
     """perturbative_spectrum and the static Hamiltonian it was derived from."""
     hamiltonian = build_hamiltonian(sys)
-    m = M_VALUES
     q0 = 3 * np.cos(sys.theta) ** 2 - 1
-    energies = -sys.omega0 * m + sys.omegaQ * q0 * (m ** 2 - 21 / 4)
+    energies = -sys.omega0 * M_VALUES + sys.omegaQ * q0 * (M_VALUES ** 2 - 21 / 4)
 
     # the mixing reads only the off-diagonal part, which is the quadrupole term's
-    denom = sys.omega0 * (m[:, None] - m[None, :])  # omega0 * (k - m)
+    denom = sys.omega0 * _M_DIFFERENCES  # omega0 * (k - m)
     np.fill_diagonal(denom, 1.0)
-    raw = np.eye(DIM, dtype=complex) + hamiltonian * (1.0 / denom) * (1 - np.eye(DIM))
+    raw = IDENTITY + hamiltonian * (1.0 / denom) * _OFF_DIAGONAL
 
     ratio = sys.omegaQ / sys.omega0
     try:
@@ -165,8 +167,8 @@ def transition_table(spec: Spectrum) -> list[Transition]:
     """
     energies = spec.energies.tolist()
     elements = np.abs(drive_elements(spec)).tolist()
-    return [Transition(upper=upper, lower=lower, omega=energies[upper] - energies[lower],
-                       ix_element=elements[upper][lower], allowed=(lower - upper == 1))
+    return [Transition(upper, lower, energies[upper] - energies[lower], elements[upper][lower],
+                       lower - upper == 1)
             for upper in range(DIM) for lower in range(upper + 1, DIM)]
 
 

@@ -24,6 +24,7 @@ coefficient obtained by rotating an axial field-gradient tensor is
 q2_form="sin-squared".
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -148,18 +149,17 @@ class SpinSystem:
 def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Quadrupole part omegaQ * sum_a Q_a q_{-a} as a complex 8x8 matrix."""
     big_q0, big_qp1, big_qm1, big_qp2, big_qm2 = _QUADRUPOLE_OPERATORS
-    q0 = 3 * np.cos(sys.theta) ** 2 - 1
-    qp1 = np.sin(sys.theta) * np.cos(sys.theta) * np.exp(1j * sys.phi)
-    if sys.q2_form == "as-printed":
-        q2_mag = 0.5 * np.sin(2 * sys.theta)
-    else:
-        q2_mag = 0.5 * np.sin(sys.theta) ** 2
-    qp2 = q2_mag * np.exp(2j * sys.phi)
+    # math and cmath on Python floats: the bits numpy's scalar ufuncs give
+    cos, sin = math.cos(sys.theta), math.sin(sys.theta)
+    q0 = 3 * cos ** 2 - 1
+    qp1 = sin * cos * cmath.exp(1j * sys.phi)
+    q2_mag = 0.5 * (math.sin(2 * sys.theta) if sys.q2_form == "as-printed" else sin ** 2)
+    qp2 = q2_mag * cmath.exp(2j * sys.phi)
 
     # term for index a pairs Q_a with q_{-a} = conj(q_a)
     total = (big_q0 * q0
-             + big_qp1 * np.conj(qp1) + big_qm1 * qp1
-             + big_qp2 * np.conj(qp2) + big_qm2 * qp2)
+             + big_qp1 * qp1.conjugate() + big_qm1 * qp1
+             + big_qp2 * qp2.conjugate() + big_qm2 * qp2)
     return sys.omegaQ * total
 
 

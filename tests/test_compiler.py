@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from virtualspin import (DIM, InputError, PulseParams, ScheduleFormatError,
-                         SpinSystem, TruthTableError, compile_gate,
-                         exact_spectrum, format_schedule, parse_gate,
+from virtualspin import (DIM, AmbiguousLabelingError, ForbiddenTransitionError, InputError,
+                         PulseParams, ScheduleFormatError, SpinSystem, TruthTableError,
+                         compile_gate, exact_spectrum, format_schedule, parse_gate,
                          parse_schedule, perturbative_spectrum, projector,
                          pulse_duration, resolve_schedule, schedule_propagator,
                          target_gate, transition_table, truth_table, verify)
 from virtualspin.compiler import phase_map
+from test_cli_contract import CONTRACT
 from test_gates import ALL_NOT_FAMILY
 
 
@@ -265,3 +268,37 @@ def test_non_default_q2_form_round_trips_as_a_parameter():
     assert parse_schedule(text) == sched
     with pytest.raises(ScheduleFormatError, match="q2_form must be one of"):
         parse_schedule(text.replace('"sin-squared"', "0.5"))
+
+
+# a grammar gate, NOT family or UT family with a drawn (phi, f)
+GATE = st.one_of(st.sampled_from(ALL_NOT_FAMILY), st.builds(
+    lambda text, phi, f: f"{text.replace('NOT', 'UT')}({phi!r},{f!r})",
+    st.sampled_from(ALL_NOT_FAMILY), st.floats(-7, 7), st.floats(-7, 7)))
+
+
+@settings(CONTRACT, max_examples=200)
+@given(gates=st.lists(GATE, min_size=1, max_size=3), omega_q=st.floats(1e-3, 0.05),
+       theta=st.floats(0.0, np.pi), phi=st.floats(-np.pi, np.pi),
+       gamma=st.one_of(st.none(), st.floats(1e-4, 1e-1)), exact=st.booleans())
+@example(gates=["CCNOT:QS->R"], omega_q=0.01, theta=0.0, phi=0.0, gamma=1e-3, exact=True)
+def test_one_pass_compile_equals_compile_then_resolve(gates, omega_q, theta, phi, gamma, exact):
+    system = SpinSystem(omegaQ=omega_q, theta=theta, phi=phi)
+    try:
+        spectrum = (exact_spectrum if exact else perturbative_spectrum)(system)
+    except AmbiguousLabelingError:
+        return
+    text = ";".join(gates)
+    parameters = {"omegaQ": omega_q, "theta": theta, "phi": phi}
+    outcomes = []
+    for build in (lambda: compile_gate(text, spectrum=spectrum, gamma_hrf=gamma,
+                                       parameters=parameters),
+                  lambda: resolve_schedule(compile_gate(text, parameters=parameters),
+                                           spectrum, gamma)):
+        try:   # near theta = 0 a pair with a vanishing drive element has no finite duration
+            outcomes.append(build())
+        except (ForbiddenTransitionError, InputError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    one, two = outcomes
+    assert one == two
+    if not isinstance(one, tuple):
+        assert format_schedule(one) == format_schedule(two)

@@ -227,11 +227,15 @@ GRAMMAR_GATES = ALL_NOT_FAMILY + [g.replace("NOT", "UT") + "(1.2,-0.4)" for g in
 # gate strings, each with a phi that replaces a UT-family gate's payload
 GATES = st.lists(st.tuples(st.sampled_from(GRAMMAR_GATES),
                            st.one_of(REAL, st.floats(-7, 7), ANY_VALUE)), max_size=3)
-# parameter keys and method names are drawn from names the reader's key and string
-# grammars take: the writer does not check those two grammars
+# parameter keys and method names: the names in use, words the reader refuses as keys
+# (YAML 1.1 booleans and null, spaces, a leading digit), and any text
+KEY = st.one_of(st.sampled_from(["omega0", "omegaQ", "theta", "phi", "gammaHrf", "other_key",
+                                 "yes", "NO", "null", "nULL", "a b", "1a", "x" * 65]),
+                st.text(max_size=4))
+METHOD = st.one_of(st.sampled_from([None, "exact", "perturbative-first-order", 'a "b" \\ c',
+                                    "a\nb", "tab\there", "é"]), st.text(max_size=4))
 PARAMETERS = st.one_of(st.none(), st.dictionaries(
-    st.sampled_from(["omega0", "omegaQ", "theta", "phi", "gammaHrf", "other_key"]),
-    st.one_of(REAL, ANY_VALUE), max_size=5), st.fixed_dictionaries(
+    KEY, st.one_of(REAL, ANY_VALUE), max_size=5), st.fixed_dictionaries(
     {"omegaQ": REAL, "q2_form": st.one_of(st.sampled_from(Q2_FORMS), ANY_VALUE)}))
 BASE = Tone(6, 7, math.pi, 0.0, "X", 0.88, 1187.4)
 BASE_TEXT = format_schedule(PulseSchedule(gates=(), groups=((BASE,),)))
@@ -267,7 +271,7 @@ def test_every_tone_field_the_reader_refuses_the_constructor_refuses(key, value)
 @settings(max_examples=400, deadline=None)
 @given(gates=GATES, group=st.lists(st.one_of(VALID_TONE, TONE_FIELDS), min_size=1, max_size=3),
        parameters=PARAMETERS,
-       method=st.sampled_from([None, "exact", "perturbative-first-order"]))
+       method=METHOD)
 def test_every_one_group_schedule_that_constructs_reads_back_equal(gates, group, parameters,
                                                                   method):
     try:
@@ -299,5 +303,20 @@ def test_schedule_stores_tuples_and_refuses_what_it_cannot_write():
         PulseSchedule((), (), parameters={"omegaQ": math.inf})
     with pytest.raises(InputError, match="^q2_form must be one of"):
         PulseSchedule((), (), parameters={"q2_form": 0.5})
-    with pytest.raises(InputError, match="^spectrum_method must be a string or null$"):
-        PulseSchedule((), (), spectrum_method=5)
+    for method in (5, "a\nb", "tab\there"):
+        with pytest.raises(InputError, match="^spectrum_method must be a printable string or "
+                                             "null, got " + re.escape(repr(method)) + "$"):
+            PulseSchedule((), (), spectrum_method=method)
+    for key in ("yes", "Off", "null", "a b", "1a", "x" * 65, "a\n", 7, None):
+        with pytest.raises(InputError, match="^a parameters key must be .*, got "
+                                             + re.escape(repr(key)) + "$"):
+            PulseSchedule((), (), parameters={key: 1.0})
+    # a GateSpec, or anything else not iterable, where a sequence belongs
+    gate = sched.gates[0]
+    for gates, groups, message in (
+            (gate, sched.groups, f"schedule gates must be a sequence, got {gate!r}"),
+            (5, sched.groups, "schedule gates must be a sequence, got 5"),
+            ((), BASE, f"schedule groups must be a sequence of sequences, got {BASE!r}"),
+            ((), [BASE], f"schedule groups must be a sequence of sequences, got {[BASE]!r}")):
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            PulseSchedule(gates, groups)

@@ -5,7 +5,10 @@ call, exact_spectrum checked 2:1 dominance with one np.delete per row,
 transition_table converted numpy scalars one by one, multi_tone_propagator
 multiplied full per-tone matrices, verify and truth_table worked entry by
 entry, and _write_tone, target_gate and verify took their sines, cosines and
-phase factors from numpy's ufuncs on numpy scalars.  The copies below are
+phase factors from numpy's ufuncs on numpy scalars.  quadrupole_hamiltonian took
+its q coefficients from numpy scalars too, _first_order built its identity,
+off-diagonal mask and m differences on every call, and compile_gate built every
+tone and the schedule twice, unresolved and then resolved.  The copies below are
 those forms; every result must be bit-identical to theirs: the same arrays,
 the same schedule bytes, the same verdicts and the same error messages.
 
@@ -23,8 +26,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virtualspin import (DIM, SPIN, AmbiguousLabelingError, InputError, SpinSystem,
-                         Spectrum, TruthTableError, Transition, compile_gate, drive_elements,
+from virtualspin import (DIM, SPIN, AmbiguousLabelingError, ForbiddenTransitionError,
+                         InputError, PulseParams, PulseSchedule, SpinSystem, Spectrum, Tone,
+                         TruthTableError, Transition, compile_gate, drive_elements,
                          exact_spectrum, format_schedule, make_spin_operators, parse_gate_sequence,
                          perturbative_spectrum, quadrupole_hamiltonian,
                          schedule_propagator, target_gate, transition_table, truth_table,
@@ -34,7 +38,7 @@ from virtualspin.compiler import (EXACT_MATCH, MISMATCH, TRUTH_TABLE_TOL, UP_TO_
                                   UP_TO_I, VERIFY_TOL, phase_map)
 from virtualspin.spectrum import OVERLAP_DOMINANCE, _loewdin_orthonormalize
 from virtualspin.dynamics import _AXIS_EIGENBASES
-from virtualspin.system import _QUADRUPOLE_OPERATORS
+from virtualspin.system import Q2_FORMS, _QUADRUPOLE_OPERATORS
 from test_cli_contract import CONTRACT
 from test_schedule_reader import GRAMMAR_GATES
 
@@ -65,18 +69,32 @@ def old_quadrupole_hamiltonian(sys):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def old_reference_states(sys):
-    hq = old_quadrupole_hamiltonian(sys)
-    raw = np.eye(DIM, dtype=complex)
+def old_first_order(sys):
+    """(energies, states, warning, hamiltonian) of _first_order with numpy-scalar quadrupole
+    terms and its identity, mask and m differences built on every call."""
+    hamiltonian = -sys.omega0 * sys.ops.Iz + old_quadrupole_hamiltonian(sys)
+    q0 = 3 * np.cos(sys.theta) ** 2 - 1
+    energies = -sys.omega0 * M + sys.omegaQ * q0 * (M ** 2 - 21 / 4)
     denom = sys.omega0 * (M[:, None] - M[None, :])
     np.fill_diagonal(denom, 1.0)
-    raw = raw + hq * (1.0 / denom) * (1 - np.eye(DIM))
-    return _loewdin_orthonormalize(raw)
+    raw = np.eye(DIM, dtype=complex) + hamiltonian * (1.0 / denom) * (1 - np.eye(DIM))
+    ratio = sys.omegaQ / sys.omega0
+    try:
+        states = _loewdin_orthonormalize(raw)
+    except np.linalg.LinAlgError:
+        states = raw * np.nan
+    if not (np.isfinite(energies).all() and np.isfinite(states).all()):
+        raise InputError(f"omegaQ/omega0 = {ratio:.3g} overflows the first-order levels; "
+                         "the coupling is far outside the perturbative regime")
+    warning = None
+    if ratio >= 0.1:
+        warning = (f"omegaQ/omega0 = {ratio:.3g} >= 0.1: "
+                   "first-order perturbation theory is unreliable here")
+    return energies, states, warning, hamiltonian
 
 
 def old_exact_spectrum(sys):
-    reference = old_reference_states(sys)
-    hamiltonian = -sys.omega0 * sys.ops.Iz + old_quadrupole_hamiltonian(sys)
+    _, reference, _, hamiltonian = old_first_order(sys)
     evals, evecs = np.linalg.eigh(hamiltonian)
     overlap = np.abs(reference.conj().T @ evecs)
     assignment = overlap.argmax(axis=1)
@@ -228,6 +246,33 @@ def numpy_verify(gates, u):
     return MISMATCH, min(dev_exact, dev_i, dev_global), phase_map
 
 
+def old_resolve_schedule(sched, spectrum, gamma_hrf=None):
+    params = PulseParams(gammaHrf=gamma_hrf) if gamma_hrf is not None else None
+    elements = {axis: np.abs(drive_elements(spectrum, axis))
+                for axis in {t.axis for group in sched.groups for t in group}}
+
+    def resolved(t):
+        duration = None if params is None else pulses.pulse_duration(
+            abs(t.angle), params, elements[t.axis][t.upper, t.lower], t.axis)
+        omega = float(spectrum.energies[t.upper] - spectrum.energies[t.lower])
+        return Tone(t.upper, t.lower, t.angle, t.phase, t.axis, omega, duration)
+
+    return PulseSchedule(gates=sched.gates,
+                         groups=tuple(tuple(resolved(t) for t in group) for group in sched.groups),
+                         spectrum_method=spectrum.method, parameters=sched.parameters)
+
+
+def old_compile_gate(text, spectrum, gamma_hrf, parameters):
+    """compile_gate in two passes: every tone and the schedule built unresolved, then again."""
+    gates = parse_gate_sequence(text)
+    groups = []
+    for g in gates:
+        angle, phase = (np.pi, 0.0) if g.is_not_family else (g.phi, g.f)
+        groups.append([Tone(m0, m1, angle, phase, axis="X") for m0, m1 in g.level_pairs()])
+    sched = PulseSchedule(gates=gates, groups=groups, parameters=parameters)
+    return old_resolve_schedule(sched, spectrum, gamma_hrf)
+
+
 # --- helpers -----------------------------------------------------------------
 
 def drawn_system(rng: random.Random) -> SpinSystem:
@@ -236,10 +281,10 @@ def drawn_system(rng: random.Random) -> SpinSystem:
 
 
 def old_outcome(sys):
-    """old_exact_spectrum's (energies, states), or its AmbiguousLabelingError."""
+    """old_exact_spectrum's (energies, states), or its AmbiguousLabelingError or overflow."""
     try:
         return old_exact_spectrum(sys)
-    except AmbiguousLabelingError as exc:
+    except (AmbiguousLabelingError, InputError) as exc:
         return exc
 
 
@@ -361,6 +406,68 @@ def test_scalar_math_is_bit_identical_to_numpy_scalars(text):
             verdict, deviation, old_factors = numpy_verify(gates, candidate)
             assert (report.verdict, report.max_deviation) == (verdict, deviation)
             assert list(phase_map(gates, candidate).items()) == list(old_factors.items())
+
+
+def edge_systems(rng: random.Random):
+    """Drawn systems, then angles at 0, pi/2 and pi, both q2 forms, a coupling past the
+    labeling limit and one whose first-order levels overflow."""
+    for _ in range(8):
+        yield SpinSystem(omega0=10 ** rng.uniform(-1, 1), omegaQ=10 ** rng.uniform(-3, 0),
+                         theta=rng.uniform(0, np.pi), phi=rng.uniform(-10, 10),
+                         q2_form=rng.choice(Q2_FORMS))
+    for theta in (0.0, np.pi / 2, np.pi):
+        yield SpinSystem(omegaQ=0.02, theta=theta, phi=rng.choice((0.0, -np.pi, 2.5)),
+                         q2_form=rng.choice(Q2_FORMS))
+    yield SpinSystem(omegaQ=5.0, theta=1.0)
+    yield SpinSystem(omega0=1e-300, omegaQ=1e300, theta=0.7, phi=1.0)
+
+
+def outcome(call, *args):
+    """The result of call(*args), or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except (InputError, AmbiguousLabelingError, ForbiddenTransitionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", GRAMMAR_GATES)
+def test_one_pass_compile_and_spectrum_are_bit_identical(text):
+    rng = random.Random(text)
+    gates = parse_gate_sequence(text)
+    compiled = 0
+    for sys in edge_systems(rng):
+        assert quadrupole_hamiltonian(sys).tobytes() == old_quadrupole_hamiltonian(sys).tobytes()
+        new, old = outcome(perturbative_spectrum, sys), outcome(old_first_order, sys)
+        if isinstance(old, tuple) and len(old) == 2:   # the overflow error
+            assert new == old
+        else:
+            assert new.energies.tobytes() == old[0].tobytes()
+            assert new.states.tobytes() == old[1].tobytes() and new.warning == old[2]
+        new, old = outcome(exact_spectrum, sys), old_outcome(sys)
+        if isinstance(old, Exception):
+            assert new == (type(old), str(old))
+            continue
+        assert new.energies.tobytes() == old[0].tobytes()
+        assert new.states.tobytes() == old[1].tobytes()
+        assert_same_table(transition_table(new), old_transition_table(new))
+        old_spec = Spectrum(energies=old[0], states=old[1], method=new.method)
+        # gamma: the bench's, none, a drawn one and one whose pulse length overflows
+        for gamma in (1e-3, None, 10 ** rng.uniform(-5, -1), 5e-324):
+            parameters = {"omegaQ": sys.omegaQ, "theta": sys.theta, "gammaHrf": gamma or 1e-3}
+            sched = outcome(compile_gate, text, new, gamma, parameters)
+            old_sched = outcome(old_compile_gate, text, old_spec, gamma, parameters)
+            assert sched == old_sched
+            if isinstance(sched, tuple):   # a forbidden pair at theta = 0, or an overflow
+                continue
+            compiled += 1
+            assert format_schedule(sched) == format_schedule(old_sched)
+            u = schedule_propagator(sched)
+            assert u.tobytes() == numpy_schedule_propagator(old_sched).tobytes()
+            report = verify(gates, u)
+            verdict, deviation, factors = numpy_verify(gates, u)
+            assert (report.verdict, report.max_deviation) == (verdict, deviation)
+            assert list(phase_map(gates, u).items()) == list(factors.items())
+    assert compiled > 0
 
 
 def test_truth_table_of_a_real_permutation_keeps_complex_amplitudes():
