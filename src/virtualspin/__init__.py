@@ -13,10 +13,6 @@ propagators against the textbook gate matrices.
 from .compiler import (EquivalenceReport, PulseSchedule, compile_gate,
                        format_schedule, parse_schedule, resolve_schedule,
                        schedule_propagator, truth_table, verify)
-from .dynamics import (DriveSpec, DriveTone, IntegrationConfig, ScalingFit,
-                       ScheduleSimulation, evolve, forbidden_scaling,
-                       interaction_propagator, rwa_deviation,
-                       simulate_schedule)
 from .errors import (AmbiguousLabelingError, DegenerateFitError,
                      ForbiddenTransitionError, GateGrammarError, InputError,
                      OverlappingTonesError, ResolutionError,
@@ -49,3 +45,22 @@ __all__ = [
     "rwa_deviation", "schedule_propagator", "simulate_schedule", "target_gate",
     "transition_table", "truth_table", "verify",
 ]
+
+# the integrator's names, loaded with .dynamics on first lookup, so a process that
+# never integrates (most CLI calls) never compiles it
+_DYNAMICS = frozenset({"DriveSpec", "DriveTone", "IntegrationConfig", "ScalingFit",
+                       "ScheduleSimulation", "evolve", "forbidden_scaling",
+                       "interaction_propagator", "rwa_deviation", "simulate_schedule"})
+
+
+def __getattr__(name):
+    # looked up anew on every call, never stored here: a tracer that swaps
+    # virtualspin.dynamics.<name> is then seen through the package name too
+    if name in _DYNAMICS:
+        from . import dynamics
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_DYNAMICS})

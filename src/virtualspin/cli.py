@@ -7,6 +7,8 @@ interpretation of --omegaQ / --gammaHrf but never the printed numbers.
 
 Each command offers only the parameter flags it reads; a config file holds
 defaults for every parameter, all checked, of which each command reads its own.
+Only sweep and simulate load the integrator (virtualspin.dynamics), inside
+their bodies, so a cold call of any other command never compiles it.
 
 Exit codes: 0 success / gate verified; 1 verification mismatch;
 2 input error (usage, bad parameters, gate grammar, schedule format,
@@ -22,7 +24,6 @@ import numpy as np
 from . import __version__
 from .compiler import (EXACT_MATCH, compile_gate, format_scalar, format_schedule, format_tree,
                        number, parse_schedule, phase_map, read_tree, schedule_propagator, verify)
-from .dynamics import IntegrationConfig, forbidden_scaling, simulate_schedule
 from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
 from .spectrum import exact_spectrum, perturbative_spectrum, transition_table
@@ -226,6 +227,7 @@ def _phase_label(factor: complex) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from .dynamics import forbidden_scaling
     config = _merge_config(args, _load_config_file(args.config))
     pair = _parse_pair(args.pair)
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
@@ -258,6 +260,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def cmd_simulate(args) -> int:
+    from .dynamics import IntegrationConfig, simulate_schedule
     file_defaults = _load_config_file(args.config)
     sched = parse_schedule(_read_text(args.schedule, "schedule"))
     _check_keys(sched.parameters or {}, "schedule parameter")
@@ -266,7 +269,8 @@ def cmd_simulate(args) -> int:
     schedule = {"q2_form": DEFAULTS["q2_form"], **sched.parameters} if sched.parameters else {}
     config = _merge_config(args, {**file_defaults, **schedule})
 
-    cfg = IntegrationConfig(steps_per_shortest_period=args.steps)
+    cfg = (IntegrationConfig() if args.steps is None
+           else IntegrationConfig(steps_per_shortest_period=args.steps))
     gamma = config.per_omega0("gammaHrf")
     if gamma >= STRONG_DRIVE_RATIO:
         sys.stderr.write(f"warning: strong drive gammaHrf/omega0 = {gamma:g} >= "
@@ -346,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_simulate, "integrate the physical drive realizing a schedule file")
     p.add_argument("schedule", help="schedule file produced by compile")
-    p.add_argument("--steps", type=int, default=IntegrationConfig.steps_per_shortest_period,
+    # no default here: cmd_simulate leaves it to IntegrationConfig
+    p.add_argument("--steps", type=int,
                    help="integrator steps per shortest oscillation period")
     return parser
 

@@ -16,6 +16,7 @@ keeps the M labels attached to the physical levels rather than to an energy
 ordering.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
 def _first_order(sys: SpinSystem) -> tuple[Spectrum, np.ndarray]:
     """perturbative_spectrum and the static Hamiltonian it was derived from."""
     hamiltonian = build_hamiltonian(sys)
-    q0 = 3 * np.cos(sys.theta) ** 2 - 1
+    q0 = 3 * math.cos(sys.theta) ** 2 - 1
     energies = -sys.omega0 * M_VALUES + sys.omegaQ * q0 * (M_VALUES ** 2 - 21 / 4)
 
     # the mixing reads only the off-diagonal part, which is the quadrupole term's
