@@ -56,11 +56,13 @@ _DYNAMICS = frozenset({"DriveSpec", "DriveTone", "IntegrationConfig", "ScalingFi
 def __getattr__(name):
     # looked up anew on every call, never stored here: a tracer that swaps
     # virtualspin.dynamics.<name> is then seen through the package name too
-    if name in _DYNAMICS:
-        from . import dynamics
-        return getattr(dynamics, name)
+    if name in _DYNAMICS or name == "dynamics":
+        # not `from . import dynamics`: that form looks the name up on this
+        # package first, which would land back here
+        import virtualspin.dynamics as dynamics
+        return dynamics if name == "dynamics" else getattr(dynamics, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_DYNAMICS})
+    return sorted({*globals(), *_DYNAMICS, "dynamics"})

@@ -553,7 +553,7 @@ def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int], ratios) -> Scaling
     if bad.size:
         raise InputError(f"sweep ratios omegaQ/omega0 must be positive and finite, got {bad[0]}")
     log_r = np.log(ratios)
-    # a set, not np.unique, which would import numpy.ma into a cold CLI call
+    # a set, not np.unique, which on numpy 2 would import numpy.ma into a cold CLI call
     if len(set(log_r.ravel().tolist())) < max(2, ratios.size):
         raise InputError("need at least two sweep points, with distinct logarithms, to fit a slope")
     log_range = float(log_r.max() - log_r.min())
