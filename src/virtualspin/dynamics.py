@@ -38,13 +38,17 @@ the pulse lasts at least two periods, only one period is sliced, and its
 propagator is raised to n = floor(duration / T) by repeated squaring,
 starting from U(T) itself at the lowest set bit of n, with every product
 projected back onto the nearest unitary (its polar factor, again by
-Newton-Schulz); the sliced remainder is applied last.  The cost is then
-independent of the pulse length.  Multi-tone drives are sliced uniformly
-over the whole pulse.  `evolve` diagonalizes H_static once per drive and
-counts the slices of the span and of the remainder once: a drive needing
-more than MAX_SLICES slices is refused before any integration starts, and
-the kernel is handed both.  So is a drive whose end time floating point
-cannot place within one slice.
+Newton-Schulz).  The remainder r = duration - n T continues the period's
+slice grid of width dt: by periodicity its first k = floor(r / dt) slices
+are the period's own first k, whose product is read out of the same
+kernel pass, and one Strang slice of the leftover width r - k dt, by exact
+exponentials, ends the pulse.  The cost is then independent of the pulse
+length, and a single tone takes one kernel pass.  Multi-tone drives are
+sliced uniformly over the whole pulse.  `evolve` diagonalizes H_static
+once per drive and counts its slices once, those of the span and the
+partial slice: a drive needing more than MAX_SLICES slices is refused
+before any integration starts, and so is a drive whose end time floating
+point cannot place within one slice.
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -69,8 +73,8 @@ from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
 from .errors import DegenerateFitError, InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
-from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, SpinSystem, build_hamiltonian,
-                     level, one_of, positive, real)
+from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, M_VALUES, SpinSystem,
+                     build_hamiltonian, level, one_of, positive, real)
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -165,8 +169,13 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
            cfg: IntegrationConfig = IntegrationConfig()) -> np.ndarray:
     """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis.
 
-    Raises ResolutionError, before integrating anything, when the drive needs
-    more than MAX_SLICES slices or floating point cannot place its end in one.
+    A single tone lasting n >= 2 whole periods T and a remainder r is sliced
+    over one period only, in one kernel pass: U(T)^n, then the period's
+    first k = floor(r / dt) slices, read out of that pass, then one partial
+    slice of width r - k dt.  Any other drive is sliced over its whole
+    length.  Raises ResolutionError, before integrating anything, when the
+    drive needs more than MAX_SLICES slices or floating point cannot place
+    its end in one.
     """
     if drive.duration == 0:
         return _IDENTITY.astype(complex)
@@ -190,20 +199,32 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
         whole = math.floor(drive.duration / period)
         if whole >= 2:
             span, n_periods = period, whole
-    remainder = drive.duration - n_periods * span
-    # the fewest slices at most dt_max wide, for the span and for the remainder
-    n_span, n_rest = (max(1, math.ceil(t / dt_max)) if t > 0 else 0 for t in (span, remainder))
-    if n_span + n_rest > MAX_SLICES:
-        # a periodic drive slices one period and less, however long its pulse
+    # the fewest slices of the span at most dt_max wide
+    n_span = max(1, math.ceil(span / dt_max))
+    dt = span / n_span
+    # the remainder continues the period's grid: its first `head` slices are the period's
+    # own, then one partial slice ends it
+    remainder = max(drive.duration - n_periods * span, 0.0)
+    head = min(math.floor(remainder / dt), n_span)
+    partial = remainder - head * dt
+    n_slices = n_span + (partial > 0)
+    if n_slices > MAX_SLICES:
+        # a periodic drive slices one period and one more slice, however long its pulse
         remedy = "lower" if n_periods > 1 else "shorten the pulse, raise gammaHrf or lower"
         raise ResolutionError(
-            f"the drive needs {n_span + n_rest:.3g} time slices, more than the limit of "
+            f"the drive needs {n_slices:.3g} time slices, more than the limit of "
             f"{MAX_SLICES:.0e}; {remedy} steps_per_shortest_period = "
             f"{cfg.steps_per_shortest_period}")
 
-    u_total = _unitary_power(_slice_product(energies, basis, drive, span, n_span), n_periods)
-    if n_rest:
-        u_total = _polar_unitary(_slice_product(energies, basis, drive, remainder, n_rest) @ u_total)
+    u_span, u_head = _slice_products(energies, basis, drive, span, n_span, head)
+    u_total = _unitary_power(u_span, n_periods)
+    if head:
+        u_total = u_head @ u_total
+    if partial > 0:
+        t_mid = head * dt + partial / 2
+        u_total = _strang_slice(energies, basis, drive.tones[0], t_mid, partial) @ u_total
+    if remainder > 0:
+        u_total = _polar_unitary(u_total)
     return u_total
 
 
@@ -214,7 +235,19 @@ def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
                    span: float, n_slices: int) -> np.ndarray:
-    """The product of n_slices Strang-split midpoint slices over [0, span].
+    """The product of n_slices Strang-split midpoint slices over [0, span]; see _slice_products."""
+    return _slice_products(energies, basis, drive, span, n_slices, 0)[0]
+
+
+def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
+                    span: float, n_slices: int, head: int) -> tuple:
+    """The products of n_slices Strang-split midpoint slices over [0, span] and of the first head.
+
+    The product of the first head slices (0 < head <= n_slices) comes from
+    the same pass: the block that holds slice head hands back the product of
+    its slices before it as well (see _block_product), and that joins the
+    blocks before it, unprojected: evolve projects the remainder it starts.
+    Without a head, the second product is None.
 
     evolve diagonalizes H_static = basis diag(energies) basis^dagger once and
     hands the kernel that decomposition and its slice count.  A slice is
@@ -279,14 +312,33 @@ def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         return ((step, turns[..., ::-1]), (_IX_FRAME[0], phases), (_IX_FRAME[1], turns))
 
     blocks = {}
-    product = _IDENTITY
+    product, head_product = _IDENTITY, None
     for start in range(0, n_slices, _SLICE_CHUNK):
         count = min(_SLICE_CHUNK, n_slices - start)
         if count not in blocks:
             blocks[count] = _Block(count, dt, frequencies, len(axes), mixed)
         block = blocks[count]
-        product = _polar_unitary(_block_product(stages(block, start), block) @ product)
-    return frame @ product @ frame.conj().T
+        cut = head - start
+        if 0 < cut < count:
+            block_product, block_head = _block_product(stages(block, start), block, cut)
+            head_product = block_head @ product
+        else:
+            block_product = _block_product(stages(block, start), block)
+        product = _polar_unitary(block_product @ product)
+        if cut == count:
+            head_product = product
+    frame_h = frame.conj().T
+    return (frame @ product @ frame_h,
+            None if head_product is None else frame @ head_product @ frame_h)
+
+
+def _strang_slice(energies: np.ndarray, basis: np.ndarray, tone: DriveTone,
+                  t_mid: float, width: float) -> np.ndarray:
+    """One Strang-split slice of a single tone, width wide about t_mid, by exact exponentials."""
+    half = _phase_conjugate(basis, np.exp(-0.5j * energies * width))
+    field = -tone.amplitude * math.cos(tone.frequency * t_mid + tone.phase)
+    kick = _phase_conjugate(_AXIS_EIGENBASES[tone.axis], np.exp(-1j * width * field * M_VALUES))
+    return half @ kick @ half
 
 
 class _Block:
@@ -346,7 +398,7 @@ def _iz_phases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_product(stages, block: _Block) -> np.ndarray:
+def _block_product(stages, block: _Block, cut: int = 0):
     """Time-ordered product of a block of slices, from runs advanced in lock step.
 
     Each stage is the real right multiplier g of a constant (DIM, DIM)
@@ -362,9 +414,19 @@ def _block_product(stages, block: _Block) -> np.ndarray:
     it.  The transposes are then copied, one contiguous (DIM, DIM) matrix a
     run, into the spare array and multiplied pairwise, (P_{r+1} P_r)^T =
     X_r X_{r+1}, into new arrays; block.work is overwritten.
+
+    With 0 < cut < block size, returns the pair of the block's product and
+    the product of its first cut slices: the run that holds slice cut - 1,
+    copied right after its step over that slice, times the runs wholly
+    before it, taken from the pairing's own nodes.
     """
     work, rows = block.work, block.rows
     steps = stages[0][1].shape[0]
+    run, step = 0, None   # the run that holds slice cut - 1, and the step at which it takes it
+    if cut:
+        run, step = divmod(cut - 1, steps)
+        if run == work.shape[2] - 1 and block.late_start < steps:
+            step += block.late_start   # the late run takes the block's last slices from late_start on
     current = 0
     work[0] = _IDENTITY[:, None, :]
     for k in range(steps):
@@ -374,15 +436,23 @@ def _block_product(stages, block: _Block) -> np.ndarray:
             np.matmul(rows[current], right, out=rows[1 - current])
             current = 1 - current
             work[current] *= diagonals[k]
+        if k == step:
+            head = work[current, :, run].copy()
     runs = block.trees[1 - current]
     np.copyto(runs, work[current].transpose(1, 0, 2))
     if len(runs) == 1:   # a one-slice block: copy its product out of work
         return runs[0].T.copy()
+    level = 0
     while len(runs) > 1:
+        # node i of this level is the product of runs i 2^level .. (i + 1) 2^level - 1 (or to
+        # the last run), so the runs before `run` are one node for each set bit of `run`
+        if run >> level & 1:
+            head = runs[(run >> level) - 1] @ head
         half = len(runs) // 2
         paired = runs[:2 * half:2] @ runs[1:2 * half:2]
         runs = np.concatenate([paired, runs[2 * half:]]) if len(runs) % 2 else paired
-    return runs[0].T
+        level += 1
+    return (runs[0].T, head.T) if cut else runs[0].T
 
 
 def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:

@@ -68,12 +68,17 @@ def test_integrator_unitarity():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
 
 
-def _sliced(system, drive, span):
-    """Product of midpoint slices over [0, span] at evolve's default slice width."""
+def _slice_count(system, drive, span, steps=32):
+    """Slices over [0, span] at evolve's slice width for `steps` a period."""
+    evals = np.linalg.eigvalsh(build_hamiltonian(system))
+    omega_max = max(evals[-1] - evals[0], system.omega0, *(abs(t.frequency) for t in drive.tones))
+    return max(1, math.ceil(span / (2 * np.pi / omega_max / steps)))
+
+
+def _sliced(system, drive, span, steps=32):
+    """Product of midpoint slices over [0, span] at evolve's slice width for `steps` a period."""
     energies, basis = np.linalg.eigh(build_hamiltonian(system))
-    omega_max = max(energies[-1] - energies[0], system.omega0,
-                    *(abs(t.frequency) for t in drive.tones))
-    n_slices = max(1, math.ceil(span / (2 * np.pi / omega_max / 32)))
+    n_slices = _slice_count(system, drive, span, steps)
     return dynamics._slice_product(energies, basis, drive, span, n_slices)
 
 
@@ -87,22 +92,99 @@ def test_stroboscopic_matches_uniform_slices_on_pi_pulse():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
 
 
+def _period_grid(system, tone, steps=32):
+    """One period of a tone and evolve's slice count and width for it."""
+    period = 2 * np.pi / abs(tone.frequency)
+    n_span = _slice_count(system, DriveSpec(tones=(tone,), duration=period), period, steps)
+    return period, n_span, period / n_span
+
+
+def _stroboscopic_reference(system, drive, steps=32):
+    """U(T)^n, then the period grid's first k slices of the remainder r, then one partial slice.
+
+    k = floor(r / dt) on the period's slice width dt; the period and its
+    first k slices come from separate _slice_product calls, and the partial
+    slice of width r - k dt about its midpoint from exact exponentials.
+    """
+    (tone,) = drive.tones
+    h_static = build_hamiltonian(system)
+    energies, basis = np.linalg.eigh(h_static)
+    period, n_span, dt = _period_grid(system, tone, steps)
+    whole = math.floor(drive.duration / period)
+    u = np.linalg.matrix_power(
+        dynamics._slice_product(energies, basis, drive, period, n_span), whole)
+    remainder = drive.duration - whole * period
+    k = math.floor(remainder / dt)
+    if k:
+        u = dynamics._slice_product(energies, basis, drive, k * dt, k) @ u
+    delta = remainder - k * dt
+    if delta > 0:
+        half = expm(-0.5j * delta * h_static)
+        field = -tone.amplitude * math.cos(tone.frequency * (k * dt + delta / 2) + tone.phase)
+        axis = {"X": system.ops.Ix, "Y": system.ops.Iy}[tone.axis]
+        u = half @ expm(-1j * delta * field * axis) @ half @ u
+    return u
+
+
 def test_stroboscopic_period_boundaries():
     tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
-    period = 2 * np.pi / tone.frequency
+    period, _, dt = _period_grid(SYS, tone)
     # under two periods the whole drive is sliced uniformly
     short = DriveSpec(tones=(tone,), duration=1.9 * period)
     assert np.array_equal(evolve(SYS, short), _sliced(SYS, short, short.duration))
-    u_period = _sliced(SYS, short, period)
-    for periods, whole in ((2, 2), (7, 7), (2.01, 2), (7.5, 7)):
-        drive = DriveSpec(tones=(tone,), duration=periods * period)
-        expected = np.linalg.matrix_power(u_period, whole)
-        if periods != whole:
-            expected = _sliced(SYS, drive, (periods - whole) * period) @ expected
+    # 2 + 19 dt / T periods: a remainder of exactly 19 slices, no partial slice
+    exact = 2 * period + 19 * dt
+    assert math.floor((exact - 2 * period) / dt) == 19 and exact - 2 * period - 19 * dt == 0
+    # three periods less three ulps: two whole periods and a remainder a hair under T
+    under_three = 3 * period
+    for _ in range(3):
+        under_three = math.nextafter(under_three, 0)
+    assert math.floor(under_three / period) == 2
+    assert period - (under_three - 2 * period) < 1e-14
+    durations = [p * period for p in (2, 7, 2.01, 7.5)]
+    # a remainder inside the first slice (k = 0)
+    durations += [2 * period + 0.3 * dt, exact, under_three]
+    for duration in durations:
+        drive = DriveSpec(tones=(tone,), duration=duration)
         u = evolve(SYS, drive)
-        assert np.abs(u - expected).max() < 1e-12
+        assert np.abs(u - _stroboscopic_reference(SYS, drive)).max() < 1e-12
         assert np.abs(u - _sliced(SYS, drive, drive.duration)).max() < 1e-6
         assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+@pytest.mark.parametrize("slices", [2481.5, 4096.5, 4100.5, 8230.5])
+def test_stroboscopic_remainder_across_blocks(slices):
+    # at 1024 steps a period spans three blocks of slices: 4096, 4096 and the rest; the
+    # remainder's slices end in the first block, at its end, in the second, and in the last
+    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
+    cfg = IntegrationConfig(steps_per_shortest_period=1024)
+    period, n_span, dt = _period_grid(SYS, tone, 1024)
+    assert 2 * dynamics._SLICE_CHUNK < n_span < 3 * dynamics._SLICE_CHUNK
+    drive = DriveSpec(tones=(tone,), duration=2 * period + slices * dt)
+    u = evolve(SYS, drive, cfg)
+    assert np.abs(u - _stroboscopic_reference(SYS, drive, 1024)).max() < 1e-12
+    assert np.abs(u - _sliced(SYS, drive, drive.duration, 1024)).max() < 1e-6
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+@pytest.mark.parametrize("steps,blocks", [(32, 1), (1024, 3)])
+def test_single_tone_drive_runs_one_kernel_pass(steps, blocks):
+    # a period of 259 slices in one block, or of 8272 in three; a remainder of 0.6 periods
+    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
+    cfg = IntegrationConfig(steps_per_shortest_period=steps)
+    period, n_span, _ = _period_grid(SYS, tone, steps)
+    assert math.ceil(n_span / dynamics._SLICE_CHUNK) == blocks
+    with mock.patch.object(dynamics, "_block_product",
+                           wraps=dynamics._block_product) as kernel:
+        evolve(SYS, DriveSpec(tones=(tone,), duration=2.6 * period), cfg)
+    assert kernel.call_count == blocks
+    # a two-tone drive is sliced uniformly, one kernel call per block of its slices
+    two_tone = DriveSpec(tones=(tone, DriveTone(0.7, 4e-3)), duration=2.6 * period)
+    n_uniform = _slice_count(SYS, two_tone, two_tone.duration, steps)
+    with mock.patch.object(dynamics, "_block_product",
+                           wraps=dynamics._block_product) as kernel:
+        evolve(SYS, two_tone, cfg)
+    assert kernel.call_count == math.ceil(n_uniform / dynamics._SLICE_CHUNK)
 
 
 def test_stroboscopic_unitarity_over_a_million_periods():
@@ -372,9 +454,21 @@ def test_slice_budget_is_checked_before_integrating():
     drive = DriveSpec(tones=(DriveTone(0.9, 1e-3), DriveTone(0.8, 1e-3)), duration=1e8)
     with pytest.raises(ResolutionError, match=r"3\.\d+e\+09 time slices"):
         evolve(SYS, drive)
-    # a single tone only slices one period and the remainder
+    # a single tone only slices one period and one partial slice of the remainder
     u = evolve(SYS, DriveSpec(tones=(DriveTone(0.9, 1e-3),), duration=1e8))
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+def test_slice_budget_counts_the_partial_slice():
+    # a tone faster than every level spacing: at MAX_SLICES steps its period is MAX_SLICES
+    # slices, and a remainder off the period's grid adds one partial slice over the limit
+    tone = DriveTone(10.0, 1e-3)
+    period, n_span, dt = _period_grid(SYS, tone, dynamics.MAX_SLICES)
+    assert n_span == dynamics.MAX_SLICES
+    with mock.patch.object(dynamics, "_slice_products", side_effect=AssertionError("integrated")):
+        with pytest.raises(ResolutionError, match=r"1e\+08 time slices"):
+            evolve(SYS, DriveSpec(tones=(tone,), duration=2 * period + 0.5 * dt),
+                   IntegrationConfig(dynamics.MAX_SLICES))
 
 
 def test_step_doubling_convergence():
