@@ -14,21 +14,21 @@ about the slice midpoint (Strang, SIAM J. Numer. Anal. 5, 506, 1968):
 Neighbouring half steps merge into one constant e^{-i H_static dt}, and the
 drive step is a diagonal phase in the fixed eigenbasis of Ix (turned by
 the diagonal e^{-i alpha Iz} when X and Y tones mix), so no slice needs an
-eigendecomposition.  No per-slice 8x8 factor is formed either: runs of up
-to 16 consecutive slices advance in lock step, each run's partial product
-P kept transposed, X = P^T, and all runs' rows side by side in one
-(8 runs) x 8 complex array.  A slice step P <- D M P is then X <- (X M^T) D:
-one real matrix product of that array's float view, (8 runs) x 16, with
-the 16 x 16 real form of M^T, and one scaling of every row by the diagonal
-D; the run products are then multiplied pairwise.  No tone's cosine is
-evaluated per slice: on the uniform grid a tone's field over a block of
-slices is one complex coefficient, from the block's start time, times
-phasors computed once per block size, and every per-slice array lives in
-buffers that are reused block after block.  Every factor is unitary up to
-rounding, and each block of slices is projected back onto the unitaries by
-Newton-Schulz steps (see _polar_unitary): a few 8x8 products, not an SVD.
-Slices resolve the fastest scale present (static level spread and every
-drive frequency) with at least `steps_per_shortest_period` points per period.
+eigendecomposition.  No per-slice 8x8 factor is formed either: the slices
+are cut into at most 256 runs of consecutive slices that advance in lock
+step, each run's partial product P kept transposed, X = P^T, and all runs'
+rows side by side in one (8 runs) x 8 complex array.  A slice step
+P <- D M P is then X <- (X M^T) D: one real matrix product of that array's
+float view, (8 runs) x 16, with the 16 x 16 real form of M^T, and one
+scaling of every row by the diagonal D; the run products are then
+multiplied pairwise.  No tone's cosine is evaluated per slice: a slice's
+field is one complex coefficient per run, from the run's start time, times
+one phasor per step, and the diagonals fill buffers built once per drive a
+few steps at a time.  Every factor is unitary up to rounding, and the
+product is projected back onto the unitaries once, by Newton-Schulz steps
+(see _polar_unitary): a few 8x8 products, not an SVD.  Slices resolve the
+fastest scale present (static level spread and every drive frequency)
+with at least `steps_per_shortest_period` points per period.
 
 The drive selects how much of the pulse is sliced.  Without tones the
 Hamiltonian is constant and the propagator is one exact exponential.  A
@@ -43,8 +43,8 @@ slice grid of width dt: by periodicity its first k = floor(r / dt) slices
 are the period's own first k, whose product is read out of the same
 kernel pass, and one Strang slice of the leftover width r - k dt, by exact
 exponentials, ends the pulse.  The cost is then independent of the pulse
-length, and a single tone takes one kernel pass.  Multi-tone drives are
-sliced uniformly over the whole pulse.  `evolve` diagonalizes H_static
+length.  Multi-tone drives are sliced uniformly over the whole pulse.
+Every drive takes one kernel pass.  `evolve` diagonalizes H_static
 once per drive and counts its slices once, those of the span and the
 partial slice: a drive needing more than MAX_SLICES slices is refused
 before any integration starts, and so is a drive whose end time floating
@@ -78,8 +78,9 @@ from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, M_VALUES, SpinS
 
 MIN_STEPS_PER_PERIOD = 20
 
-_SLICE_CHUNK = 1 << 12
 _CHAIN = 16
+# beyond about this many runs the run arrays outgrow the L2 cache
+_MAX_RUNS = 256
 
 MAX_SLICES = 10**8
 
@@ -146,6 +147,9 @@ class DriveSpec:
     duration: float
 
     def __post_init__(self):
+        if not (isinstance(self.tones, (tuple, list))
+                and all(isinstance(tone, DriveTone) for tone in self.tones)):
+            raise InputError(f"drive tones must be a sequence of DriveTone, got {self.tones!r}")
         object.__setattr__(self, "tones", tuple(self.tones))
         if real(self.duration, "duration") < 0:
             raise InputError(f"duration must be non-negative, got {self.duration}")
@@ -244,10 +248,8 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     """The products of n_slices Strang-split midpoint slices over [0, span] and of the first head.
 
     The product of the first head slices (0 < head <= n_slices) comes from
-    the same pass: the block that holds slice head hands back the product of
-    its slices before it as well (see _block_product), and that joins the
-    blocks before it, unprojected: evolve projects the remainder it starts.
-    Without a head, the second product is None.
+    the same pass (see _block_product), unprojected: evolve projects the
+    remainder it starts.  Without a head, the second product is None.
 
     evolve diagonalizes H_static = basis diag(energies) basis^dagger once and
     hands the kernel that decomposition and its slice count.  A slice is
@@ -259,21 +261,19 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     A one-axis drive keeps alpha fixed, so in that frame each factor is a
     diagonal scaling of the constant M = W^dagger C W; a mixed drive applies
     C, e^{i alpha Iz}, W^dagger, the phase, W and e^{-i alpha Iz} in turn.
-    Each block of slices is cut into runs of up to _CHAIN consecutive slices
-    that _block_product advances in lock step and then multiplies pairwise,
-    and each block's product is projected as it joins the blocks before it.
-    The runs are kept transposed, so each stage's matrix m enters as the
-    real right multiplier of m^T (see _right_multiplier): built once per
-    drive for the step, once at import for the Ix eigenframe.
+    One _block_product pass advances the runs of the slices (see _Runs) in
+    lock step and multiplies them pairwise, and its product is projected
+    once.  The runs are kept transposed, so each stage's matrix m enters as
+    the real right multiplier of m^T (see _right_multiplier): built once
+    per drive for the step, once at import for the Ix eigenframe.
 
-    Blocks of one size share the slice midpoints' offsets s from the block
-    start t_b, so each tone's phasor e^{i Omega s} is computed once per
-    block size (a _Block).  A block's field on an axis is then
-    Re(sum c e^{i Omega s}) over that axis's tones, with one coefficient
-    c = -amplitude e^{i (Omega t_b + f)} per tone computed from the absolute
-    block start: no tone's cosine is evaluated per slice, however large
-    the tone phase grows.  Every per-slice array of a block lives in
-    its _Block's buffers, refilled in place for each block of that size.
+    Step k of a run that starts at time t_r takes the slice whose midpoint
+    is t_r + s_k, s_k = (k + 1/2) dt, so its field on an axis is
+    Re(sum c e^{i Omega s_k}) over that axis's tones, with one coefficient
+    c = -amplitude e^{i (Omega t_r + f)} per tone and run, from the run's
+    absolute start, and one phasor e^{i Omega s_k} per tone and step: no
+    tone's cosine is evaluated per slice, however large the tone phase
+    grows.  fill writes a chunk of steps' diagonals into the _Runs buffers.
     """
     dt = span / n_slices
     step = _phase_conjugate(basis, np.exp(-1j * energies * dt))
@@ -289,44 +289,40 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         frame = half @ w
         step = _right_multiplier(_polar_unitary(w.conj().T @ step @ w))
 
+    runs = _Runs(n_slices, len(axes), mixed)
     frequencies = np.array([tone.frequency for tone in drive.tones])
     tone_phases = np.array([tone.phase for tone in drive.tones])
     # the drive field on each axis is -sum amplitude cos(Omega t + f) over that axis's tones
     weights = np.array([[-tone.amplitude if tone.axis == axis else 0.0 for tone in drive.tones]
                         for axis in axes])
+    # Re(c e^{i phi}) = Re(c) cos(phi) - Im(c) sin(phi): [Re c, -Im c] is conj(c).view(float)
+    c_conj = weights[:, None] * np.exp(-1j * (np.multiply.outer(runs.starts * dt, frequencies)
+                                              + tone_phases))
+    coefficients = c_conj.view(float).transpose(0, 2, 1).copy()   # (axes, 2 tones, runs)
+    angles = np.multiply.outer((np.arange(runs.padded) + 0.5) * dt, frequencies)
+    phasors = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(runs.padded, -1)
 
-    def stages(block, start):
-        """(matrix, diagonals) stages of the block of slices from slice `start` on."""
-        # Re(c e^{i phi}) = Re(c) cos(phi) - Im(c) sin(phi): [Re c, -Im c] is conj(c).view(float)
-        c_conj = weights * np.exp(-1j * (frequencies * (start * dt) + tone_phases))
-        np.matmul(c_conj.view(float), block.phasors, out=block.fields.reshape(len(axes), -1))
+    def fill(k):
+        """Write the diagonals of steps k .. k + chunk - 1 into the stages' buffers."""
+        np.matmul(phasors[k:k + runs.chunk], coefficients, out=runs.fields)
         if not mixed:
-            np.multiply(block.fields[0], -0.5j * dt, out=block.kicks)
-            return ((step, _iz_phases(np.exp(block.kicks, out=block.kicks), block.phases)),)
-        x, y = block.fields
-        np.multiply(np.arctan2(y, x), -0.5j, out=block.kicks)
-        turns = _iz_phases(np.exp(block.kicks, out=block.kicks), block.turns)
-        np.multiply(np.hypot(x, y), -0.5j * dt, out=block.kicks)
-        phases = _iz_phases(np.exp(block.kicks, out=block.kicks), block.phases)
-        # z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
-        return ((step, turns[..., ::-1]), (_IX_FRAME[0], phases), (_IX_FRAME[1], turns))
+            np.multiply(runs.fields[0], -0.5j * dt, out=runs.kicks)
+            _iz_phases(np.exp(runs.kicks, out=runs.kicks), runs.phases)
+            return
+        x, y = runs.fields
+        np.multiply(np.arctan2(y, x), -0.5j, out=runs.kicks)
+        _iz_phases(np.exp(runs.kicks, out=runs.kicks), runs.turns)
+        np.multiply(np.hypot(x, y), -0.5j * dt, out=runs.kicks)
+        _iz_phases(np.exp(runs.kicks, out=runs.kicks), runs.phases)
 
-    blocks = {}
-    product, head_product = _IDENTITY, None
-    for start in range(0, n_slices, _SLICE_CHUNK):
-        count = min(_SLICE_CHUNK, n_slices - start)
-        if count not in blocks:
-            blocks[count] = _Block(count, dt, frequencies, len(axes), mixed)
-        block = blocks[count]
-        cut = head - start
-        if 0 < cut < count:
-            block_product, block_head = _block_product(stages(block, start), block, cut)
-            head_product = block_head @ product
-        else:
-            block_product = _block_product(stages(block, start), block)
-        product = _polar_unitary(block_product @ product)
-        if cut == count:
-            head_product = product
+    # z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
+    stages = (((step, runs.turns[..., ::-1]), (_IX_FRAME[0], runs.phases),
+               (_IX_FRAME[1], runs.turns)) if mixed else ((step, runs.phases),))
+    # a head of every slice is the span's own product
+    product, head_product = _block_product(stages, fill, runs, head % n_slices)
+    product = _polar_unitary(product)
+    if head == n_slices:
+        head_product = product
     frame_h = frame.conj().T
     return (frame @ product @ frame_h,
             None if head_product is None else frame @ head_product @ frame_h)
@@ -341,35 +337,32 @@ def _strang_slice(energies: np.ndarray, basis: np.ndarray, tone: DriveTone,
     return half @ kick @ half
 
 
-class _Block:
-    """The slice layout of one block size, its tone phasors and its work buffers.
+class _Runs:
+    """The lock-step layout of a span of slices, and the buffers of its one kernel pass.
 
-    Slice r*length + k of the block sits at [k, r] of a (length, runs) grid,
-    so run r is the slices r*length .. r*length + length - 1; slices left
-    over form one more run over the block's last `length` slices, started
-    late at step late_start.  phasors holds cos(Omega s) and sin(Omega s)
-    for each tone in turn, with s = (index + 1/2) dt the offsets of the
-    slice midpoints from the block start on that grid, flattened.  work
+    The count slices are cut into runs of `steps` consecutive slices,
+    max(min(_CHAIN, isqrt(count)), ceil(count / _MAX_RUNS)): about as many
+    runs as steps for a short span, at most _MAX_RUNS for a long one.  Run
+    r takes slice starts[r] + k at step k; slices left over form one more
+    run over the last `steps` slices, started late at step late_start.  The
+    diagonals of `chunk` steps at a time (at most _CHAIN; `padded` steps
+    are a whole number of chunks) go into phases, and turns for a mixed
+    drive, of shape (chunk, runs, DIM), by way of fields and kicks.  work
     holds two (DIM, runs, DIM) arrays of transposed run products (see
     _block_product); rows is each one's float view as (DIM runs, 2 DIM)
     rows, for matmul's out=, and trees its memory as (runs, DIM, DIM).
     """
 
-    def __init__(self, count: int, dt: float, frequencies: np.ndarray, n_axes: int,
-                 mixed: bool):
-        # short spans take fewer, shorter runs: about as many runs as steps
-        length = min(_CHAIN, math.isqrt(count))
-        rest = count % length
-        index = np.arange(count - rest).reshape(-1, length).T
-        if rest:
-            index = np.column_stack([index, np.arange(count - length, count)])
-        self.late_start = length - rest
-        shape = index.shape
-        angles = np.multiply.outer(frequencies, (index + 0.5) * dt).reshape(frequencies.size, -1)
-        phasors = np.empty((frequencies.size, 2, index.size))
-        np.cos(angles, out=phasors[:, 0])
-        np.sin(angles, out=phasors[:, 1])
-        self.phasors = phasors.reshape(-1, index.size)
+    def __init__(self, count: int, n_axes: int, mixed: bool):
+        steps = max(min(_CHAIN, math.isqrt(count)), -(-count // _MAX_RUNS))
+        whole, rest = divmod(count, steps)
+        self.steps, self.late_start = steps, steps - rest
+        self.starts = np.arange(whole + (rest > 0)) * steps
+        self.starts[whole:] = count - steps
+        chunks = -(-steps // _CHAIN)
+        self.chunk = -(-steps // chunks)
+        self.padded = chunks * self.chunk
+        shape = (self.chunk, len(self.starts))
         self.fields = np.empty((n_axes, *shape))
         self.kicks = np.empty(shape, dtype=complex)
         self.phases = np.empty((*shape, DIM), dtype=complex)
@@ -398,61 +391,63 @@ def _iz_phases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_product(stages, block: _Block, cut: int = 0):
-    """Time-ordered product of a block of slices, from runs advanced in lock step.
+def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
+    """Time-ordered product of a span of slices, from its runs advanced in lock step.
 
     Each stage is the real right multiplier g of a constant (DIM, DIM)
-    matrix m (see _right_multiplier) and per-slice diagonals d of shape
-    (steps, runs, DIM); a slice applies every stage's matrix and then its
-    diagonal, in order.  Each run's partial product P is kept transposed,
-    X = P^T, in one of block.work's (DIM, runs, DIM) arrays, entry [j, r, i]
-    holding P[i, j] of run r.  A stage of a step, P <- diag(d) m P, is then
+    matrix m (see _right_multiplier) and a buffer of per-slice diagonals d,
+    (chunk, runs, DIM), that fill(k) writes for steps k .. k + chunk - 1; a
+    slice applies every stage's matrix and then its diagonal, in order.
+    Each run's partial product P is kept transposed, X = P^T, in one of
+    runs.work's (DIM, runs, DIM) arrays, entry [j, r, i] holding P[i, j] of
+    run r.  A stage of a step, P <- diag(d) m P, is then
     X <- (X m^T) diag(d): one real product of the array's float rows with g,
-    written into the other array, and one scaling of its rows by d[k],
-    broadcast over the outer axis.  The last run restarts from the identity
-    at step late_start (if there is such a step), dropping the slices before
-    it.  The transposes are then copied, one contiguous (DIM, DIM) matrix a
-    run, into the spare array and multiplied pairwise, (P_{r+1} P_r)^T =
-    X_r X_{r+1}, into new arrays; block.work is overwritten.
+    written into the other array, and one scaling of its rows by the step's
+    d, broadcast over the outer axis.  The last run restarts from the
+    identity at step late_start (if there is such a step), dropping the
+    slices before it.  The transposes are then copied, one contiguous
+    (DIM, DIM) matrix a run, into the spare array and multiplied pairwise,
+    (P_{r+1} P_r)^T = X_r X_{r+1}, into new arrays; runs.work is overwritten.
 
-    With 0 < cut < block size, returns the pair of the block's product and
-    the product of its first cut slices: the run that holds slice cut - 1,
-    copied right after its step over that slice, times the runs wholly
-    before it, taken from the pairing's own nodes.
+    Returns the span's product and, with 0 < cut < span, the product of its
+    first cut slices (else None): the run that holds slice cut - 1, copied
+    right after its step over that slice, times the runs wholly before it,
+    taken from the pairing's own nodes.
     """
-    work, rows = block.work, block.rows
-    steps = stages[0][1].shape[0]
+    work, rows, steps = runs.work, runs.rows, runs.steps
     run, step = 0, None   # the run that holds slice cut - 1, and the step at which it takes it
     if cut:
         run, step = divmod(cut - 1, steps)
-        if run == work.shape[2] - 1 and block.late_start < steps:
-            step += block.late_start   # the late run takes the block's last slices from late_start on
+        if run == len(runs.starts) - 1 and runs.late_start < steps:
+            step += runs.late_start   # the late run takes the span's last slices from late_start on
     current = 0
     work[0] = _IDENTITY[:, None, :]
     for k in range(steps):
-        if k == block.late_start:
+        if not k % runs.chunk:
+            fill(k)
+        if k == runs.late_start:
             work[current, :, -1] = _IDENTITY
         for right, diagonals in stages:
             np.matmul(rows[current], right, out=rows[1 - current])
             current = 1 - current
-            work[current] *= diagonals[k]
+            work[current] *= diagonals[k % runs.chunk]
         if k == step:
             head = work[current, :, run].copy()
-    runs = block.trees[1 - current]
-    np.copyto(runs, work[current].transpose(1, 0, 2))
-    if len(runs) == 1:   # a one-slice block: copy its product out of work
-        return runs[0].T.copy()
+    tree = runs.trees[1 - current]
+    np.copyto(tree, work[current].transpose(1, 0, 2))
+    if len(tree) == 1:   # a one-slice span: copy its product out of work
+        return tree[0].T.copy(), None
     level = 0
-    while len(runs) > 1:
+    while len(tree) > 1:
         # node i of this level is the product of runs i 2^level .. (i + 1) 2^level - 1 (or to
         # the last run), so the runs before `run` are one node for each set bit of `run`
         if run >> level & 1:
-            head = runs[(run >> level) - 1] @ head
-        half = len(runs) // 2
-        paired = runs[:2 * half:2] @ runs[1:2 * half:2]
-        runs = np.concatenate([paired, runs[2 * half:]]) if len(runs) % 2 else paired
+            head = tree[(run >> level) - 1] @ head
+        half = len(tree) // 2
+        paired = tree[:2 * half:2] @ tree[1:2 * half:2]
+        tree = np.concatenate([paired, tree[2 * half:]]) if len(tree) % 2 else paired
         level += 1
-    return (runs[0].T, head.T) if cut else runs[0].T
+    return tree[0].T, (head.T if cut else None)
 
 
 def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:

@@ -46,6 +46,15 @@ def test_drive_validation():
             DriveTone(frequency=1.0, amplitude=bad)
 
 
+def test_drive_spec_refuses_tones_that_are_not_drive_tones():
+    tone = DriveTone(0.9, 1e-3)
+    # a number would fail only inside evolve, and a bare tone is no sequence of tones
+    for tones in ([1.0], tone, (tone, "X"), "X", None):
+        with pytest.raises(InputError, match="^drive tones must be a sequence of DriveTone"):
+            DriveSpec(tones=tones, duration=10.0)
+    assert DriveSpec(tones=[tone], duration=10.0).tones == (tone,)
+
+
 def test_free_evolution_matches_matrix_exponential():
     duration = 7.3
     u = evolve(SYS, DriveSpec(tones=(), duration=duration))
@@ -154,12 +163,13 @@ def test_stroboscopic_period_boundaries():
 
 @pytest.mark.parametrize("slices", [2481.5, 4096.5, 4100.5, 8230.5])
 def test_stroboscopic_remainder_across_blocks(slices):
-    # at 1024 steps a period spans three blocks of slices: 4096, 4096 and the rest; the
-    # remainder's slices end in the first block, at its end, in the second, and in the last
+    # at 1024 steps a period of 8272 slices is cut into 251 runs of 33, the last one late, whose
+    # diagonals are filled 11 steps at a time; the remainders end at steps of several chunks
     tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
     cfg = IntegrationConfig(steps_per_shortest_period=1024)
     period, n_span, dt = _period_grid(SYS, tone, 1024)
-    assert 2 * dynamics._SLICE_CHUNK < n_span < 3 * dynamics._SLICE_CHUNK
+    runs = dynamics._Runs(n_span, 1, False)
+    assert runs.chunk < dynamics._CHAIN < runs.steps and len(runs.starts) <= dynamics._MAX_RUNS
     drive = DriveSpec(tones=(tone,), duration=2 * period + slices * dt)
     u = evolve(SYS, drive, cfg)
     assert np.abs(u - _stroboscopic_reference(SYS, drive, 1024)).max() < 1e-12
@@ -167,24 +177,51 @@ def test_stroboscopic_remainder_across_blocks(slices):
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
 
 
-@pytest.mark.parametrize("steps,blocks", [(32, 1), (1024, 3)])
-def test_single_tone_drive_runs_one_kernel_pass(steps, blocks):
-    # a period of 259 slices in one block, or of 8272 in three; a remainder of 0.6 periods
+@pytest.mark.parametrize("steps", [32, 1024])
+def test_stroboscopic_heads_in_every_kind_of_run(steps):
+    # a period of 259 slices (16 runs of 16 and a late run) or of 8272 (250 runs of 33 and a
+    # late run); the remainder's head ends in the first run, a middle run, the late run, and
+    # at the end of a middle run
+    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
+    period, n_span, dt = _period_grid(SYS, tone, steps)
+    runs = dynamics._Runs(n_span, 1, False)
+    middle = len(runs.starts) // 2
+    assert runs.late_start < runs.steps and n_span - 2 > runs.starts[-2] + runs.steps
+    for head in (runs.steps // 2, middle * runs.steps + 3, n_span - 2, middle * runs.steps):
+        drive = DriveSpec(tones=(tone,), duration=2 * period + (head + 0.5) * dt)
+        u = evolve(SYS, drive, IntegrationConfig(steps))
+        assert np.abs(u - _stroboscopic_reference(SYS, drive, steps)).max() < 1e-12, head
+
+
+def test_a_head_of_every_slice_is_the_span_product():
+    # evolve caps a head at the period's slices, which rounding of r / dt could reach
+    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
+    drive = DriveSpec(tones=(DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4),), duration=1.0)
+    for n in (1, 259):
+        u, head = dynamics._slice_products(energies, basis, drive, n * KERNEL_DT, n, n)
+        assert np.array_equal(head, u)
+
+
+def _kernel_calls(drive, cfg):
+    """The spans of slices, as _Runs layouts, that evolve hands the kernel for one drive."""
+    with mock.patch.object(dynamics, "_block_product",
+                           wraps=dynamics._block_product) as kernel:
+        evolve(SYS, drive, cfg)
+    return [call.args[2] for call in kernel.call_args_list]
+
+
+@pytest.mark.parametrize("steps", [32, 1024])
+def test_single_tone_drive_runs_one_kernel_pass(steps):
+    # a period of 259 or 8272 slices and a remainder of 0.6 periods: one pass over the period
     tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
     cfg = IntegrationConfig(steps_per_shortest_period=steps)
     period, n_span, _ = _period_grid(SYS, tone, steps)
-    assert math.ceil(n_span / dynamics._SLICE_CHUNK) == blocks
-    with mock.patch.object(dynamics, "_block_product",
-                           wraps=dynamics._block_product) as kernel:
-        evolve(SYS, DriveSpec(tones=(tone,), duration=2.6 * period), cfg)
-    assert kernel.call_count == blocks
-    # a two-tone drive is sliced uniformly, one kernel call per block of its slices
+    (runs,) = _kernel_calls(DriveSpec(tones=(tone,), duration=2.6 * period), cfg)
+    assert runs.starts[-1] + runs.steps == n_span
+    # a two-tone drive is sliced uniformly, in one pass over all its slices
     two_tone = DriveSpec(tones=(tone, DriveTone(0.7, 4e-3)), duration=2.6 * period)
-    n_uniform = _slice_count(SYS, two_tone, two_tone.duration, steps)
-    with mock.patch.object(dynamics, "_block_product",
-                           wraps=dynamics._block_product) as kernel:
-        evolve(SYS, two_tone, cfg)
-    assert kernel.call_count == math.ceil(n_uniform / dynamics._SLICE_CHUNK)
+    (runs,) = _kernel_calls(two_tone, cfg)
+    assert runs.starts[-1] + runs.steps == _slice_count(SYS, two_tone, two_tone.duration, steps)
 
 
 def test_stroboscopic_unitarity_over_a_million_periods():
@@ -352,7 +389,7 @@ def test_multi_tone_unitarity_over_many_slices():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
 
 
-# slice counts around the lock-step runs (up to 16 slices) and the projected blocks (4096)
+# slice counts around the run layout (see test_runs_cover_every_slice_once)
 SLICE_COUNTS = (1, 15, 16, 17, 4095, 4096, 4097, 8193)
 KERNEL_DT = 0.025
 
@@ -381,8 +418,8 @@ def _split_prefix_products(drive, counts):
 @pytest.mark.parametrize("axes", [("X", "X"), ("Y",), ("X", "Y")])
 def test_slice_kernel_matches_one_slice_at_a_time(axes):
     energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    # tone phases near 1e4 rad, as late in a long gate: each block's field
-    # comes from one coefficient at the block start times fixed slice phasors
+    # tone phases near 1e4 rad, as late in a long gate: each slice's field comes
+    # from one coefficient at its run's start times a phasor of its step
     for shift in (0.0, 1e4):
         tones = tuple(DriveTone(_transition(*pair), 0.05, phase + shift, axis)
                       for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
@@ -407,23 +444,63 @@ def test_right_multiplier_is_the_real_form_of_the_transpose():
     assert not any(g.flags.writeable for g in dynamics._IX_FRAME)
 
 
+# (count, runs, steps per run, late last run): fewer slices than the run cap, where runs
+# are about as many as steps; runs of _CHAIN or more filling the cap exactly; a late run
+RUN_LAYOUTS = [(1, 1, 1, False), (17, 5, 4, True), (100, 10, 10, False), (200, 15, 14, True),
+               (4095, 256, 16, True), (4096, 256, 16, False), (4097, 241, 17, False),
+               (5120, 256, 20, False), (6001, 251, 24, True), (8193, 249, 33, True),
+               (57583, 256, 225, True), (10**8, 256, 390625, False)]
+
+
+@pytest.mark.parametrize("count,n_runs,steps,late", RUN_LAYOUTS)
+def test_runs_cover_every_slice_once(count, n_runs, steps, late):
+    runs = dynamics._Runs(count, 1, False)
+    assert (len(runs.starts), runs.steps, runs.late_start < runs.steps) == (n_runs, steps, late)
+    if count <= 4096:   # a span of up to 4096 slices keeps runs of min(_CHAIN, isqrt(count))
+        assert steps == min(dynamics._CHAIN, math.isqrt(count))
+    # run r takes slice starts[r] + k at step k, the late run from late_start on: the runs'
+    # slices follow each other without a gap or an overlap
+    begins, ends = runs.starts.copy(), runs.starts + steps
+    if late:
+        begins[-1] += runs.late_start
+    assert begins[0] == 0 and ends[-1] == count and np.array_equal(begins[1:], ends[:-1])
+    # the diagonals are filled a whole chunk of at most _CHAIN steps at a time
+    assert runs.chunk <= dynamics._CHAIN and runs.padded % runs.chunk == 0
+    assert steps <= runs.padded < steps + runs.padded // runs.chunk
+
+
 @pytest.mark.parametrize("count", [1, 5, 9, 10, 4097])
 def test_block_buffers_are_views_of_the_run_arrays(count):
-    # 1 slice: one run; 5 and 9: three runs (5 with a late start); 10: four; 4097: 257
-    block = dynamics._Block(count, 0.01, np.array([0.9, 0.7]), 2, True)
-    runs = block.work.shape[2]
-    assert block.work.shape == (2, DIM, runs, DIM) and block.work.flags.c_contiguous
-    assert block.rows.shape == (2, DIM * runs, 2 * DIM)
-    assert block.trees.shape == (2, runs, DIM, DIM)
+    # 1 slice: one run; 5 and 9: three runs (5 with a late start); 10: four; 4097: 241 of 17
+    runs = dynamics._Runs(count, 2, True)
+    n_runs = len(runs.starts)
+    assert runs.work.shape == (2, DIM, n_runs, DIM) and runs.work.flags.c_contiguous
+    assert runs.rows.shape == (2, DIM * n_runs, 2 * DIM)
+    assert runs.trees.shape == (2, n_runs, DIM, DIM)
+    assert runs.fields.shape == (2, runs.chunk, n_runs)
+    assert runs.phases.shape == runs.turns.shape == (runs.chunk, n_runs, DIM)
     # a reshape that copied would take matmul's out= writes and the tree's copy elsewhere
-    for view in (block.rows, block.trees):
+    for view in (runs.rows, runs.trees):
         for side in (0, 1):
-            assert np.shares_memory(view[side], block.work[side])
-            assert not np.shares_memory(view[side], block.work[1 - side])
-    block.rows[1][...] = 0.5
-    assert np.all(block.work[1] == 0.5 + 0.5j)
-    block.trees[0][...] = 2.0
-    assert np.all(block.work[0] == 2.0)
+            assert np.shares_memory(view[side], runs.work[side])
+            assert not np.shares_memory(view[side], runs.work[1 - side])
+    runs.rows[1][...] = 0.5
+    assert np.all(runs.work[1] == 0.5 + 0.5j)
+    runs.trees[0][...] = 2.0
+    assert np.all(runs.work[0] == 2.0)
+
+
+@pytest.mark.parametrize("axes", [("X", "X"), ("X", "Y")])
+def test_every_run_layout_matches_one_slice_at_a_time(axes):
+    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
+    tones = tuple(DriveTone(_transition(*pair), 0.05, phase, axis)
+                  for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
+    drive = DriveSpec(tones=tones, duration=1.0)
+    # longer spans are checked against a bound that grows with the slice count, see SLICE_COUNTS
+    counts = [count for count, *_ in RUN_LAYOUTS if count <= 6001]
+    for n, expected in _split_prefix_products(drive, counts).items():
+        u = dynamics._slice_product(energies, basis, drive, n * KERNEL_DT, n)
+        assert np.abs(u - expected).max() <= 1e-12, n
 
 
 @pytest.mark.parametrize("axes,n_slices", [
@@ -436,11 +513,11 @@ def test_block_products_do_not_alias_the_work_buffers(axes, n_slices):
     drive = DriveSpec(tones=tones, duration=1.0)
     kernel, aliased = dynamics._block_product, []
 
-    def recording(stages, block):
-        product = kernel(stages, block)
-        aliased.append(np.shares_memory(product, block.work))
-        block.work[...] = np.nan   # a view into work would now read nan
-        return product
+    def recording(stages, fill, runs, cut=0):
+        product, head = kernel(stages, fill, runs, cut)
+        aliased.append(np.shares_memory(product, runs.work))
+        runs.work[...] = np.nan   # a view into work would now read nan
+        return product, head
 
     with mock.patch.object(dynamics, "_block_product", recording):
         u = dynamics._slice_product(energies, basis, drive, n_slices * KERNEL_DT, n_slices)
