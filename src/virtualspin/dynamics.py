@@ -5,50 +5,11 @@ The laboratory-frame Hamiltonian of the driven spin is
     H(t) = H_static - sum_tones amplitude * I_axis * cos(Omega t + f)
 
 with the drive operators Ix / Iy taken in the bare Zeeman basis (the coil
-geometry does not know about quadrupole dressing).  The propagator is a
-time-ordered product over uniform slices, each a second-order Strang split
-about the slice midpoint (Strang, SIAM J. Numer. Anal. 5, 506, 1968):
-
-    e^{-i H_static dt/2}  e^{-i dt V(t_mid)}  e^{-i H_static dt/2}.
-
-Neighbouring half steps merge into one constant e^{-i H_static dt}, and the
-drive step is a diagonal phase in the fixed eigenbasis of Ix (turned by
-the diagonal e^{-i alpha Iz} when X and Y tones mix), so no slice needs an
-eigendecomposition.  No per-slice 8x8 factor is formed either: the slices
-are cut into at most 256 runs of consecutive slices that advance in lock
-step, each run's partial product P kept transposed, X = P^T, and all runs'
-rows side by side in one (8 runs) x 8 complex array.  A slice step
-P <- D M P is then X <- (X M^T) D: one real matrix product of that array's
-float view, (8 runs) x 16, with the 16 x 16 real form of M^T, and one
-scaling of every row by the diagonal D; the run products are then
-multiplied pairwise.  No tone's cosine is evaluated per slice: a slice's
-field is one complex coefficient per run, from the run's start time, times
-one phasor per step, and the diagonals fill buffers built once per drive a
-few steps at a time.  Every factor is unitary up to rounding, and the
-product is projected back onto the unitaries once, by Newton-Schulz steps
-(see _polar_unitary): a few 8x8 products, not an SVD.  Slices resolve the
-fastest scale present (static level spread and every drive frequency)
-with at least `steps_per_shortest_period` points per period.
-
-The drive selects how much of the pulse is sliced.  Without tones the
-Hamiltonian is constant and the propagator is one exact exponential.  A
-single tone of frequency Omega makes H periodic with T = 2 pi / |Omega|,
-so U(n T) = U(T)^n (Floquet; Shirley, Phys. Rev. 138, B979, 1965): once
-the pulse lasts at least two periods, only one period is sliced, and its
-propagator is raised to n = floor(duration / T) by repeated squaring,
-starting from U(T) itself at the lowest set bit of n, with every product
-projected back onto the nearest unitary (its polar factor, again by
-Newton-Schulz).  The remainder r = duration - n T continues the period's
-slice grid of width dt: by periodicity its first k = floor(r / dt) slices
-are the period's own first k, whose product is read out of the same
-kernel pass, and one Strang slice of the leftover width r - k dt, by exact
-exponentials, ends the pulse.  The cost is then independent of the pulse
-length.  Multi-tone drives are sliced uniformly over the whole pulse.
-Every drive takes one kernel pass.  `evolve` diagonalizes H_static
-once per drive and counts its slices once, those of the span and the
-partial slice: a drive needing more than MAX_SLICES slices is refused
-before any integration starts, and so is a drive whose end time floating
-point cannot place within one slice.
+geometry does not know about quadrupole dressing).  `evolve` integrates it
+over time slices, each a second-order Strang split about its midpoint
+(Strang, SIAM J. Numer. Anal. 5, 506, 1968); a single tone is periodic, so
+its whole periods compose as powers of one period's propagator (Floquet;
+Shirley, Phys. Rev. 138, B979, 1965).
 
 Amplitude bookkeeping: `amplitude` is the full coefficient of the linearly
 polarized drive term above.  A linear drive of amplitude 2*gammaHrf has a
@@ -173,13 +134,16 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
            cfg: IntegrationConfig = IntegrationConfig()) -> np.ndarray:
     """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis.
 
-    A single tone lasting n >= 2 whole periods T and a remainder r is sliced
-    over one period only, in one kernel pass: U(T)^n, then the period's
-    first k = floor(r / dt) slices, read out of that pass, then one partial
-    slice of width r - k dt.  Any other drive is sliced over its whole
-    length.  Raises ResolutionError, before integrating anything, when the
-    drive needs more than MAX_SLICES slices or floating point cannot place
-    its end in one.
+    Slices are the fewest of equal width, at most one
+    cfg.steps_per_shortest_period-th of the shortest period present (of
+    the static level spread, omega0 and every tone), that fill what is
+    sliced.  A single tone lasting n >= 2 whole periods T and a remainder
+    r is sliced over one period only, in one kernel pass: U(T)^n, then the
+    period's first k = floor(r / dt) slices, read out of that pass, then
+    one partial slice of width r - k dt.  Any other drive is sliced over
+    its whole length.  Raises ResolutionError, before integrating
+    anything, when the drive needs more than MAX_SLICES slices or floating
+    point cannot place its end in one.
     """
     if drive.duration == 0:
         return _IDENTITY.astype(complex)
@@ -237,12 +201,6 @@ def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (basis * phases) @ basis.conj().T
 
 
-def _slice_product(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
-                   span: float, n_slices: int) -> np.ndarray:
-    """The product of n_slices Strang-split midpoint slices over [0, span]; see _slice_products."""
-    return _slice_products(energies, basis, drive, span, n_slices, 0)[0]
-
-
 def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
                     span: float, n_slices: int, head: int) -> tuple:
     """The products of n_slices Strang-split midpoint slices over [0, span] and of the first head.
@@ -261,11 +219,10 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     A one-axis drive keeps alpha fixed, so in that frame each factor is a
     diagonal scaling of the constant M = W^dagger C W; a mixed drive applies
     C, e^{i alpha Iz}, W^dagger, the phase, W and e^{-i alpha Iz} in turn.
-    One _block_product pass advances the runs of the slices (see _Runs) in
-    lock step and multiplies them pairwise, and its product is projected
-    once.  The runs are kept transposed, so each stage's matrix m enters as
-    the real right multiplier of m^T (see _right_multiplier): built once
-    per drive for the step, once at import for the Ix eigenframe.
+    One _block_product pass multiplies the slices, and its product is
+    projected once.  Each stage's matrix enters as a real right multiplier
+    (see _right_multiplier): built once per drive for the step, once at
+    import for the Ix eigenframe.
 
     Step k of a run that starts at time t_r takes the slice whose midpoint
     is t_r + s_k, s_k = (k + 1/2) dt, so its field on an axis is

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
@@ -13,6 +15,7 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          forbidden_scaling, interaction_propagator,
                          make_spin_operators, rwa_deviation, simulate_schedule)
 from virtualspin import dynamics
+from test_cli_contract import CONTRACT
 
 # weak-coupling system used by most drive tests
 SYS = SpinSystem(omega0=1.0, omegaQ=0.05, theta=np.pi / 6)
@@ -77,151 +80,182 @@ def test_integrator_unitarity():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
 
 
-def _slice_count(system, drive, span, steps=32):
-    """Slices over [0, span] at evolve's slice width for `steps` a period."""
-    evals = np.linalg.eigvalsh(build_hamiltonian(system))
-    omega_max = max(evals[-1] - evals[0], system.omega0, *(abs(t.frequency) for t in drive.tones))
-    return max(1, math.ceil(span / (2 * np.pi / omega_max / steps)))
+def _slice_width(tones, steps):
+    """evolve's widest slice on SYS: one `steps`-th of the shortest period of its levels and tones."""
+    energies = np.linalg.eigh(build_hamiltonian(SYS))[0]
+    omega_max = max(float(energies[-1] - energies[0]), SYS.omega0,
+                    *(abs(t.frequency) for t in tones))
+    return 2 * np.pi / omega_max / steps
 
 
-def _sliced(system, drive, span, steps=32):
-    """Product of midpoint slices over [0, span] at evolve's slice width for `steps` a period."""
-    energies, basis = np.linalg.eigh(build_hamiltonian(system))
-    n_slices = _slice_count(system, drive, span, steps)
-    return dynamics._slice_product(energies, basis, drive, span, n_slices)
-
-
-def test_stroboscopic_matches_uniform_slices_on_pi_pulse():
-    spec = exact_spectrum(SYS)
-    gamma = 1e-3
-    drive_tone, duration = _realized(spec, Tone(upper=6, lower=7, angle=np.pi), gamma)
-    drive = DriveSpec(tones=(drive_tone,), duration=duration)
-    u = evolve(SYS, drive)
-    assert np.abs(u - _sliced(SYS, drive, duration)).max() < 1e-6
-    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
-
-
-def _period_grid(system, tone, steps=32):
-    """One period of a tone and evolve's slice count and width for it."""
+def _period_slices(tone, steps):
+    """The slices of one period of a single tone on SYS, and its period."""
     period = 2 * np.pi / abs(tone.frequency)
-    n_span = _slice_count(system, DriveSpec(tones=(tone,), duration=period), period, steps)
-    return period, n_span, period / n_span
+    return max(1, math.ceil(period / _slice_width((tone,), steps))), period
 
 
-def _stroboscopic_reference(system, drive, steps=32):
-    """U(T)^n, then the period grid's first k slices of the remainder r, then one partial slice.
+def _slices_applied(tones, midpoints, widths):
+    """Strang slices on SYS, widths[j] wide about midpoints[j], applied one at a time by expm.
 
-    k = floor(r / dt) on the period's slice width dt; the period and its
-    first k slices come from separate _slice_product calls, and the partial
-    slice of width r - k dt about its midpoint from exact exponentials.
+    Slice j is e^{-i H_static w/2} e^{-i w V(t)} e^{-i H_static w/2} with
+    w = widths[j], t = midpoints[j] and V(t) = -sum amplitude I_axis cos(Omega t + f).
     """
-    (tone,) = drive.tones
-    h_static = build_hamiltonian(system)
-    energies, basis = np.linalg.eigh(h_static)
-    period, n_span, dt = _period_grid(system, tone, steps)
-    whole = math.floor(drive.duration / period)
-    u = np.linalg.matrix_power(
-        dynamics._slice_product(energies, basis, drive, period, n_span), whole)
-    remainder = drive.duration - whole * period
-    k = math.floor(remainder / dt)
-    if k:
-        u = dynamics._slice_product(energies, basis, drive, k * dt, k) @ u
-    delta = remainder - k * dt
-    if delta > 0:
-        half = expm(-0.5j * delta * h_static)
-        field = -tone.amplitude * math.cos(tone.frequency * (k * dt + delta / 2) + tone.phase)
-        axis = {"X": system.ops.Ix, "Y": system.ops.Iy}[tone.axis]
-        u = half @ expm(-1j * delta * field * axis) @ half @ u
+    h_static = build_hamiltonian(SYS)
+    axis_ops = {"X": SYS.ops.Ix, "Y": SYS.ops.Iy}
+    v = np.zeros((len(midpoints), DIM, DIM), dtype=complex)
+    for tone in tones:
+        field = -tone.amplitude * np.cos(tone.frequency * midpoints + tone.phase)
+        v += field[:, None, None] * axis_ops[tone.axis]
+    uniques, index = np.unique(widths, return_inverse=True)
+    halves = expm(-0.5j * uniques[:, None, None] * h_static)[index]
+    u = np.eye(DIM, dtype=complex)
+    for s in halves @ expm(-1j * widths[:, None, None] * v) @ halves:
+        u = s @ u
     return u
 
 
-def test_stroboscopic_period_boundaries():
-    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
-    period, _, dt = _period_grid(SYS, tone)
-    # under two periods the whole drive is sliced uniformly
-    short = DriveSpec(tones=(tone,), duration=1.9 * period)
-    assert np.array_equal(evolve(SYS, short), _sliced(SYS, short, short.duration))
-    # 2 + 19 dt / T periods: a remainder of exactly 19 slices, no partial slice
-    exact = 2 * period + 19 * dt
-    assert math.floor((exact - 2 * period) / dt) == 19 and exact - 2 * period - 19 * dt == 0
-    # three periods less three ulps: two whole periods and a remainder a hair under T
-    under_three = 3 * period
-    for _ in range(3):
-        under_three = math.nextafter(under_three, 0)
-    assert math.floor(under_three / period) == 2
-    assert period - (under_three - 2 * period) < 1e-14
-    durations = [p * period for p in (2, 7, 2.01, 7.5)]
-    # a remainder inside the first slice (k = 0)
-    durations += [2 * period + 0.3 * dt, exact, under_three]
-    for duration in durations:
-        drive = DriveSpec(tones=(tone,), duration=duration)
-        u = evolve(SYS, drive)
-        assert np.abs(u - _stroboscopic_reference(SYS, drive)).max() < 1e-12
-        assert np.abs(u - _sliced(SYS, drive, drive.duration)).max() < 1e-6
-        assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+def _definition(drive, steps):
+    """evolve's propagator of a driven pulse on SYS by its definition, and its number of slices.
+
+    The pulse is cut into the fewest uniform slices at most _slice_width
+    wide, except that a single tone lasting n >= 2 periods T keeps its
+    period's grid of n_span slices of width dt = T / n_span over the whole
+    pulse: n n_span slices, then the first k = floor(r / dt) of the
+    remainder r, then one slice of width r - k dt about its midpoint.
+    """
+    (tone, *others) = drive.tones
+    n_span, period = (0, math.inf) if others or not tone.frequency else _period_slices(tone, steps)
+    whole = math.floor(drive.duration / period)
+    if whole < 2:
+        count = max(1, math.ceil(drive.duration / _slice_width(drive.tones, steps)))
+        dt = drive.duration / count
+        return _slices_applied(drive.tones, (np.arange(count) + 0.5) * dt,
+                               np.full(count, dt)), count
+    dt = period / n_span
+    remainder = max(drive.duration - whole * period, 0.0)
+    head = math.floor(remainder / dt)
+    partial = remainder - head * dt
+    count = whole * n_span + head
+    midpoints, widths = (np.arange(count) + 0.5) * dt, np.full(count, dt)
+    if partial > 0:
+        midpoints = np.append(midpoints, whole * period + head * dt + partial / 2)
+        widths = np.append(widths, partial)
+    return _slices_applied(drive.tones, midpoints, widths), len(widths)
 
 
-@pytest.mark.parametrize("slices", [2481.5, 4096.5, 4100.5, 8230.5])
-def test_stroboscopic_remainder_across_blocks(slices):
-    # at 1024 steps a period of 8272 slices is cut into 251 runs of 33, the last one late, whose
-    # diagonals are filled 11 steps at a time; the remainders end at steps of several chunks
-    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
-    cfg = IntegrationConfig(steps_per_shortest_period=1024)
-    period, n_span, dt = _period_grid(SYS, tone, 1024)
-    runs = dynamics._Runs(n_span, 1, False)
-    assert runs.chunk < dynamics._CHAIN < runs.steps and len(runs.starts) <= dynamics._MAX_RUNS
-    drive = DriveSpec(tones=(tone,), duration=2 * period + slices * dt)
-    u = evolve(SYS, drive, cfg)
-    assert np.abs(u - _stroboscopic_reference(SYS, drive, 1024)).max() < 1e-12
-    assert np.abs(u - _sliced(SYS, drive, drive.duration, 1024)).max() < 1e-6
-    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+# the fastest scale of SYS's levels; a drawn drive takes at most about 4100 slices
+SPREAD = float(np.ptp(np.linalg.eigvalsh(build_hamiltonian(SYS))))
+MAX_PERIOD_SLICES = 800
+AMPLITUDES = st.floats(-4, -1).map(lambda exponent: 10.0 ** exponent)
+PHASES = st.one_of(st.floats(-7, 7), st.floats(-1e6, 1e6))
+AXES = st.sampled_from("XY")
+# a fraction of a slice, a period or the level spread, drawn evenly rather than near 0 and 1
+PARTS = st.integers(0, 999).map(lambda part: part / 1000)
 
 
-@pytest.mark.parametrize("steps", [32, 1024])
-def test_stroboscopic_heads_in_every_kind_of_run(steps):
-    # a period of 259 slices (16 runs of 16 and a late run) or of 8272 (250 runs of 33 and a
-    # late run); the remainder's head ends in the first run, a middle run, the late run, and
-    # at the end of a middle run
-    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
-    period, n_span, dt = _period_grid(SYS, tone, steps)
-    runs = dynamics._Runs(n_span, 1, False)
-    middle = len(runs.starts) // 2
-    assert runs.late_start < runs.steps and n_span - 2 > runs.starts[-2] + runs.steps
-    for head in (runs.steps // 2, middle * runs.steps + 3, n_span - 2, middle * runs.steps):
-        drive = DriveSpec(tones=(tone,), duration=2 * period + (head + 0.5) * dt)
-        u = evolve(SYS, drive, IntegrationConfig(steps))
-        assert np.abs(u - _stroboscopic_reference(SYS, drive, steps)).max() < 1e-12, head
+def _after_periods(tone, steps, periods, head, fraction):
+    """A pulse of one tone: whole periods, then head + fraction of its period's slices."""
+    n_span, period = _period_slices(tone, steps)
+    return DriveSpec(tones=(tone,), duration=periods * period + (head + fraction) * period / n_span)
+
+
+@st.composite
+def drives(draw):
+    """(steps_per_shortest_period, drive) for a drive of 1-4 tones on SYS.
+
+    A single tone lasts n periods and a drawn head k of its period's slices
+    plus a fraction of one, or under two periods.  Any drive may instead be
+    cut into a drawn number of slices, among them 1, 16, 17, 4096 and 4097.
+    """
+    steps = draw(st.integers(20, 1024))
+    kind = draw(st.sampled_from(["periods", "slices", "short"]))
+    if kind != "slices":
+        # a tone at least this fast keeps its period within MAX_PERIOD_SLICES slices
+        slowest = SPREAD * steps / (MAX_PERIOD_SLICES - 1)
+        magnitude = slowest + draw(PARTS) * (3 * SPREAD - slowest)
+        tone = draw(st.builds(DriveTone, st.sampled_from([magnitude, -magnitude]),
+                              AMPLITUDES, PHASES, AXES))
+        n_span, period = _period_slices(tone, steps)
+        if kind == "short":
+            return steps, DriveSpec(tones=(tone,), duration=(0.001 + 2 * draw(PARTS)) * period)
+        head = draw(st.one_of(st.sampled_from([0, 1, n_span // 2, n_span - 1]),
+                              st.integers(0, n_span - 1)))
+        return steps, _after_periods(tone, steps, draw(st.integers(2, 3)), head, draw(PARTS))
+    # from -3 to 3 times the level spread, 0 among them
+    frequencies = PARTS.map(lambda part: (6 * part - 3) * SPREAD)
+    tones = [draw(st.builds(DriveTone, frequencies, AMPLITUDES, PHASES, AXES))
+             for _ in range(draw(st.integers(1, 4)))]
+    count = draw(st.one_of(st.sampled_from([1, 16, 17, 4096, 4097]), st.integers(1, 2000)))
+    fraction = 0.01 + 0.98 * draw(PARTS)
+    return steps, DriveSpec(tones=tuple(tones),
+                            duration=(count - fraction) * _slice_width(tones, steps))
+
+
+# a period of 259 slices at 32 steps, of 4136 at 512
+TONE = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
+UNDER_THREE_PERIODS = 3 * _period_slices(TONE, 32)[1]
+for _ in range(3):   # three ulps under: two whole periods and a remainder a hair under one
+    UNDER_THREE_PERIODS = math.nextafter(UNDER_THREE_PERIODS, 0)
+# X and Y tones: zero, negative, above the level spread, and a phase of 1e6 rad
+MIXED = (TONE, DriveTone(-2.5, 0.05, 1e6, "Y"), DriveTone(0.0, 1e-4, 1.1, "Y"),
+         DriveTone(9.0, 0.1, 0.3, "X"))
+
+
+@settings(CONTRACT, max_examples=40)
+@example(case=(32, _after_periods(TONE, 32, 2, 0, 0.3)))
+@example(case=(32, _after_periods(TONE, 32, 2, 1, 0.0)))
+@example(case=(32, _after_periods(TONE, 32, 2, _period_slices(TONE, 32)[0] // 2, 0.5)))
+@example(case=(32, _after_periods(TONE, 32, 2, _period_slices(TONE, 32)[0] - 1, 0.5)))
+@example(case=(512, _after_periods(TONE, 512, 2, _period_slices(TONE, 512)[0] - 1, 0.5)))
+@example(case=(32, DriveSpec(tones=(TONE,), duration=UNDER_THREE_PERIODS)))
+@example(case=(20, DriveSpec(tones=MIXED, duration=4096.5 * _slice_width(MIXED, 20))))
+@given(case=drives())
+def test_evolve_is_its_slices_applied_one_at_a_time(case):
+    steps, drive = case
+    u = evolve(SYS, drive, IntegrationConfig(steps))
+    expected, n_slices = _definition(drive, steps)
+    # each slice adds about eps, and rounding its field's argument Omega t + f a further
+    # eps |Omega t + f| times its kick: 1000 random draws came within 1.2 n eps (1 + that
+    # term), and 20000 drives of 1-5 slices within 48 eps beyond 2 n eps (1 + that term)
+    reach = max(abs(t.phase) + abs(t.frequency) * drive.duration for t in drive.tones)
+    kick = max(t.amplitude for t in drive.tones) * _slice_width(drive.tones, steps)
+    eps = np.finfo(float).eps
+    assert np.abs(u - expected).max() <= eps * (64 + 2 * n_slices * (1 + reach * kick))
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() <= 1e-12
 
 
 def test_a_head_of_every_slice_is_the_span_product():
     # evolve caps a head at the period's slices, which rounding of r / dt could reach
     energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    drive = DriveSpec(tones=(DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4),), duration=1.0)
+    drive = DriveSpec(tones=(TONE,), duration=1.0)
     for n in (1, 259):
-        u, head = dynamics._slice_products(energies, basis, drive, n * KERNEL_DT, n, n)
+        u, head = dynamics._slice_products(energies, basis, drive, n * 0.025, n, n)
         assert np.array_equal(head, u)
 
 
-def _kernel_calls(drive, cfg):
-    """The spans of slices, as _Runs layouts, that evolve hands the kernel for one drive."""
-    with mock.patch.object(dynamics, "_block_product",
-                           wraps=dynamics._block_product) as kernel:
-        evolve(SYS, drive, cfg)
-    return [call.args[2] for call in kernel.call_args_list]
+@pytest.mark.parametrize("axes,n_slices", [
+    (("X", "X"), 1), (("X", "X"), 9), (("X", "X"), 5), (("X", "Y"), 1), (("X", "Y"), 15),
+    (("X", "Y"), 4097)])
+def test_block_products_do_not_alias_the_work_buffers(axes, n_slices):
+    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
+    tones = tuple(DriveTone(_transition(*pair), 0.05, 0.3, axis)
+                  for pair, axis in zip(((6, 7), (4, 5)), axes))
+    drive = DriveSpec(tones=tones, duration=1.0)
+    kernel, aliased = dynamics._block_product, []
 
+    def recording(stages, fill, runs, cut=0):
+        product, head = kernel(stages, fill, runs, cut)
+        aliased.append(np.shares_memory(product, runs.work))
+        runs.work[...] = np.nan   # a view into work would now read nan
+        return product, head
 
-@pytest.mark.parametrize("steps", [32, 1024])
-def test_single_tone_drive_runs_one_kernel_pass(steps):
-    # a period of 259 or 8272 slices and a remainder of 0.6 periods: one pass over the period
-    tone = DriveTone(frequency=0.9, amplitude=4e-3, phase=0.4)
-    cfg = IntegrationConfig(steps_per_shortest_period=steps)
-    period, n_span, _ = _period_grid(SYS, tone, steps)
-    (runs,) = _kernel_calls(DriveSpec(tones=(tone,), duration=2.6 * period), cfg)
-    assert runs.starts[-1] + runs.steps == n_span
-    # a two-tone drive is sliced uniformly, in one pass over all its slices
-    two_tone = DriveSpec(tones=(tone, DriveTone(0.7, 4e-3)), duration=2.6 * period)
-    (runs,) = _kernel_calls(two_tone, cfg)
-    assert runs.starts[-1] + runs.steps == _slice_count(SYS, two_tone, two_tone.duration, steps)
+    dt = 0.025
+    with mock.patch.object(dynamics, "_block_product", recording):
+        u, _ = dynamics._slice_products(energies, basis, drive, n_slices * dt, n_slices, 0)
+    assert aliased and not any(aliased)
+    assert np.all(np.isfinite(u))
+    expected = _slices_applied(tones, (np.arange(n_slices) + 0.5) * dt, np.full(n_slices, dt))
+    assert np.abs(u - expected).max() <= 1e-12
 
 
 def test_stroboscopic_unitarity_over_a_million_periods():
@@ -292,6 +326,20 @@ def test_unitary_power_matches_svd_projected_squaring(n):
     assert np.abs(power - _svd_power(u, n)).max() <= max(1e-12, n * 1e-15)
 
 
+def test_right_multiplier_is_the_real_form_of_the_transpose():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(37, DIM)) + 1j * rng.normal(size=(37, DIM))
+    w = dynamics._AXIS_EIGENBASES
+    for m in (_random_unitary(rng), _random_unitary(rng), w["X"], w["Y"],
+              w["X"].conj().T, w["Y"].conj().T):
+        g = dynamics._right_multiplier(m)
+        assert g.shape == (2 * DIM, 2 * DIM) and g.dtype == float
+        assert np.abs(x.view(float) @ g - (x @ m.T).view(float)).max() < 1e-13
+    frame = (dynamics._right_multiplier(w["X"].conj().T), dynamics._right_multiplier(w["X"]))
+    assert all(np.array_equal(a, b) for a, b in zip(dynamics._IX_FRAME, frame))
+    assert not any(g.flags.writeable for g in dynamics._IX_FRAME)
+
+
 @pytest.mark.parametrize("gate", ["CCNOT:QR->S", "CCUT:QR->S(1.2,0.4)", "NOT:S"])
 def test_simulate_schedule_matches_the_svd_projected_run(gate):
     sched = compile_gate(gate)
@@ -310,7 +358,9 @@ def test_propagators_without_drive_are_fresh_writable_arrays():
     for u in results:
         assert u.dtype == complex and np.array_equal(u, np.eye(DIM))
         u[0, 0] = 2   # raises ValueError on a read-only array
-    assert np.array_equal(dynamics._IDENTITY, np.eye(DIM))
+    # the writes above reach no array that a later call returns
+    assert np.array_equal(evolve(SYS, DriveSpec(tones=(), duration=0.0)), np.eye(DIM))
+    assert np.array_equal(simulate_schedule(SYS, empty, 1e-3).actual, np.eye(DIM))
 
 
 def _midpoint_reference(system, drive, steps_per_period):
@@ -389,144 +439,6 @@ def test_multi_tone_unitarity_over_many_slices():
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-10
 
 
-# slice counts around the run layout (see test_runs_cover_every_slice_once)
-SLICE_COUNTS = (1, 15, 16, 17, 4095, 4096, 4097, 8193)
-KERNEL_DT = 0.025
-
-
-def _split_prefix_products(drive, counts):
-    """Strang-split slices of width KERNEL_DT applied one at a time, by expm.
-
-    Returns the product over the first n slices for every n in counts.
-    """
-    h_static = build_hamiltonian(SYS)
-    half = expm(-0.5j * KERNEL_DT * h_static)
-    t_mid = (np.arange(max(counts)) + 0.5) * KERNEL_DT
-    axis_ops = {"X": SYS.ops.Ix, "Y": SYS.ops.Iy}
-    v = np.zeros((t_mid.size, DIM, DIM), dtype=complex)
-    for tone in drive.tones:
-        envelope = -tone.amplitude * np.cos(tone.frequency * t_mid + tone.phase)
-        v += envelope[:, None, None] * axis_ops[tone.axis]
-    u, products = np.eye(DIM, dtype=complex), {}
-    for n, kick in enumerate(expm(-1j * KERNEL_DT * v), start=1):
-        u = half @ kick @ half @ u
-        if n in counts:
-            products[n] = u
-    return products
-
-
-@pytest.mark.parametrize("axes", [("X", "X"), ("Y",), ("X", "Y")])
-def test_slice_kernel_matches_one_slice_at_a_time(axes):
-    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    # tone phases near 1e4 rad, as late in a long gate: each slice's field comes
-    # from one coefficient at its run's start times a phasor of its step
-    for shift in (0.0, 1e4):
-        tones = tuple(DriveTone(_transition(*pair), 0.05, phase + shift, axis)
-                      for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
-        drive = DriveSpec(tones=tones, duration=1.0)
-        for n, expected in _split_prefix_products(drive, SLICE_COUNTS).items():
-            u = dynamics._slice_product(energies, basis, drive, n * KERNEL_DT, n)
-            # rounding in the constant step grows linearly, about 2.4e-16 a slice
-            assert np.abs(u - expected).max() <= max(1e-12, 5e-16 * n), (shift, n)
-
-
-def test_right_multiplier_is_the_real_form_of_the_transpose():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(37, DIM)) + 1j * rng.normal(size=(37, DIM))
-    w = dynamics._AXIS_EIGENBASES
-    for m in (_random_unitary(rng), _random_unitary(rng), w["X"], w["Y"],
-              w["X"].conj().T, w["Y"].conj().T):
-        g = dynamics._right_multiplier(m)
-        assert g.shape == (2 * DIM, 2 * DIM) and g.dtype == float
-        assert np.abs(x.view(float) @ g - (x @ m.T).view(float)).max() < 1e-13
-    frame = (dynamics._right_multiplier(w["X"].conj().T), dynamics._right_multiplier(w["X"]))
-    assert all(np.array_equal(a, b) for a, b in zip(dynamics._IX_FRAME, frame))
-    assert not any(g.flags.writeable for g in dynamics._IX_FRAME)
-
-
-# (count, runs, steps per run, late last run): fewer slices than the run cap, where runs
-# are about as many as steps; runs of _CHAIN or more filling the cap exactly; a late run
-RUN_LAYOUTS = [(1, 1, 1, False), (17, 5, 4, True), (100, 10, 10, False), (200, 15, 14, True),
-               (4095, 256, 16, True), (4096, 256, 16, False), (4097, 241, 17, False),
-               (5120, 256, 20, False), (6001, 251, 24, True), (8193, 249, 33, True),
-               (57583, 256, 225, True), (10**8, 256, 390625, False)]
-
-
-@pytest.mark.parametrize("count,n_runs,steps,late", RUN_LAYOUTS)
-def test_runs_cover_every_slice_once(count, n_runs, steps, late):
-    runs = dynamics._Runs(count, 1, False)
-    assert (len(runs.starts), runs.steps, runs.late_start < runs.steps) == (n_runs, steps, late)
-    if count <= 4096:   # a span of up to 4096 slices keeps runs of min(_CHAIN, isqrt(count))
-        assert steps == min(dynamics._CHAIN, math.isqrt(count))
-    # run r takes slice starts[r] + k at step k, the late run from late_start on: the runs'
-    # slices follow each other without a gap or an overlap
-    begins, ends = runs.starts.copy(), runs.starts + steps
-    if late:
-        begins[-1] += runs.late_start
-    assert begins[0] == 0 and ends[-1] == count and np.array_equal(begins[1:], ends[:-1])
-    # the diagonals are filled a whole chunk of at most _CHAIN steps at a time
-    assert runs.chunk <= dynamics._CHAIN and runs.padded % runs.chunk == 0
-    assert steps <= runs.padded < steps + runs.padded // runs.chunk
-
-
-@pytest.mark.parametrize("count", [1, 5, 9, 10, 4097])
-def test_block_buffers_are_views_of_the_run_arrays(count):
-    # 1 slice: one run; 5 and 9: three runs (5 with a late start); 10: four; 4097: 241 of 17
-    runs = dynamics._Runs(count, 2, True)
-    n_runs = len(runs.starts)
-    assert runs.work.shape == (2, DIM, n_runs, DIM) and runs.work.flags.c_contiguous
-    assert runs.rows.shape == (2, DIM * n_runs, 2 * DIM)
-    assert runs.trees.shape == (2, n_runs, DIM, DIM)
-    assert runs.fields.shape == (2, runs.chunk, n_runs)
-    assert runs.phases.shape == runs.turns.shape == (runs.chunk, n_runs, DIM)
-    # a reshape that copied would take matmul's out= writes and the tree's copy elsewhere
-    for view in (runs.rows, runs.trees):
-        for side in (0, 1):
-            assert np.shares_memory(view[side], runs.work[side])
-            assert not np.shares_memory(view[side], runs.work[1 - side])
-    runs.rows[1][...] = 0.5
-    assert np.all(runs.work[1] == 0.5 + 0.5j)
-    runs.trees[0][...] = 2.0
-    assert np.all(runs.work[0] == 2.0)
-
-
-@pytest.mark.parametrize("axes", [("X", "X"), ("X", "Y")])
-def test_every_run_layout_matches_one_slice_at_a_time(axes):
-    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    tones = tuple(DriveTone(_transition(*pair), 0.05, phase, axis)
-                  for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
-    drive = DriveSpec(tones=tones, duration=1.0)
-    # longer spans are checked against a bound that grows with the slice count, see SLICE_COUNTS
-    counts = [count for count, *_ in RUN_LAYOUTS if count <= 6001]
-    for n, expected in _split_prefix_products(drive, counts).items():
-        u = dynamics._slice_product(energies, basis, drive, n * KERNEL_DT, n)
-        assert np.abs(u - expected).max() <= 1e-12, n
-
-
-@pytest.mark.parametrize("axes,n_slices", [
-    (("X", "X"), 1), (("X", "X"), 9), (("X", "X"), 5), (("X", "Y"), 1), (("X", "Y"), 15),
-    (("X", "Y"), 4097)])
-def test_block_products_do_not_alias_the_work_buffers(axes, n_slices):
-    energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    tones = tuple(DriveTone(_transition(*pair), 0.05, 0.3, axis)
-                  for pair, axis in zip(((6, 7), (4, 5)), axes))
-    drive = DriveSpec(tones=tones, duration=1.0)
-    kernel, aliased = dynamics._block_product, []
-
-    def recording(stages, fill, runs, cut=0):
-        product, head = kernel(stages, fill, runs, cut)
-        aliased.append(np.shares_memory(product, runs.work))
-        runs.work[...] = np.nan   # a view into work would now read nan
-        return product, head
-
-    with mock.patch.object(dynamics, "_block_product", recording):
-        u = dynamics._slice_product(energies, basis, drive, n_slices * KERNEL_DT, n_slices)
-    assert aliased and not any(aliased)
-    assert np.all(np.isfinite(u))
-    expected = _split_prefix_products(drive, (n_slices,))[n_slices]
-    assert np.abs(u - expected).max() <= 1e-12
-
-
 def test_slice_budget_is_checked_before_integrating():
     drive = DriveSpec(tones=(DriveTone(0.9, 1e-3), DriveTone(0.8, 1e-3)), duration=1e8)
     with pytest.raises(ResolutionError, match=r"3\.\d+e\+09 time slices"):
@@ -540,8 +452,9 @@ def test_slice_budget_counts_the_partial_slice():
     # a tone faster than every level spacing: at MAX_SLICES steps its period is MAX_SLICES
     # slices, and a remainder off the period's grid adds one partial slice over the limit
     tone = DriveTone(10.0, 1e-3)
-    period, n_span, dt = _period_grid(SYS, tone, dynamics.MAX_SLICES)
+    n_span, period = _period_slices(tone, dynamics.MAX_SLICES)
     assert n_span == dynamics.MAX_SLICES
+    dt = period / n_span
     with mock.patch.object(dynamics, "_slice_products", side_effect=AssertionError("integrated")):
         with pytest.raises(ResolutionError, match=r"1e\+08 time slices"):
             evolve(SYS, DriveSpec(tones=(tone,), duration=2 * period + 0.5 * dt),

@@ -16,6 +16,7 @@ from virtualspin import (DIM, ForbiddenTransitionError, InputError,
 from virtualspin.compiler import format_scalar
 from virtualspin.pulses import AXES
 from virtualspin.system import Q2_FORMS
+from test_cli_contract import CONTRACT
 from test_gates import ALL_NOT_FAMILY
 
 
@@ -245,7 +246,7 @@ def read_back(sched):
     return parse_schedule(format_schedule(sched))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(CONTRACT, max_examples=400)
 @given(fields=TONE_FIELDS)
 def test_every_tone_that_constructs_reads_back_equal(fields):
     try:
@@ -255,7 +256,7 @@ def test_every_tone_that_constructs_reads_back_equal(fields):
     assert read_back(PulseSchedule(gates=(), groups=((tone,),))).groups == ((tone,),)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(CONTRACT, max_examples=400)
 @given(key=st.sampled_from(list(KEYS)), value=ANY_VALUE)
 def test_every_tone_field_the_reader_refuses_the_constructor_refuses(key, value):
     # the field's line as format_schedule would write the value; every other field valid
@@ -268,7 +269,7 @@ def test_every_tone_field_the_reader_refuses_the_constructor_refuses(key, value)
             dataclasses.replace(BASE, **{KEYS[key]: value})
 
 
-@settings(max_examples=400, deadline=None)
+@settings(CONTRACT, max_examples=400)
 @given(gates=GATES, group=st.lists(st.one_of(VALID_TONE, TONE_FIELDS), min_size=1, max_size=3),
        parameters=PARAMETERS,
        method=METHOD)

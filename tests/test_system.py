@@ -11,6 +11,7 @@ from virtualspin import (DIM, SPIN, DriveSpec, DriveTone, GateSpec, InputError, 
                          SpinSystem, Tone, build_hamiltonian, forbidden_scaling,
                          make_spin_operators, projector, quadrupole_hamiltonian)
 from virtualspin.system import level, one_of, positive, real
+from test_cli_contract import CONTRACT
 
 m = np.arange(DIM) - SPIN
 
@@ -81,7 +82,7 @@ def test_q2_form_switch():
     assert np.abs(printed0 - squared0).max() == 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(CONTRACT, max_examples=200)
 @given(omega_q=st.floats(1e-3, 10.0), theta=st.floats(0.0, np.pi), phi=st.floats(-1e6, 1e6))
 def test_sin_squared_quadrupole_spectrum_does_not_depend_on_orientation(omega_q, theta, phi):
     # a rotated axial field-gradient tensor keeps its theta = 0 levels, omegaQ (2 m^2 - 21/2),
