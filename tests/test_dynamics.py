@@ -114,6 +114,16 @@ def _slices_applied(tones, midpoints, widths):
     return u
 
 
+def _uniformly_sliced(drive, steps):
+    """The fewest equal slices of the whole pulse at most _slice_width wide, applied by expm.
+
+    Returns their product and their number.
+    """
+    count = max(1, math.ceil(drive.duration / _slice_width(drive.tones, steps)))
+    dt = drive.duration / count
+    return _slices_applied(drive.tones, (np.arange(count) + 0.5) * dt, np.full(count, dt)), count
+
+
 def _definition(drive, steps):
     """evolve's propagator of a driven pulse on SYS by its definition, and its number of slices.
 
@@ -127,10 +137,7 @@ def _definition(drive, steps):
     n_span, period = (0, math.inf) if others or not tone.frequency else _period_slices(tone, steps)
     whole = math.floor(drive.duration / period)
     if whole < 2:
-        count = max(1, math.ceil(drive.duration / _slice_width(drive.tones, steps)))
-        dt = drive.duration / count
-        return _slices_applied(drive.tones, (np.arange(count) + 0.5) * dt,
-                               np.full(count, dt)), count
+        return _uniformly_sliced(drive, steps)
     dt = period / n_span
     remainder = max(drive.duration - whole * period, 0.0)
     head = math.floor(remainder / dt)
@@ -211,7 +218,14 @@ MIXED = (TONE, DriveTone(-2.5, 0.05, 1e6, "Y"), DriveTone(0.0, 1e-4, 1.1, "Y"),
 @example(case=(20, DriveSpec(tones=MIXED, duration=4096.5 * _slice_width(MIXED, 20))))
 @given(case=drives())
 def test_evolve_is_its_slices_applied_one_at_a_time(case):
-    steps, drive = case
+    _evolve_by_definition(*case)
+
+
+def _evolve_by_definition(steps, drive):
+    """evolve's propagator of drive on SYS, checked against _definition and for unitarity.
+
+    Returns it, its largest entrywise distance from _definition and the number of slices.
+    """
     u = evolve(SYS, drive, IntegrationConfig(steps))
     expected, n_slices = _definition(drive, steps)
     # each slice adds about eps, and rounding its field's argument Omega t + f a further
@@ -220,8 +234,88 @@ def test_evolve_is_its_slices_applied_one_at_a_time(case):
     reach = max(abs(t.phase) + abs(t.frequency) * drive.duration for t in drive.tones)
     kick = max(t.amplitude for t in drive.tones) * _slice_width(drive.tones, steps)
     eps = np.finfo(float).eps
-    assert np.abs(u - expected).max() <= eps * (64 + 2 * n_slices * (1 + reach * kick))
+    error = np.abs(u - expected).max()
+    assert error <= eps * (64 + 2 * n_slices * (1 + reach * kick))
     assert np.abs(u.conj().T @ u - np.eye(DIM)).max() <= 1e-12
+    return u, error, n_slices
+
+
+def test_stroboscopic_matches_uniform_slices_on_pi_pulse():
+    spec = exact_spectrum(SYS)
+    drive_tone, duration = _realized(spec, Tone(upper=6, lower=7, angle=np.pi), 1e-3)
+    drive = DriveSpec(tones=(drive_tone,), duration=duration)
+    u = evolve(SYS, drive)
+    assert np.abs(u - _uniformly_sliced(drive, 32)[0]).max() < 1e-6
+    assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
+
+
+def test_stroboscopic_period_boundaries():
+    n_span, period = _period_slices(TONE, 32)
+    dt = period / n_span
+    # 2 + 19 dt / T periods: a remainder of exactly 19 slices, no partial slice
+    exact = 2 * period + 19 * dt
+    assert math.floor((exact - 2 * period) / dt) == 19 and exact - 2 * period - 19 * dt == 0
+    # three periods less three ulps: two whole periods and a remainder a hair under T
+    assert math.floor(UNDER_THREE_PERIODS / period) == 2
+    assert period - (UNDER_THREE_PERIODS - 2 * period) < 1e-14
+    # under two periods the whole drive is sliced uniformly
+    durations = [p * period for p in (1.9, 2, 7, 2.01, 7.5)]
+    # a remainder inside the first slice (k = 0)
+    durations += [2 * period + 0.3 * dt, exact, UNDER_THREE_PERIODS]
+    for duration in durations:
+        drive = DriveSpec(tones=(TONE,), duration=duration)
+        u, error, _ = _evolve_by_definition(32, drive)
+        assert error < 1e-12, duration
+        assert np.abs(u - _uniformly_sliced(drive, 32)[0]).max() < 1e-6, duration
+
+
+@pytest.mark.parametrize("slices", [2481.5, 4096.5, 4100.5, 8230.5])
+def test_stroboscopic_remainder_across_blocks(slices):
+    # at 1024 steps a period takes 8272 slices; the remainders end early in the period, a
+    # half slice past 4096 and past 4100, and a half slice under its end
+    n_span, period = _period_slices(TONE, 1024)
+    assert n_span == 8272
+    drive = DriveSpec(tones=(TONE,), duration=2 * period + slices * period / n_span)
+    u, *_ = _evolve_by_definition(1024, drive)
+    assert np.abs(u - _uniformly_sliced(drive, 1024)[0]).max() < 1e-6
+
+
+@pytest.mark.parametrize("steps", [32, 1024])
+def test_stroboscopic_heads_in_every_kind_of_run(steps):
+    # a period of 259 or 8272 slices; the remainder's head ends early in the period, just
+    # past and at its middle, and two slices before its end
+    n_span, _ = _period_slices(TONE, steps)
+    for head in (math.isqrt(n_span) // 2, n_span // 2 + 3, n_span - 2, n_span // 2):
+        _evolve_by_definition(steps, _after_periods(TONE, steps, 2, head, 0.5))
+
+
+def _two_tones(axes, shift=0.0):
+    """Tones on the 6-7 and 4-5 transitions of SYS, one on each of axes, phases shifted."""
+    return tuple(DriveTone(_transition(*pair), 0.05, phase + shift, axis)
+                 for pair, phase, axis in zip(((6, 7), (4, 5)), (0.3, 1.1), axes))
+
+
+def _in_slices(tones, count, steps=32):
+    """A drive of tones that evolve cuts into count uniform slices, unless it is periodic."""
+    return DriveSpec(tones=tones, duration=(count - 0.5) * _slice_width(tones, steps))
+
+
+@pytest.mark.parametrize("axes", [("X", "X"), ("Y",), ("X", "Y")])
+def test_slice_kernel_matches_one_slice_at_a_time(axes):
+    # tone phases near 1e4 rad, as late in a long gate
+    for shift in (0.0, 1e4):
+        for count in (1, 15, 16, 17, 4095, 4096, 4097, 8193):
+            _, error, n = _evolve_by_definition(32, _in_slices(_two_tones(axes, shift), count))
+            # rounding in the constant step grows linearly, about 2.4e-16 a slice
+            assert error <= max(1e-12, 5e-16 * n), (shift, count)
+
+
+@pytest.mark.parametrize("axes", [("X", "X"), ("X", "Y")])
+def test_every_run_layout_matches_one_slice_at_a_time(axes):
+    # slice counts from 1 to 6001: fewer than, as many as and more than a power of two
+    for count in (1, 17, 100, 200, 4095, 4096, 4097, 5120, 6001):
+        _, error, _ = _evolve_by_definition(32, _in_slices(_two_tones(axes), count))
+        assert error <= 1e-12, count
 
 
 def test_a_head_of_every_slice_is_the_span_product():
@@ -238,8 +332,7 @@ def test_a_head_of_every_slice_is_the_span_product():
     (("X", "Y"), 4097)])
 def test_block_products_do_not_alias_the_work_buffers(axes, n_slices):
     energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
-    tones = tuple(DriveTone(_transition(*pair), 0.05, 0.3, axis)
-                  for pair, axis in zip(((6, 7), (4, 5)), axes))
+    tones = _two_tones(axes)
     drive = DriveSpec(tones=tones, duration=1.0)
     kernel, aliased = dynamics._block_product, []
 
