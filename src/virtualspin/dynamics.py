@@ -35,7 +35,7 @@ from .errors import DegenerateFitError, InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, M_VALUES, SpinSystem,
-                     build_hamiltonian, level, one_of, positive, real)
+                     build_hamiltonian, integer, level, one_of, positive, real)
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -55,12 +55,6 @@ _POLAR_STEPS = 4
 MIN_LOG_RANGE = 1e-6
 
 
-def _eigenbasis(op: np.ndarray) -> np.ndarray:
-    _, w = np.linalg.eigh(op)
-    w.setflags(write=False)
-    return w
-
-
 def _right_multiplier(m: np.ndarray) -> np.ndarray:
     """The real (2 DIM, 2 DIM) g with  x.view(float) @ g == (x @ m.T).view(float).
 
@@ -78,7 +72,9 @@ def _right_multiplier(m: np.ndarray) -> np.ndarray:
 
 
 # eigenvectors of each axis operator; all have the eigenvalues of Iz, M_VALUES, in ascending order
-_AXIS_EIGENBASES = {axis: _eigenbasis(op) for axis, op in AXIS_OPERATORS.items()}
+_AXIS_EIGENBASES = {axis: np.linalg.eigh(op)[1] for axis, op in AXIS_OPERATORS.items()}
+for _basis in _AXIS_EIGENBASES.values():
+    _basis.setflags(write=False)
 # right multipliers into (W^dagger) and out of (W) the Ix eigenframe, for mixed X+Y drives
 _IX_FRAME = (_right_multiplier(_AXIS_EIGENBASES["X"].conj().T),
              _right_multiplier(_AXIS_EIGENBASES["X"]))
@@ -123,9 +119,10 @@ class IntegrationConfig:
     steps_per_shortest_period: int = 32
 
     def __post_init__(self):
-        if not MIN_STEPS_PER_PERIOD <= self.steps_per_shortest_period <= MAX_SLICES:
+        steps = integer(self.steps_per_shortest_period, "steps_per_shortest_period")
+        if not MIN_STEPS_PER_PERIOD <= steps <= MAX_SLICES:
             raise ResolutionError(
-                f"steps_per_shortest_period = {self.steps_per_shortest_period} is outside "
+                f"steps_per_shortest_period = {steps} is outside "
                 f"{MIN_STEPS_PER_PERIOD}..{MAX_SLICES:.0e}: fewer steps under-resolve the shortest "
                 f"oscillation period, more exceed the slice limit within one such period")
 
@@ -153,7 +150,8 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
         # the Hamiltonian is constant: one exact exponential
         return _phase_conjugate(basis, np.exp(-1j * energies * drive.duration))
 
-    omega_max = max(float(energies[-1] - energies[0]), sys.omega0,
+    # max - min: eigh sorts energies, but a spectrum lists them by label
+    omega_max = max(float(energies.max() - energies.min()), sys.omega0,
                     *(abs(t.frequency) for t in drive.tones))
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
     if math.ulp(drive.duration) > dt_max:
@@ -224,13 +222,18 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     (see _right_multiplier): built once per drive for the step, once at
     import for the Ix eigenframe.
 
-    Step k of a run that starts at time t_r takes the slice whose midpoint
-    is t_r + s_k, s_k = (k + 1/2) dt, so its field on an axis is
-    Re(sum c e^{i Omega s_k}) over that axis's tones, with one coefficient
-    c = -amplitude e^{i (Omega t_r + f)} per tone and run, from the run's
-    absolute start, and one phasor e^{i Omega s_k} per tone and step: no
-    tone's cosine is evaluated per slice, however large the tone phase
-    grows.  fill writes a chunk of steps' diagonals into the _Runs buffers.
+    Step k of a run that starts at t_r takes the slice whose midpoint is
+    t_r + s_k, s_k = (k + 1/2) dt.  Its kick angle on an axis, -dt/2 times
+    the field, is Re(sum c e^{i Omega s_k}) over that axis's tones, with one
+    c = dt/2 amplitude e^{i (Omega t_r + f)} per tone and run, from the
+    run's absolute start, and one phasor e^{i Omega s_k} per tone and step:
+    no cosine is taken per slice, however large the tone phase grows.
+    fill(k, planes) takes a chunk of steps' angles theta in one matmul (a
+    mixed drive's (x, y) = r (cos a, sin a) kicks by -r along a + pi: turns
+    by -atan2(y, x)/2, phases by r) and builds each diagonal e^{2 i m theta}
+    in DIM contiguous (chunk, runs) planes: cos and sin into the float view
+    of the middle one, z, the odd powers by z**2, their conjugates mirrored,
+    then one transposing copy into the stage's buffer.
     """
     dt = span / n_slices
     step = _phase_conjugate(basis, np.exp(-1j * energies * dt))
@@ -249,9 +252,9 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     runs = _Runs(n_slices, len(axes), mixed)
     frequencies = np.array([tone.frequency for tone in drive.tones])
     tone_phases = np.array([tone.phase for tone in drive.tones])
-    # the drive field on each axis is -sum amplitude cos(Omega t + f) over that axis's tones
-    weights = np.array([[-tone.amplitude if tone.axis == axis else 0.0 for tone in drive.tones]
-                        for axis in axes])
+    # each axis's kick angle: dt/2 sum amplitude cos(Omega t + f) over its tones
+    weights = np.array([[0.5 * dt * tone.amplitude if tone.axis == axis else 0.0
+                         for tone in drive.tones] for axis in axes])
     # Re(c e^{i phi}) = Re(c) cos(phi) - Im(c) sin(phi): [Re c, -Im c] is conj(c).view(float)
     c_conj = weights[:, None] * np.exp(-1j * (np.multiply.outer(runs.starts * dt, frequencies)
                                               + tone_phases))
@@ -259,18 +262,23 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     angles = np.multiply.outer((np.arange(runs.padded) + 0.5) * dt, frequencies)
     phasors = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(runs.padded, -1)
 
-    def fill(k):
+    def fill(k, planes):
         """Write the diagonals of steps k .. k + chunk - 1 into the stages' buffers."""
-        np.matmul(phasors[k:k + runs.chunk], coefficients, out=runs.fields)
-        if not mixed:
-            np.multiply(runs.fields[0], -0.5j * dt, out=runs.kicks)
-            _iz_phases(np.exp(runs.kicks, out=runs.kicks), runs.phases)
-            return
-        x, y = runs.fields
-        np.multiply(np.arctan2(y, x), -0.5j, out=runs.kicks)
-        _iz_phases(np.exp(runs.kicks, out=runs.kicks), runs.turns)
-        np.multiply(np.hypot(x, y), -0.5j * dt, out=runs.kicks)
-        _iz_phases(np.exp(runs.kicks, out=runs.kicks), runs.phases)
+        x = np.matmul(phasors[k:k + runs.chunk], coefficients, out=runs.fields)[0]
+        kicks = ((x, runs.phases),)
+        if mixed:
+            y = runs.fields[1]
+            kicks = ((-0.5 * np.arctan2(y, x), runs.turns), (np.hypot(x, y), runs.phases))
+        middle = DIM // 2
+        for theta, out in kicks:
+            z = planes[middle]
+            np.cos(theta, out=z.view(float)[..., ::2])
+            np.sin(theta, out=z.view(float)[..., 1::2])
+            square = np.multiply(z, z, out=planes[0])   # until the mirror overwrites it
+            for i in range(middle + 1, DIM):
+                np.multiply(planes[i - 1], square, out=planes[i])
+            np.conjugate(planes[:middle - 1:-1], out=planes[:middle])
+            np.copyto(out, planes.transpose(1, 2, 0))
 
     # z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
     stages = (((step, runs.turns[..., ::-1]), (_IX_FRAME[0], runs.phases),
@@ -301,13 +309,14 @@ class _Runs:
     max(min(_CHAIN, isqrt(count)), ceil(count / _MAX_RUNS)): about as many
     runs as steps for a short span, at most _MAX_RUNS for a long one.  Run
     r takes slice starts[r] + k at step k; slices left over form one more
-    run over the last `steps` slices, started late at step late_start.  The
-    diagonals of `chunk` steps at a time (at most _CHAIN; `padded` steps
-    are a whole number of chunks) go into phases, and turns for a mixed
-    drive, of shape (chunk, runs, DIM), by way of fields and kicks.  work
-    holds two (DIM, runs, DIM) arrays of transposed run products (see
-    _block_product); rows is each one's float view as (DIM runs, 2 DIM)
-    rows, for matmul's out=, and trees its memory as (runs, DIM, DIM).
+    run over the last `steps` slices, started late at step late_start.
+    phases, and a mixed drive's turns, hold `chunk` steps' diagonals,
+    (chunk, runs, DIM), filled by way of fields (see _slice_products);
+    chunk <= DIM, so that its DIM planes fit in a run array, and `padded`
+    steps are whole chunks.  work holds two (DIM, runs, DIM) arrays of
+    transposed run products (see _block_product); views has each as itself
+    and as views: float (DIM runs, 2 DIM) rows for matmul's out=, (runs,
+    DIM, DIM) trees and (DIM, chunk, runs) planes.
     """
 
     def __init__(self, count: int, n_axes: int, mixed: bool):
@@ -316,54 +325,35 @@ class _Runs:
         self.steps, self.late_start = steps, steps - rest
         self.starts = np.arange(whole + (rest > 0)) * steps
         self.starts[whole:] = count - steps
-        chunks = -(-steps // _CHAIN)
+        chunks = -(-steps // DIM)
         self.chunk = -(-steps // chunks)
         self.padded = chunks * self.chunk
         shape = (self.chunk, len(self.starts))
         self.fields = np.empty((n_axes, *shape))
-        self.kicks = np.empty(shape, dtype=complex)
         self.phases = np.empty((*shape, DIM), dtype=complex)
         self.turns = np.empty_like(self.phases) if mixed else None
-        # two run arrays; rows and trees are views of their memory, never copies
-        self.work = np.empty((2, DIM, shape[1], DIM), dtype=complex)
-        self.rows = self.work.view(float).reshape(2, -1, 2 * DIM)
-        self.trees = self.work.reshape(2, shape[1], DIM, DIM)
-
-
-def _iz_phases(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write z**(2 m) for the Iz eigenvalues m of M_VALUES into out[..., i], and return out.
-
-    z has shape (steps, runs) and unit modulus, and out (steps, runs, DIM),
-    so that out[k] scales the DIM entries of every row of step k's run
-    arrays.  The negative powers are the conjugates of the positive ones;
-    the odd powers come from repeated multiplication by z**2, which is held
-    in out[..., 0] until the conjugates overwrite it.
-    """
-    middle = DIM // 2
-    square = np.multiply(z, z, out=out[..., 0])
-    out[..., middle] = z
-    for i in range(middle + 1, DIM):
-        np.multiply(out[..., i - 1], square, out=out[..., i])
-    np.conjugate(out[..., middle:][..., ::-1], out=out[..., :middle])
-    return out
+        work = self.work = np.empty((2, DIM, shape[1], DIM), dtype=complex)
+        self.views = tuple(zip(work, work.view(float).reshape(2, -1, 2 * DIM),
+                               work.reshape(2, shape[1], DIM, DIM),
+                               work.reshape(2, -1)[:, :self.phases.size].reshape(2, DIM, *shape)))
 
 
 def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
     """Time-ordered product of a span of slices, from its runs advanced in lock step.
 
     Each stage is the real right multiplier g of a constant (DIM, DIM)
-    matrix m (see _right_multiplier) and a buffer of per-slice diagonals d,
-    (chunk, runs, DIM), that fill(k) writes for steps k .. k + chunk - 1; a
-    slice applies every stage's matrix and then its diagonal, in order.
-    Each run's partial product P is kept transposed, X = P^T, in one of
-    runs.work's (DIM, runs, DIM) arrays, entry [j, r, i] holding P[i, j] of
-    run r.  A stage of a step, P <- diag(d) m P, is then
+    matrix m (see _right_multiplier) and a (chunk, runs, DIM) buffer of
+    per-slice diagonals d, which fill(k, planes) writes from step k on, the
+    spare array's planes its scratch; a slice applies every stage's matrix,
+    then its diagonal.  Each run's product P is kept transposed, X = P^T, in
+    one of runs.work's (DIM, runs, DIM) arrays, entry [j, r, i] holding
+    P[i, j] of run r.  A stage of a step, P <- diag(d) m P, is then
     X <- (X m^T) diag(d): one real product of the array's float rows with g,
     written into the other array, and one scaling of its rows by the step's
     d, broadcast over the outer axis.  The last run restarts from the
-    identity at step late_start (if there is such a step), dropping the
-    slices before it.  The transposes are then copied, one contiguous
-    (DIM, DIM) matrix a run, into the spare array and multiplied pairwise,
+    identity at step late_start (if there is one), dropping the slices
+    before it.  The transposes are then copied, one contiguous (DIM, DIM)
+    matrix a run, into the spare array and multiplied pairwise,
     (P_{r+1} P_r)^T = X_r X_{r+1}, into new arrays; runs.work is overwritten.
 
     Returns the span's product and, with 0 < cut < span, the product of its
@@ -371,27 +361,28 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
     right after its step over that slice, times the runs wholly before it,
     taken from the pairing's own nodes.
     """
-    work, rows, steps = runs.work, runs.rows, runs.steps
+    steps = runs.steps
     run, step = 0, None   # the run that holds slice cut - 1, and the step at which it takes it
     if cut:
         run, step = divmod(cut - 1, steps)
         if run == len(runs.starts) - 1 and runs.late_start < steps:
             step += runs.late_start   # the late run takes the span's last slices from late_start on
-    current = 0
-    work[0] = _IDENTITY[:, None, :]
+    # (work, rows, tree, planes) of the array holding the products, and of the spare
+    held, spare = runs.views
+    held[0][...] = _IDENTITY[:, None, :]
     for k in range(steps):
         if not k % runs.chunk:
-            fill(k)
+            fill(k, spare[3])
         if k == runs.late_start:
-            work[current, :, -1] = _IDENTITY
+            held[0][:, -1] = _IDENTITY
         for right, diagonals in stages:
-            np.matmul(rows[current], right, out=rows[1 - current])
-            current = 1 - current
-            work[current] *= diagonals[k % runs.chunk]
+            np.matmul(held[1], right, out=spare[1])
+            held, spare = spare, held
+            np.multiply(held[0], diagonals[k % runs.chunk], out=held[0])
         if k == step:
-            head = work[current, :, run].copy()
-    tree = runs.trees[1 - current]
-    np.copyto(tree, work[current].transpose(1, 0, 2))
+            head = held[0][:, run].copy()
+    tree = spare[2]
+    np.copyto(tree, held[0].transpose(1, 0, 2))
     if len(tree) == 1:   # a one-slice span: copy its product out of work
         return tree[0].T.copy(), None
     level = 0

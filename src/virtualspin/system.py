@@ -59,11 +59,16 @@ def positive(value, name: str):
     return value
 
 
-def level(value, name: str):
-    """A level label: an int or numpy integer, not a bool, in 0..DIM-1."""
+def integer(value, name: str):
+    """An int or numpy integer, not a bool."""
     if type(value) is not int and (type(value) is bool or not isinstance(value, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value < DIM:
+    return value
+
+
+def level(value, name: str):
+    """A level label: an integer in 0..DIM-1."""
+    if not 0 <= integer(value, name) < DIM:
         raise InputError(f"{name} must lie in 0..{DIM - 1}, got {value}")
     return value
 

@@ -29,6 +29,11 @@ def test_integration_config_validation():
             IntegrationConfig(steps_per_shortest_period=steps)
     assert IntegrationConfig().steps_per_shortest_period >= 20
     IntegrationConfig(steps_per_shortest_period=dynamics.MAX_SLICES)
+    # the type is checked before the range, by the integer rule that checks level labels
+    for steps in (20.5, 32.0, "32", None, True, np.float64(32)):
+        with pytest.raises(InputError, match="^steps_per_shortest_period must be an integer"):
+            IntegrationConfig(steps_per_shortest_period=steps)
+    assert IntegrationConfig(np.int64(64)).steps_per_shortest_period == 64
 
 
 def test_drive_validation():
@@ -206,6 +211,9 @@ for _ in range(3):   # three ulps under: two whole periods and a remainder a hai
 # X and Y tones: zero, negative, above the level spread, and a phase of 1e6 rad
 MIXED = (TONE, DriveTone(-2.5, 0.05, 1e6, "Y"), DriveTone(0.0, 1e-4, 1.1, "Y"),
          DriveTone(9.0, 0.1, 0.3, "X"))
+X_PAIR = (TONE, DriveTone(-1.7, 0.02, 2.0))
+XY_PAIR = (DriveTone(1.2, 0.03, -0.7, "X"), DriveTone(0.4, 0.01, 5.0, "Y"))
+Y_PAIR = (DriveTone(0.9, 4e-3, 0.4, "Y"), DriveTone(-1.3, 0.02, 1.0, "Y"))
 
 
 @settings(CONTRACT, max_examples=40)
@@ -216,6 +224,12 @@ MIXED = (TONE, DriveTone(-2.5, 0.05, 1e6, "Y"), DriveTone(0.0, 1e-4, 1.1, "Y"),
 @example(case=(512, _after_periods(TONE, 512, 2, _period_slices(TONE, 512)[0] - 1, 0.5)))
 @example(case=(32, DriveSpec(tones=(TONE,), duration=UNDER_THREE_PERIODS)))
 @example(case=(20, DriveSpec(tones=MIXED, duration=4096.5 * _slice_width(MIXED, 20))))
+# 4100 slices: 17 steps in 3 fill chunks of 6, the last run started late at step 14
+@example(case=(32, DriveSpec(tones=X_PAIR, duration=4099.5 * _slice_width(X_PAIR, 32))))
+# 200 slices: 14 steps in 2 fill chunks of 7 that fill turns and phases; a late run from step 10
+@example(case=(32, DriveSpec(tones=XY_PAIR, duration=199.5 * _slice_width(XY_PAIR, 32))))
+# 1000 slices in the Iy eigenframe: 16 steps in 2 fill chunks of 8; a late run from step 8
+@example(case=(32, DriveSpec(tones=Y_PAIR, duration=999.5 * _slice_width(Y_PAIR, 32))))
 @given(case=drives())
 def test_evolve_is_its_slices_applied_one_at_a_time(case):
     _evolve_by_definition(*case)
