@@ -40,8 +40,10 @@ from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, M_VALUES, SpinS
 MIN_STEPS_PER_PERIOD = 20
 
 _CHAIN = 16
-# beyond about this many runs the run arrays outgrow the L2 cache
+# a NOT:S job took 10.4, 9.0 and 12.3 ms at 128, 256 and 512 runs (one core, row kick)
 _MAX_RUNS = 256
+# the fewest runs whose kick goes row by row (see _Runs)
+_ROW_KICK_RUNS = 128
 
 MAX_SLICES = 10**8
 
@@ -233,7 +235,10 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     by -atan2(y, x)/2, phases by r) and builds each diagonal e^{2 i m theta}
     in DIM contiguous (chunk, runs) planes: cos and sin into the float view
     of the middle one, z, the odd powers by z**2, their conjugates mirrored,
-    then one transposing copy into the stage's buffer.
+    then one transposing copy into the stage's buffer.  A mixed drive's
+    inverse turns, each diagonal reversed, are by that mirror the turns'
+    conjugates bit for bit; they get a buffer of their own, as a reversed
+    operand slowed a row kick of 256 runs from 12.7 to 29.1 us.
     """
     dt = span / n_slices
     step = _phase_conjugate(basis, np.exp(-1j * energies * dt))
@@ -268,7 +273,7 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
         kicks = ((x, runs.phases),)
         if mixed:
             y = runs.fields[1]
-            kicks = ((-0.5 * np.arctan2(y, x), runs.turns), (np.hypot(x, y), runs.phases))
+            kicks = ((-0.5 * np.arctan2(y, x), runs.turns[0]), (np.hypot(x, y), runs.phases))
         middle = DIM // 2
         for theta, out in kicks:
             z = planes[middle]
@@ -279,10 +284,12 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
                 np.multiply(planes[i - 1], square, out=planes[i])
             np.conjugate(planes[:middle - 1:-1], out=planes[:middle])
             np.copyto(out, planes.transpose(1, 2, 0))
+        if mixed:
+            # the inverse turns: z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
+            np.conjugate(runs.turns[0], out=runs.turns[1])
 
-    # z**(-2 m) = conj(z**(2 m)) sits at the mirrored Iz eigenvalue
-    stages = (((step, runs.turns[..., ::-1]), (_IX_FRAME[0], runs.phases),
-               (_IX_FRAME[1], runs.turns)) if mixed else ((step, runs.phases),))
+    stages = (((step, runs.turns[1]), (_IX_FRAME[0], runs.phases),
+               (_IX_FRAME[1], runs.turns[0])) if mixed else ((step, runs.phases),))
     # a head of every slice is the span's own product
     product, head_product = _block_product(stages, fill, runs, head % n_slices)
     product = _polar_unitary(product)
@@ -310,13 +317,22 @@ class _Runs:
     runs as steps for a short span, at most _MAX_RUNS for a long one.  Run
     r takes slice starts[r] + k at step k; slices left over form one more
     run over the last `steps` slices, started late at step late_start.
-    phases, and a mixed drive's turns, hold `chunk` steps' diagonals,
-    (chunk, runs, DIM), filled by way of fields (see _slice_products);
-    chunk <= DIM, so that its DIM planes fit in a run array, and `padded`
-    steps are whole chunks.  work holds two (DIM, runs, DIM) arrays of
-    transposed run products (see _block_product); views has each as itself
-    and as views: float (DIM runs, 2 DIM) rows for matmul's out=, (runs,
-    DIM, DIM) trees and (DIM, chunk, runs) planes.
+    phases, and a mixed drive's turns and inverse turns, hold `chunk`
+    steps' diagonals, (chunk, runs, DIM), filled by way of fields (see
+    _slice_products); chunk <= DIM, so that its DIM planes fit in a run
+    array, and `padded` steps are whole chunks.  work holds two (DIM, runs,
+    DIM) arrays of transposed run products (see _block_product); views has
+    each as itself and as views: float (DIM runs, 2 DIM) rows for matmul's
+    out=, (runs, DIM, DIM) trees, (DIM, chunk, runs) planes and the kick's
+    targets.
+
+    The kick scales a run array by a step's (runs, DIM) diagonal: below
+    _ROW_KICK_RUNS runs in one multiply, the diagonal broadcast over the
+    outer axis, from there on in DIM same-shape multiplies, one a row.
+    numpy's loop for a broadcast operand is the slower, but each call has
+    its overhead: at 256 runs a kick took 17.7-20.4 us whole and 12.6-16.0
+    us by rows, at 20 runs 2.0-3.2 and 3.6-6.5 us (timeit, one pinned
+    core); a _block_product step broke even at 112-128 runs.
     """
 
     def __init__(self, count: int, n_axes: int, mixed: bool):
@@ -331,11 +347,13 @@ class _Runs:
         shape = (self.chunk, len(self.starts))
         self.fields = np.empty((n_axes, *shape))
         self.phases = np.empty((*shape, DIM), dtype=complex)
-        self.turns = np.empty_like(self.phases) if mixed else None
+        self.turns = np.empty((2, *self.phases.shape), dtype=complex) if mixed else None
         work = self.work = np.empty((2, DIM, shape[1], DIM), dtype=complex)
+        kicked = tuple((w,) if shape[1] < _ROW_KICK_RUNS else tuple(w) for w in work)
         self.views = tuple(zip(work, work.view(float).reshape(2, -1, 2 * DIM),
                                work.reshape(2, shape[1], DIM, DIM),
-                               work.reshape(2, -1)[:, :self.phases.size].reshape(2, DIM, *shape)))
+                               work.reshape(2, -1)[:, :self.phases.size].reshape(2, DIM, *shape),
+                               kicked))
 
 
 def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
@@ -349,12 +367,13 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
     one of runs.work's (DIM, runs, DIM) arrays, entry [j, r, i] holding
     P[i, j] of run r.  A stage of a step, P <- diag(d) m P, is then
     X <- (X m^T) diag(d): one real product of the array's float rows with g,
-    written into the other array, and one scaling of its rows by the step's
-    d, broadcast over the outer axis.  The last run restarts from the
-    identity at step late_start (if there is one), dropping the slices
-    before it.  The transposes are then copied, one contiguous (DIM, DIM)
-    matrix a run, into the spare array and multiplied pairwise,
-    (P_{r+1} P_r)^T = X_r X_{r+1}, into new arrays; runs.work is overwritten.
+    written into the other array, and one scaling of it by the step's d,
+    broadcast over the outer axis or row by row (see _Runs).  The last run
+    restarts from the identity at step late_start (if there is one),
+    dropping the slices before it.  The transposes are then copied, one
+    contiguous (DIM, DIM) matrix a run, into the spare array and multiplied
+    pairwise, (P_{r+1} P_r)^T = X_r X_{r+1}, into new arrays; runs.work is
+    overwritten.
 
     Returns the span's product and, with 0 < cut < span, the product of its
     first cut slices (else None): the run that holds slice cut - 1, copied
@@ -367,7 +386,7 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
         run, step = divmod(cut - 1, steps)
         if run == len(runs.starts) - 1 and runs.late_start < steps:
             step += runs.late_start   # the late run takes the span's last slices from late_start on
-    # (work, rows, tree, planes) of the array holding the products, and of the spare
+    # (work, rows, tree, planes, kick targets) of the array holding the products, and of the spare
     held, spare = runs.views
     held[0][...] = _IDENTITY[:, None, :]
     for k in range(steps):
@@ -378,7 +397,9 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
         for right, diagonals in stages:
             np.matmul(held[1], right, out=spare[1])
             held, spare = spare, held
-            np.multiply(held[0], diagonals[k % runs.chunk], out=held[0])
+            d = diagonals[k % runs.chunk]
+            for target in held[4]:
+                np.multiply(target, d, out=target)
         if k == step:
             head = held[0][:, run].copy()
     tree = spare[2]

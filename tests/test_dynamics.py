@@ -230,6 +230,12 @@ Y_PAIR = (DriveTone(0.9, 4e-3, 0.4, "Y"), DriveTone(-1.3, 0.02, 1.0, "Y"))
 @example(case=(32, DriveSpec(tones=XY_PAIR, duration=199.5 * _slice_width(XY_PAIR, 32))))
 # 1000 slices in the Iy eigenframe: 16 steps in 2 fill chunks of 8; a late run from step 8
 @example(case=(32, DriveSpec(tones=Y_PAIR, duration=999.5 * _slice_width(Y_PAIR, 32))))
+# 2040 slices: 128 runs, the fewest kicked row by row; a late run from step 8
+@example(case=(32, DriveSpec(tones=X_PAIR, duration=2039.5 * _slice_width(X_PAIR, 32))))
+# 2032 slices: 127 runs, the most kicked as one array
+@example(case=(32, DriveSpec(tones=Y_PAIR, duration=2031.5 * _slice_width(Y_PAIR, 32))))
+# 3001 slices of turns and phases: 188 runs kicked row by row; a late run from step 7
+@example(case=(32, DriveSpec(tones=XY_PAIR, duration=3000.5 * _slice_width(XY_PAIR, 32))))
 @given(case=drives())
 def test_evolve_is_its_slices_applied_one_at_a_time(case):
     _evolve_by_definition(*case)
