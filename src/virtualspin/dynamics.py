@@ -92,9 +92,9 @@ class DriveTone:
     axis: str = "X"
 
     def __post_init__(self):
-        real(self.frequency, "drive frequency")
-        real(self.phase, "drive phase")
-        positive(self.amplitude, "drive amplitude")
+        # the Python float of each value: numpy's float32 would keep the kick in float32
+        for name, rule in (("frequency", real), ("phase", real), ("amplitude", positive)):
+            object.__setattr__(self, name, float(rule(getattr(self, name), f"drive {name}")))
         one_of(self.axis, "drive axis", AXES)
 
 
@@ -110,7 +110,8 @@ class DriveSpec:
                 and all(isinstance(tone, DriveTone) for tone in self.tones)):
             raise InputError(f"drive tones must be a sequence of DriveTone, got {self.tones!r}")
         object.__setattr__(self, "tones", tuple(self.tones))
-        if real(self.duration, "duration") < 0:
+        object.__setattr__(self, "duration", float(real(self.duration, "duration")))
+        if self.duration < 0:
             raise InputError(f"duration must be non-negative, got {self.duration}")
 
 
@@ -134,32 +135,34 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     """Time-ordered propagator of the driven spin over drive.duration, in the bare Zeeman basis.
 
     Slices are the fewest of equal width, at most one
-    cfg.steps_per_shortest_period-th of the shortest period present (of
-    the static level spread, omega0 and every tone), that fill what is
-    sliced.  A single tone lasting n >= 2 whole periods T and a remainder
-    r is sliced over one period only, in one kernel pass: U(T)^n, then the
-    period's first k = floor(r / dt) slices, read out of that pass, then
-    one partial slice of width r - k dt.  Any other drive is sliced over
-    its whole length.  Raises ResolutionError, before integrating
-    anything, when the drive needs more than MAX_SLICES slices or floating
-    point cannot place its end in one.
+    cfg.steps_per_shortest_period-th of the shortest period present (of the
+    level spread, at least 7 omega0 as the Q_0 diagonal is even in m and
+    Q_+-1, Q_+-2 have none, and every tone), that fill what is sliced.  A
+    single tone lasting n >= 2 whole periods T and a remainder r is sliced
+    over one period only, in one kernel pass: U(T)^n, then the period's
+    first k = floor(r / dt) slices, read out of that pass, then one partial
+    slice of width r - k dt.  Any other drive is sliced over its whole
+    length, a drive-free one is one exact exponential.  Raises
+    ResolutionError, before integrating, when floating point cannot place the
+    end of a drive, free or driven, within one slice, or it needs more than
+    MAX_SLICES slices.
     """
     if drive.duration == 0:
         return _IDENTITY.astype(complex)
 
     energies, basis = np.linalg.eigh(build_hamiltonian(sys))
+    # max - min: eigh sorts energies, but a spectrum lists them by label
+    omega_max = max([float(energies.max() - energies.min()),
+                     *(abs(t.frequency) for t in drive.tones)])
+    dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
+    if math.ulp(drive.duration) > dt_max:
+        remedy = "shorten the pulse or raise gammaHrf" if drive.tones else "shorten it"
+        raise ResolutionError(f"the drive lasts {drive.duration:.6g}, where floating-point "
+                              f"times are {math.ulp(drive.duration):.3g} apart, wider than a "
+                              f"time slice of {dt_max:.3g}; {remedy}")
     if not drive.tones:
         # the Hamiltonian is constant: one exact exponential
         return _phase_conjugate(basis, np.exp(-1j * energies * drive.duration))
-
-    # max - min: eigh sorts energies, but a spectrum lists them by label
-    omega_max = max(float(energies.max() - energies.min()), sys.omega0,
-                    *(abs(t.frequency) for t in drive.tones))
-    dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
-    if math.ulp(drive.duration) > dt_max:
-        raise ResolutionError(f"the drive lasts {drive.duration:.6g}, where floating-point "
-                              f"times are {math.ulp(drive.duration):.3g} apart, wider than a "
-                              f"time slice of {dt_max:.3g}; shorten the pulse or raise gammaHrf")
     # a single tone is periodic: slice one period and raise it to a power
     span, n_periods = drive.duration, 1
     if len(drive.tones) == 1 and drive.tones[0].frequency != 0:
@@ -216,9 +219,10 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     C_h [F_N ... F_1] C_h^dagger  with  F_j = e^{-i dt V_j} C.  The drive
     V = A Ix + B Iy = r e^{-i alpha Iz} Ix e^{i alpha Iz} is a diagonal
     phase in the eigenbasis W of Ix, rotated by the diagonal e^{-i alpha Iz}.
-    A one-axis drive keeps alpha fixed, so in that frame each factor is a
-    diagonal scaling of the constant M = W^dagger C W; a mixed drive applies
-    C, e^{i alpha Iz}, W^dagger, the phase, W and e^{-i alpha Iz} in turn.
+    Every drive is multiplied in one frame w, with M = w^dagger C w: a one-axis
+    drive keeps alpha fixed, so in its axis's eigenbasis w each factor is M
+    then a diagonal; a mixed drive's turns are diagonal in the Iz eigenbasis,
+    w = I, and it applies M, e^{i alpha Iz}, W^dagger, the phase, W, e^{-i alpha Iz}.
     One _block_product pass multiplies the slices, and its product is
     projected once.  Each stage's matrix enters as a real right multiplier
     (see _right_multiplier): built once per drive for the step, once at
@@ -246,15 +250,12 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
 
     axes = sorted({tone.axis for tone in drive.tones})
     mixed = len(axes) > 1
-    w = _AXIS_EIGENBASES["Y" if axes == ["Y"] else "X"]
-    if mixed:
-        frame = half
-        step = _right_multiplier(_polar_unitary(step))
-    else:
-        frame = half @ w
-        step = _right_multiplier(_polar_unitary(w.conj().T @ step @ w))
+    # a mixed drive's turns are diagonal in the eigenbasis of Iz: the identity
+    w = _IDENTITY if mixed else _AXIS_EIGENBASES[axes[0]]
+    frame = half @ w
+    step = _right_multiplier(_polar_unitary(w.conj().T @ step @ w))
 
-    runs = _Runs(n_slices, len(axes), mixed)
+    runs = _Runs(n_slices, len(axes))
     frequencies = np.array([tone.frequency for tone in drive.tones])
     tone_phases = np.array([tone.phase for tone in drive.tones])
     # each axis's kick angle: dt/2 sum amplitude cos(Omega t + f) over its tones
@@ -335,7 +336,7 @@ class _Runs:
     core); a _block_product step broke even at 112-128 runs.
     """
 
-    def __init__(self, count: int, n_axes: int, mixed: bool):
+    def __init__(self, count: int, n_axes: int):
         steps = max(min(_CHAIN, math.isqrt(count)), -(-count // _MAX_RUNS))
         whole, rest = divmod(count, steps)
         self.steps, self.late_start = steps, steps - rest
@@ -347,7 +348,7 @@ class _Runs:
         shape = (self.chunk, len(self.starts))
         self.fields = np.empty((n_axes, *shape))
         self.phases = np.empty((*shape, DIM), dtype=complex)
-        self.turns = np.empty((2, *self.phases.shape), dtype=complex) if mixed else None
+        self.turns = np.empty((2, *self.phases.shape), dtype=complex) if n_axes > 1 else None
         work = self.work = np.empty((2, DIM, shape[1], DIM), dtype=complex)
         kicked = tuple((w,) if shape[1] < _ROW_KICK_RUNS else tuple(w) for w in work)
         self.views = tuple(zip(work, work.view(float).reshape(2, -1, 2 * DIM),
@@ -404,8 +405,6 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
             head = held[0][:, run].copy()
     tree = spare[2]
     np.copyto(tree, held[0].transpose(1, 0, 2))
-    if len(tree) == 1:   # a one-slice span: copy its product out of work
-        return tree[0].T.copy(), None
     level = 0
     while len(tree) > 1:
         # node i of this level is the product of runs i 2^level .. (i + 1) 2^level - 1 (or to
@@ -416,7 +415,8 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
         paired = tree[:2 * half:2] @ tree[1:2 * half:2]
         tree = np.concatenate([paired, tree[2 * half:]]) if len(tree) % 2 else paired
         level += 1
-    return tree[0].T, (head.T if cut else None)
+    # a one-run span's tree is a view of runs.work: copy its product out
+    return tree[0].T.copy(), (head.T if cut else None)
 
 
 def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
@@ -530,13 +530,12 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
     """
     spectrum = exact_spectrum(sys)
     sched = resolve_schedule(sched, spectrum, gamma_hrf)
-    u_actual = _IDENTITY
+    u_actual = _IDENTITY.astype(complex)
     durations = []
     for group in sched.groups:
         group_duration, u_group = _play_group(sys, spectrum, group, cfg)
         durations.append(group_duration)
         u_actual = u_group @ u_actual
-    u_actual = u_actual.astype(complex, copy=False)   # without drive, a copy of the real _IDENTITY
 
     u_ideal = schedule_propagator(sched)
     deviation = float(np.abs(u_actual - u_ideal).max())

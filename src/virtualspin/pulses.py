@@ -134,7 +134,8 @@ def pulse_duration(angle: float, params: PulseParams, element: float,
         raise ForbiddenTransitionError(
             f"forbidden transition: |<n|I{axis.lower()}|m>| = 0 implies infinite pulse "
             "duration (longer pulses or a stronger RF field are needed as the element -> 0)")
-    rate = 2 * params.gammaHrf * float(element)
-    if rate == 0 or not math.isfinite(angle / rate):
+    # in Python floats: a numpy float32 angle or gammaHrf would keep the quotient in float32
+    rate = 2 * float(params.gammaHrf) * float(element)
+    if rate == 0 or not math.isfinite(duration := float(angle) / rate):
         raise InputError(f"pulse length overflows: angle {angle:g}, gammaHrf {params.gammaHrf:g}")
-    return angle / rate
+    return duration

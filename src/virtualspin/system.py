@@ -141,12 +141,14 @@ class SpinSystem:
     ops: ClassVar[SpinOperators] = _OPERATORS
 
     def __post_init__(self):
-        positive(self.omega0, "omega0")
-        if real(self.omegaQ, "omegaQ") < 0:
+        # the Python float of each value: a numpy float32 would keep scalar arithmetic in float32
+        for name, rule in (("omega0", positive), ("omegaQ", real), ("theta", real), ("phi", real)):
+            object.__setattr__(self, name, float(rule(getattr(self, name), name)))
+        if self.omegaQ < 0:
             raise InputError(f"omegaQ must be non-negative, got {self.omegaQ}")
-        if not 0 <= real(self.theta, "theta") <= np.pi:
+        if not 0 <= self.theta <= np.pi:
             raise InputError(f"theta must lie in [0, pi], got {self.theta}")
-        if not math.isfinite(2.0 * float(real(self.phi, "phi"))):
+        if not math.isfinite(2.0 * self.phi):
             raise InputError(f"phi = {self.phi} is too large: the q_+-2 phase 2*phi overflows")
         one_of(self.q2_form, "q2_form", Q2_FORMS)
 

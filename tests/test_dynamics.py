@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -77,6 +78,35 @@ def test_free_evolution_matches_matrix_exponential():
 def test_zero_duration_is_identity():
     u = evolve(SYS, DriveSpec(tones=(), duration=0.0))
     assert np.array_equal(u, np.eye(DIM))
+
+
+def test_drive_free_evolution_floating_point_cannot_place_is_refused():
+    # doubles near 1e15 are 0.125 apart, wider than a slice; at 1e308 the phases overflow
+    for duration in (1e15, 1e308):
+        with warnings.catch_warnings(), mock.patch.object(
+                dynamics, "_phase_conjugate", side_effect=AssertionError("integrated")):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ResolutionError, match="floating-point") as refused:
+                evolve(SpinSystem(omegaQ=0.05, theta=0.5), DriveSpec(tones=(), duration=duration))
+        assert "gammaHrf" not in str(refused.value)
+
+
+def test_drive_tone_keeps_the_float_of_each_float32_value():
+    values = {"frequency": 0.88, "amplitude": 2e-3, "phase": 0.3}
+    for name, value in values.items():
+        narrow = DriveTone(**{**values, name: np.float32(value)})
+        wide = DriveTone(**{**values, name: float(np.float32(value))})
+        assert type(getattr(narrow, name)) is float
+        assert np.array_equal(evolve(SYS, DriveSpec(tones=(narrow,), duration=2e5)),
+                              evolve(SYS, DriveSpec(tones=(wide,), duration=2e5)))
+
+
+def test_drive_spec_keeps_the_float_of_a_float32_duration():
+    tone = DriveTone(0.88, 2e-3, 0.3)
+    narrow = DriveSpec(tones=(tone,), duration=np.float32(2e5 + 0.3))
+    wide = DriveSpec(tones=(tone,), duration=float(np.float32(2e5 + 0.3)))
+    assert type(narrow.duration) is float
+    assert np.array_equal(evolve(SYS, narrow), evolve(SYS, wide))
 
 
 def test_integrator_unitarity():

@@ -179,6 +179,15 @@ def test_pulse_duration():
             PulseParams(gammaHrf=bad)
 
 
+def test_pulse_duration_of_float32_inputs_is_that_of_their_floats():
+    # NEP 50 would keep a numpy float32 angle's or gammaHrf's arithmetic in float32
+    for angle, gamma in ((np.float32(np.pi), 1e-3), (np.pi, np.float32(1e-3)),
+                         (np.float32(np.pi), np.float32(1e-3))):
+        duration = pulse_duration(angle, PulseParams(gammaHrf=gamma), 0.0391)
+        assert type(duration) is float
+        assert duration == pulse_duration(float(angle), PulseParams(gammaHrf=float(gamma)), 0.0391)
+
+
 def test_propagator_equals_projector_form():
     # the paper's projector sum is the reference for the four-entry construction
     gates = ALL_NOT_FAMILY + [g.replace("NOT", "UT") + "(1.2,0.4)" for g in ALL_NOT_FAMILY]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from virtualspin import (DIM, SPIN, DriveSpec, DriveTone, GateSpec, InputError, PulseParams,
                          SpinSystem, Tone, build_hamiltonian, forbidden_scaling,
-                         make_spin_operators, projector, quadrupole_hamiltonian)
+                         make_spin_operators, perturbative_spectrum, projector,
+                         quadrupole_hamiltonian)
 from virtualspin.system import level, one_of, positive, real
 from test_cli_contract import CONTRACT
 
@@ -196,6 +197,18 @@ LIBRARY_EDGES = [
 def test_library_edges_raise_an_input_error_naming_the_field(build, field):
     with pytest.raises(InputError, match="^" + re.escape(field) + "[ :]"):
         build()
+
+
+def test_spin_system_keeps_the_float_of_each_float32_parameter():
+    # a float32 omegaQ kept sys.omegaQ * q0 in float32, a float32 phi the q_+-2 phase in complex64
+    values = {"omega0": 1.1, "omegaQ": 0.05, "theta": 0.5, "phi": 0.3}
+    for name, value in values.items():
+        narrow = SpinSystem(**{**values, name: np.float32(value)})
+        wide = SpinSystem(**{**values, name: float(np.float32(value))})
+        assert type(getattr(narrow, name)) is float
+        assert np.array_equal(build_hamiltonian(narrow), build_hamiltonian(wide))
+        assert np.array_equal(perturbative_spectrum(narrow).energies,
+                              perturbative_spectrum(wide).energies)
 
 
 def test_gate_payload_is_stored_as_the_float_the_gate_string_reads_back():
