@@ -20,8 +20,8 @@ from .errors import (AmbiguousLabelingError, DegenerateFitError,
 from .gates import GateSpec, parse_gate, parse_gate_sequence, target_gate
 from .pulses import (PulseParams, Projector, Tone, multi_tone_propagator,
                      projector, pulse_duration, pulse_propagator)
-from .spectrum import (Spectrum, Transition, drive_elements, exact_spectrum,
-                       perturbative_spectrum, transition_table)
+from .spectrum import (ScalingFit, Spectrum, Transition, drive_elements, exact_spectrum,
+                       forbidden_scaling, perturbative_spectrum, transition_table)
 from .system import (DIM, SPIN, SpinOperators, SpinSystem, build_hamiltonian,
                      make_spin_operators, quadrupole_hamiltonian)
 
@@ -48,9 +48,8 @@ __all__ = [
 
 # the integrator's names, loaded with .dynamics on first lookup, so a process that
 # never integrates (most CLI calls) never compiles it
-_DYNAMICS = frozenset({"DriveSpec", "DriveTone", "IntegrationConfig", "ScalingFit",
-                       "ScheduleSimulation", "evolve", "forbidden_scaling",
-                       "interaction_propagator", "rwa_deviation", "simulate_schedule"})
+_DYNAMICS = frozenset({"DriveSpec", "DriveTone", "IntegrationConfig", "ScheduleSimulation",
+                       "evolve", "interaction_propagator", "rwa_deviation", "simulate_schedule"})
 
 
 def __getattr__(name):

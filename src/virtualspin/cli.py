@@ -7,8 +7,8 @@ interpretation of --omegaQ / --gammaHrf but never the printed numbers.
 
 Each command offers only the parameter flags it reads; a config file holds
 defaults for every parameter, all checked, of which each command reads its own.
-Only sweep and simulate load the integrator (virtualspin.dynamics), inside
-their bodies, so a cold call of any other command never compiles it.
+Only simulate loads the integrator (virtualspin.dynamics), inside its
+body, so a cold call of any other command never compiles it.
 
 Exit codes: 0 success / gate verified; 1 verification mismatch;
 2 input error (usage, bad parameters, gate grammar, schedule format,
@@ -26,7 +26,7 @@ from .compiler import (EXACT_MATCH, compile_gate, format_scalar, format_schedule
                        number, parse_schedule, phase_map, read_tree, schedule_propagator, verify)
 from .errors import InputError, ResolutionError, ScheduleFormatError, VirtualSpinError
 from .gates import parse_gate_sequence
-from .spectrum import exact_spectrum, perturbative_spectrum, transition_table
+from .spectrum import exact_spectrum, forbidden_scaling, perturbative_spectrum, transition_table
 from .system import Q2_FORMS, SpinSystem, one_of, positive, real
 
 FORMATS = ("table", "csv", "st")
@@ -227,7 +227,6 @@ def _phase_label(factor: complex) -> str:
 
 
 def cmd_sweep(args) -> int:
-    from .dynamics import forbidden_scaling
     config = _merge_config(args, _load_config_file(args.config))
     pair = _parse_pair(args.pair)
     if not 2 <= args.points <= MAX_SWEEP_POINTS:

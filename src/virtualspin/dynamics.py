@@ -26,16 +26,16 @@ start time, matching how the idealized schedule product is written.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
-from .errors import DegenerateFitError, InputError, ResolutionError
+from .errors import InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, drive_elements, exact_spectrum
 from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, M_VALUES, SpinSystem,
-                     build_hamiltonian, integer, level, one_of, positive, real)
+                     build_hamiltonian, integer, one_of, positive, real)
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -52,9 +52,8 @@ MAX_SLICES = 10**8
 _POLAR_REACH = 1e-6
 _UNITARY_ROUNDING = 1e-14
 _POLAR_STEPS = 4
-
-# narrowest ln(max/min) of a scaling sweep; see forbidden_scaling
-MIN_LOG_RANGE = 1e-6
+# squarings between projections of _unitary_power's base: 2**16 * 1e-14 < 1e-9
+_PROJECTED_SQUARINGS = 16
 
 
 def _right_multiplier(m: np.ndarray) -> np.ndarray:
@@ -187,16 +186,13 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
             f"{MAX_SLICES:.0e}; {remedy} steps_per_shortest_period = "
             f"{cfg.steps_per_shortest_period}")
 
-    u_span, u_head = _slice_products(energies, basis, drive, span, n_span, head)
-    u_total = _unitary_power(u_span, n_periods)
-    if head:
-        u_total = u_head @ u_total
+    # the remainder's product, the head's slices then the partial one, ends the power
+    u_span, u_rest = _slice_products(energies, basis, drive, span, n_span, head)
     if partial > 0:
         t_mid = head * dt + partial / 2
-        u_total = _strang_slice(energies, basis, drive.tones[0], t_mid, partial) @ u_total
-    if remainder > 0:
-        u_total = _polar_unitary(u_total)
-    return u_total
+        u_partial = _strang_slice(energies, basis, drive.tones[0], t_mid, partial)
+        u_rest = u_partial if u_rest is None else u_partial @ u_rest
+    return _unitary_power(u_span, n_periods, u_rest)
 
 
 def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -209,8 +205,8 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     """The products of n_slices Strang-split midpoint slices over [0, span] and of the first head.
 
     The product of the first head slices (0 < head <= n_slices) comes from
-    the same pass (see _block_product), unprojected: evolve projects the
-    remainder it starts.  Without a head, the second product is None.
+    the same pass (see _block_product), unprojected: the power it ends
+    projects it.  Without a head, the second product is None.
 
     evolve diagonalizes H_static = basis diag(energies) basis^dagger once and
     hands the kernel that decomposition and its slice count.  A slice is
@@ -419,20 +415,27 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
     return tree[0].T.copy(), (head.T if cut else None)
 
 
-def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u**n (n >= 1) by repeated squaring, each product projected back onto the unitaries.
+def _unitary_power(u: np.ndarray, n: int, left: np.ndarray | None = None) -> np.ndarray:
+    """left @ u**n (n >= 1) by repeated squaring, projected onto the unitaries on a drift budget.
 
-    The power starts as u at the lowest set bit of n: popcount(n) + bit_length(n) - 2 projections.
+    A squaring at most doubles u's drift max|U^dagger U - I| from <= 1e-14,
+    so u is projected after every _PROJECTED_SQUARINGS-th (16th) squaring,
+    before it passes ~1e-9, and the power, whose products only add drifts,
+    once at the end, left (evolve's remainder) included.  evolve places
+    n < 2**49 (ulp(n T) <= dt <= T/20), so the power's drift stays below
+    ~1e-8, far inside _POLAR_REACH.  u**1 without left is u, unprojected.
     """
-    while not n & 1:
-        u = _polar_unitary(u @ u)
-        n >>= 1
-    power = u
-    while n := n >> 1:
-        u = _polar_unitary(u @ u)
-        if n & 1:
-            power = _polar_unitary(u @ power)
-    return power
+    if n == 1 and left is None:
+        return u
+    power = left
+    for bit in range(n.bit_length()):
+        if bit:
+            u = u @ u
+            if not bit % _PROJECTED_SQUARINGS:
+                u = _polar_unitary(u)
+        if n >> bit & 1:
+            power = u if power is None else power @ u
+    return _polar_unitary(power)
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -487,7 +490,7 @@ def _play_group(sys: SpinSystem, spectrum: Spectrum, group,
             continue
         element = elements[tone.axis][tone.upper, tone.lower]
         # a negative rotation angle is a positive one with the phase advanced by pi
-        phase = tone.phase + (np.pi if tone.angle < 0 else 0.0)
+        phase = float(tone.phase) + (np.pi if tone.angle < 0 else 0.0)
         f_drive = float(np.angle(element)) - phase - (np.pi / 2 if tone.axis == "Y" else 0.0)
         amplitude = abs(tone.angle) / (duration * abs(element))
         drive.append(DriveTone(frequency=tone.omega, amplitude=amplitude, phase=f_drive,
@@ -539,75 +542,13 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
 
     u_ideal = schedule_propagator(sched)
     deviation = float(np.abs(u_actual - u_ideal).max())
-    transfer = {}
+    # each column's overlap with its ideal column, one dot a column; hypot, not the array
+    # form of np.abs, which can round the modulus of a complex number a last bit differently
+    overlaps = np.matmul(u_ideal.conj().T[:, None, :], u_actual.T[:, :, None])[:, 0, 0]
+    probabilities = np.hypot(overlaps.real, overlaps.imag) ** 2
+    # the largest entry of the ideal column; an edited NOT-family schedule need not permute
     not_family = all(g.is_not_family for g in sched.gates)
-    for label in range(DIM):
-        probability = float(abs(u_ideal[:, label].conj() @ u_actual[:, label]) ** 2)
-        # the largest entry of the ideal column; an edited NOT-family schedule need not permute
-        out = int(np.argmax(np.abs(u_ideal[:, label]))) if not_family else label
-        transfer[label] = (out, probability)
+    outs = np.abs(u_ideal).argmax(axis=0).tolist() if not_family else range(DIM)
+    transfer = dict(enumerate(zip(outs, probabilities.tolist())))
     return ScheduleSimulation(ideal=u_ideal, actual=u_actual, deviation=deviation,
                               transfer=transfer, group_durations=tuple(durations))
-
-
-@dataclass(frozen=True, eq=False)
-class ScalingFit:
-    """Log-log scaling of a transition element against omegaQ/omega0."""
-
-    pair: tuple[int, int]
-    ratios: np.ndarray
-    elements: np.ndarray
-    slope: float
-    local_slopes: np.ndarray
-
-
-def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int], ratios) -> ScalingFit:
-    """Fit |<psi_N|Ix|psi_M>| ~ (omegaQ/omega0)^slope over the omegaQ/omega0 `ratios`.
-
-    Allowed (delta-m = +-1) pairs give slope ~ 0; pairs that open up
-    through first-order quadrupole mixing give slope ~ 1; higher-order
-    pairs give correspondingly larger slopes.  Raises DegenerateFitError
-    when every element is numerically zero (e.g. theta = 0, where the
-    mixing vanishes identically).
-
-    Raises InputError, before any spectrum is computed, when a ratio is
-    not positive and finite, or the ratios span ln(max/min) < MIN_LOG_RANGE.
-    The slope's noise is about the relative rounding of the elements
-    divided by the log range.  A weak element (~1e-4 of unit eigenvectors)
-    is rounded by up to ~1e-12 relative, so at the floor the slope is good
-    to ~1e-6, while over ratios 1e-13 apart it is pure noise (slopes of 6.6
-    for a pair near 1).
-    """
-    m_label, n_label = (level(label, "pair label") for label in pair)
-    if m_label == n_label:
-        raise InputError(f"pair must be two distinct labels, got {pair}")
-    ratios = np.asarray(ratios, dtype=float)
-    bad = ratios[~(np.isfinite(ratios) & (ratios > 0))]
-    if bad.size:
-        raise InputError(f"sweep ratios omegaQ/omega0 must be positive and finite, got {bad[0]}")
-    log_r = np.log(ratios)
-    # a set, not np.unique, which on numpy 2 would import numpy.ma into a cold CLI call
-    if len(set(log_r.ravel().tolist())) < max(2, ratios.size):
-        raise InputError("need at least two sweep points, with distinct logarithms, to fit a slope")
-    log_range = float(log_r.max() - log_r.min())
-    if not log_range >= MIN_LOG_RANGE:
-        raise InputError(f"the ratios span ln(max/min) = {log_range:.6e}, under {MIN_LOG_RANGE:g}; "
-                         f"a slope fitted over so narrow a range is rounding noise")
-    elements = np.empty_like(ratios)
-    for i, ratio in enumerate(ratios):
-        swept = replace(sys, omegaQ=ratio * sys.omega0)
-        elements[i] = abs(drive_elements(exact_spectrum(swept))[n_label, m_label])
-    if np.all(elements < 1e-14):
-        message = (f"all |<psi_{n_label}|Ix|psi_{m_label}>| elements are below "
-                   f"1e-14 over the sweep; the scaling fit is degenerate")
-        if sys.theta == 0:
-            message += " (theta = 0 disables quadrupole mixing)"
-        raise DegenerateFitError(message)
-    log_e = np.log(np.maximum(elements, 1e-300))
-    slope = float(np.polyfit(log_r, log_e, 1)[0])
-    # each point's slope across its neighbours; an end point stands in for its missing one
-    index = np.arange(ratios.size)
-    below, above = np.maximum(index - 1, 0), np.minimum(index + 1, ratios.size - 1)
-    local = (log_e[above] - log_e[below]) / (log_r[above] - log_r[below])
-    return ScalingFit(pair=(m_label, n_label), ratios=ratios, elements=elements,
-                      slope=slope, local_slopes=local)

@@ -87,7 +87,7 @@ def _write_tone(v: np.ndarray, tone: Tone) -> np.ndarray:
     """v with the projector form of one tone written into its 2x2 block, entry by entry,
     each computed with math and cmath on Python floats (the bits numpy's ufuncs give)."""
     m, n = tone.upper, tone.lower
-    f_eff = tone.phase + (math.pi / 2 if tone.axis == "Y" else 0.0)
+    f_eff = float(tone.phase) + (math.pi / 2 if tone.axis == "Y" else 0.0)
     half = tone.angle / 2
     sine = math.sin(half)
     # 1 + (cos - 1) rounds as the projector sum does; a plain cos would not

@@ -17,13 +17,13 @@ ordering.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousLabelingError, InputError
+from .errors import AmbiguousLabelingError, DegenerateFitError, InputError
 from .system import (AXIS_OPERATORS, DIM, IDENTITY, M_VALUES, SpinSystem, _read_only,
-                     build_hamiltonian)
+                     build_hamiltonian, level)
 
 PERTURBATIVE = "perturbative-first-order"
 EXACT = "exact"
@@ -34,6 +34,9 @@ PERTURBATIVE_RATIO_LIMIT = 0.1
 # a label assignment is trusted only if the best overlap beats the
 # runner-up by this factor
 OVERLAP_DOMINANCE = 2.0
+
+# narrowest ln(max/min) of a scaling sweep; see forbidden_scaling
+MIN_LOG_RANGE = 1e-6
 
 _M_DIFFERENCES, _OFF_DIAGONAL = _read_only(M_VALUES[:, None] - M_VALUES[None, :], 1 - IDENTITY)
 
@@ -171,6 +174,69 @@ def transition_table(spec: Spectrum) -> list[Transition]:
     return [Transition(upper, lower, energies[upper] - energies[lower], elements[upper][lower],
                        lower - upper == 1)
             for upper in range(DIM) for lower in range(upper + 1, DIM)]
+
+
+@dataclass(frozen=True, eq=False)
+class ScalingFit:
+    """Log-log scaling of a transition element against omegaQ/omega0."""
+
+    pair: tuple[int, int]
+    ratios: np.ndarray
+    elements: np.ndarray
+    slope: float
+    local_slopes: np.ndarray
+
+
+def forbidden_scaling(sys: SpinSystem, pair: tuple[int, int], ratios) -> ScalingFit:
+    """Fit |<psi_N|Ix|psi_M>| ~ (omegaQ/omega0)^slope over the omegaQ/omega0 `ratios`.
+
+    Allowed (delta-m = +-1) pairs give slope ~ 0; pairs that open up
+    through first-order quadrupole mixing give slope ~ 1; higher-order
+    pairs give correspondingly larger slopes.  Raises DegenerateFitError
+    when every element is numerically zero (e.g. theta = 0, where the
+    mixing vanishes identically).
+
+    Raises InputError, before any spectrum is computed, when a ratio is
+    not positive and finite, or the ratios span ln(max/min) < MIN_LOG_RANGE.
+    The slope's noise is about the relative rounding of the elements
+    divided by the log range.  A weak element (~1e-4 of unit eigenvectors)
+    is rounded by up to ~1e-12 relative, so at the floor the slope is good
+    to ~1e-6, while over ratios 1e-13 apart it is pure noise (slopes of 6.6
+    for a pair near 1).
+    """
+    m_label, n_label = (level(label, "pair label") for label in pair)
+    if m_label == n_label:
+        raise InputError(f"pair must be two distinct labels, got {pair}")
+    ratios = np.asarray(ratios, dtype=float)
+    bad = ratios[~(np.isfinite(ratios) & (ratios > 0))]
+    if bad.size:
+        raise InputError(f"sweep ratios omegaQ/omega0 must be positive and finite, got {bad[0]}")
+    log_r = np.log(ratios)
+    # a set, not np.unique, which on numpy 2 would import numpy.ma into a cold CLI call
+    if len(set(log_r.ravel().tolist())) < max(2, ratios.size):
+        raise InputError("need at least two sweep points, with distinct logarithms, to fit a slope")
+    log_range = float(log_r.max() - log_r.min())
+    if not log_range >= MIN_LOG_RANGE:
+        raise InputError(f"the ratios span ln(max/min) = {log_range:.6e}, under {MIN_LOG_RANGE:g}; "
+                         f"a slope fitted over so narrow a range is rounding noise")
+    elements = np.empty_like(ratios)
+    for i, ratio in enumerate(ratios):
+        swept = replace(sys, omegaQ=ratio * sys.omega0)
+        elements[i] = abs(drive_elements(exact_spectrum(swept))[n_label, m_label])
+    if np.all(elements < 1e-14):
+        message = (f"all |<psi_{n_label}|Ix|psi_{m_label}>| elements are below "
+                   f"1e-14 over the sweep; the scaling fit is degenerate")
+        if sys.theta == 0:
+            message += " (theta = 0 disables quadrupole mixing)"
+        raise DegenerateFitError(message)
+    log_e = np.log(np.maximum(elements, 1e-300))
+    slope = float(np.polyfit(log_r, log_e, 1)[0])
+    # each point's slope across its neighbours; an end point stands in for its missing one
+    index = np.arange(ratios.size)
+    below, above = np.maximum(index - 1, 0), np.minimum(index + 1, ratios.size - 1)
+    local = (log_e[above] - log_e[below]) / (log_r[above] - log_r[below])
+    return ScalingFit(pair=(m_label, n_label), ratios=ratios, elements=elements,
+                      slope=slope, local_slopes=local)
 
 
 def _loewdin_orthonormalize(vectors: np.ndarray) -> np.ndarray:

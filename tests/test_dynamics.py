@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          ResolutionError, SpinSystem, Tone, build_hamiltonian,
                          compile_gate, evolve, exact_spectrum,
                          forbidden_scaling, interaction_propagator,
-                         make_spin_operators, rwa_deviation, simulate_schedule)
+                         make_spin_operators, pulse_propagator, rwa_deviation,
+                         simulate_schedule)
 from virtualspin import dynamics
 from test_cli_contract import CONTRACT
 
@@ -107,6 +109,18 @@ def test_drive_spec_keeps_the_float_of_a_float32_duration():
     wide = DriveSpec(tones=(tone,), duration=float(np.float32(2e5 + 0.3)))
     assert type(narrow.duration) is float
     assert np.array_equal(evolve(SYS, narrow), evolve(SYS, wide))
+
+
+def test_a_float32_tone_phase_plays_as_its_float():
+    # a Tone keeps its phase as given; a Y tone's phase meets a Python float (pi/2 and the
+    # element's angle), which NEP 50 would keep in float32
+    for phase in (np.float32(0.3), np.float32(-1.1)):
+        narrow, wide = (Tone(upper=6, lower=7, angle=np.pi, phase=p, axis="Y")
+                        for p in (phase, float(phase)))
+        assert np.array_equal(pulse_propagator(narrow), pulse_propagator(wide))
+        played = (simulate_schedule(SYS, PulseSchedule(gates=(), groups=((tone,),)), 1e-3)
+                  for tone in (narrow, wide))
+        assert np.array_equal(next(played).actual, next(played).actual)
 
 
 def test_integrator_unitarity():
@@ -457,14 +471,15 @@ def _svd_power(u, n):
     return result
 
 
-@pytest.mark.parametrize("n", [2, 3, 185, 2**20 + 1])
+@pytest.mark.parametrize("n", [2, 3, 185, 2**20 + 1, 2**47 - 1])
 def test_unitary_power_matches_svd_projected_squaring(n):
     u = _random_unitary(np.random.default_rng(n))
     with mock.patch.object(dynamics, "_polar_unitary",
                            wraps=dynamics._polar_unitary) as projection:
         power = dynamics._unitary_power(u, n)
-    # one projection per set bit after the lowest and one per squaring, none after the highest
-    assert projection.call_count == bin(n).count("1") + n.bit_length() - 2
+    # one projection after every 16th squaring and one of the power
+    assert projection.call_count == (n.bit_length() - 1) // 16 + 1
+    assert np.abs(power.conj().T @ power - np.eye(DIM)).max() <= 1e-14
     # squaring amplifies a rounding-level change of u about n-fold, for the SVD path as well
     assert np.abs(power - _svd_power(u, n)).max() <= max(1e-12, n * 1e-15)
 
@@ -777,6 +792,30 @@ def test_simulate_schedule_multi_tone_group():
     table = {label: out for label, (out, _) in result.transfer.items()}
     assert table == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
     assert all(prob > 0.9 for _, prob in result.transfer.values())
+
+
+def _edited(sched, angle):
+    """sched with every tone's angle set to `angle`, its gates kept."""
+    return replace(sched, groups=tuple(tuple(replace(tone, angle=angle) for tone in group)
+                                       for group in sched.groups))
+
+
+# the edited Toffoli's angle of 1 < pi/2 leaves its ideal 6 and 7 columns largest on the diagonal
+@pytest.mark.parametrize("sched, kept", [(compile_gate("NOT:S"), ()),
+                                         (compile_gate("UT:S(1.2,0.4)"), ()),
+                                         (_edited(compile_gate("CCNOT:QR->S"), 1.0), (6, 7))],
+                         ids=["NOT:S", "UT:S", "edited CCNOT"])
+def test_transfer_table_is_the_per_column_readout(sched, kept):
+    result = simulate_schedule(SYS, sched, 5e-3)
+    not_family = all(gate.is_not_family for gate in sched.gates)
+    assert list(result.transfer) == list(range(DIM))
+    for label, (out, probability) in result.transfer.items():
+        ideal, actual = result.ideal[:, label], result.actual[:, label]
+        # the largest entry of the ideal column; an edited NOT-family schedule need not permute
+        assert out == (int(np.argmax(np.abs(ideal))) if not_family else label)
+        assert type(out) is int and type(probability) is float
+        assert abs(probability - float(abs(ideal.conj() @ actual) ** 2)) <= 2e-16
+    assert all(result.transfer[label][0] == label for label in kept)
 
 
 def test_simulate_plays_the_compiled_durations():
