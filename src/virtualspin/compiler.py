@@ -116,7 +116,7 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
     resolve it: its transition frequency, and with gamma_hrf its pulse duration.
     """
     gates = _as_gates(gate)
-    tone = Tone if spectrum is None else _resolver(spectrum, gamma_hrf, ("X",))
+    tone = Tone if spectrum is None else _resolver(spectrum, gamma_hrf, ("X",))[0]
     groups = []
     for g in gates:
         angle, phase = (np.pi, 0.0) if g.is_not_family else (g.phi, g.f)
@@ -132,24 +132,30 @@ def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
     E_upper - E_lower and, when gamma_hrf is given, the duration realizing
     its |angle| at that drive amplitude (else None).
     """
-    tone = _resolver(spectrum, gamma_hrf, {t.axis for group in sched.groups for t in group})
+    return _resolve(sched, spectrum, gamma_hrf)[0]
+
+
+def _resolve(sched: PulseSchedule, spectrum: Spectrum, gamma_hrf: float | None) -> tuple:
+    """resolve_schedule, and the drive_elements of spectrum it read, one per axis played."""
+    tone, elements = _resolver(spectrum, gamma_hrf, {t.axis for g in sched.groups for t in g})
     return PulseSchedule(sched.gates, [[tone(t.upper, t.lower, t.angle, t.phase, t.axis)
                                         for t in group] for group in sched.groups],
-                         spectrum.method, sched.parameters)
+                         spectrum.method, sched.parameters), elements
 
 
-def _resolver(spectrum: Spectrum, gamma_hrf: float | None, axes):
-    """resolve_schedule's rule, also compile_gate's: the resolved Tone of a tone's fields."""
+def _resolver(spectrum: Spectrum, gamma_hrf: float | None, axes) -> tuple:
+    """resolve_schedule's and compile_gate's tone rule, and the drive_elements it reads, by axis."""
     params = PulseParams(gammaHrf=gamma_hrf) if gamma_hrf is not None else None
-    elements = {axis: np.abs(drive_elements(spectrum, axis)) for axis in axes}
+    elements = {axis: drive_elements(spectrum, axis) for axis in axes}
+    moduli = {axis: np.abs(e) for axis, e in elements.items()}
 
     def resolved(upper: int, lower: int, angle, phase, axis: str) -> Tone:
         duration = None if params is None else pulse_duration(
-            abs(angle), params, elements[axis][upper, lower], axis)
+            abs(angle), params, moduli[axis][upper, lower], axis)
         omega = float(spectrum.energies[upper] - spectrum.energies[lower])
         return Tone(upper, lower, angle, phase, axis, omega, duration)
 
-    return resolved
+    return resolved, elements
 
 
 def schedule_propagator(sched: PulseSchedule) -> np.ndarray:

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import PulseSchedule, resolve_schedule, schedule_propagator
+from .compiler import PulseSchedule, _resolve, schedule_propagator
 from .errors import InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
-from .spectrum import Spectrum, drive_elements, exact_spectrum
+from .spectrum import Spectrum, exact_spectrum
 from .system import (AXIS_OPERATORS, DIM, IDENTITY as _IDENTITY, M_VALUES, SpinSystem,
-                     build_hamiltonian, integer, one_of, positive, real)
+                     _static_eigh, integer, one_of, positive, real)
 
 MIN_STEPS_PER_PERIOD = 20
 
@@ -149,7 +149,7 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
     if drive.duration == 0:
         return _IDENTITY.astype(complex)
 
-    energies, basis = np.linalg.eigh(build_hamiltonian(sys))
+    energies, basis = _static_eigh(sys)
     # max - min: eigh sorts energies, but a spectrum lists them by label
     omega_max = max([float(energies.max() - energies.min()),
                      *(abs(t.frequency) for t in drive.tones)])
@@ -208,8 +208,8 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     the same pass (see _block_product), unprojected: the power it ends
     projects it.  Without a head, the second product is None.
 
-    evolve diagonalizes H_static = basis diag(energies) basis^dagger once and
-    hands the kernel that decomposition and its slice count.  A slice is
+    evolve hands the kernel H_static = basis diag(energies) basis^dagger, as
+    the system holds it, and its slice count.  A slice is
     C_h e^{-i dt V(t_mid)} C_h  with C_h = e^{-i H_static dt/2};
     neighbouring half steps merge into C = C_h^2, so the product is
     C_h [F_N ... F_1] C_h^dagger  with  F_j = e^{-i dt V_j} C.  The drive
@@ -472,18 +472,18 @@ def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
     return np.exp(1j * spectrum.energies * duration)[:, None] * u_eig
 
 
-def _play_group(sys: SpinSystem, spectrum: Spectrum, group,
+def _play_group(sys: SpinSystem, spectrum: Spectrum, elements: dict, group,
                 cfg: IntegrationConfig) -> tuple[float, np.ndarray]:
     """Common duration of simultaneous resolved tones and their interaction-picture propagator.
 
     The group lasts as long as its slowest tone (the largest tone.duration);
     each tone plays at its own tone.omega, faster tones with proportionally
-    weaker amplitudes, and zero-angle tones play no drive.
+    weaker amplitudes, and zero-angle tones play no drive.  elements maps each
+    axis to the spectrum's drive_elements, taken once a job by the resolution.
     """
     duration = max((t.duration for t in group), default=0.0)
     if duration == 0:
         return duration, _IDENTITY
-    elements = {axis: drive_elements(spectrum, axis) for axis in {t.axis for t in group}}
     drive = []
     for tone in group:
         if tone.angle == 0:
@@ -532,11 +532,11 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
     compose in order.
     """
     spectrum = exact_spectrum(sys)
-    sched = resolve_schedule(sched, spectrum, gamma_hrf)
+    sched, elements = _resolve(sched, spectrum, gamma_hrf)
     u_actual = _IDENTITY.astype(complex)
     durations = []
     for group in sched.groups:
-        group_duration, u_group = _play_group(sys, spectrum, group, cfg)
+        group_duration, u_group = _play_group(sys, spectrum, elements, group, cfg)
         durations.append(group_duration)
         u_actual = u_group @ u_actual
 

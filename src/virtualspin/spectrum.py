@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmbiguousLabelingError, DegenerateFitError, InputError
-from .system import (AXIS_OPERATORS, DIM, IDENTITY, M_VALUES, SpinSystem, _read_only,
-                     build_hamiltonian, level)
+from .system import (AXIS_OPERATORS, DIM, IDENTITY, M_VALUES, SpinSystem, _held, _read_only,
+                     _static_eigh, _static_hamiltonian, level)
 
 PERTURBATIVE = "perturbative-first-order"
 EXACT = "exact"
@@ -54,6 +54,8 @@ class Spectrum:
     warning: str | None = None
 
 
+# an overflowing coupling is reported once, by the InputError below
+@np.errstate(over="ignore", invalid="ignore")
 def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     """First-order energies and (orthonormalized) first-order eigenvectors.
 
@@ -61,21 +63,13 @@ def perturbative_spectrum(sys: SpinSystem) -> Spectrum:
     where first-order theory is unreliable; the values are still computed.
     Raises InputError when they overflow floating point.
     """
-    return _first_order(sys)[0]
-
-
-# an overflowing coupling is reported once, by the InputError below
-@np.errstate(over="ignore", invalid="ignore")
-def _first_order(sys: SpinSystem) -> tuple[Spectrum, np.ndarray]:
-    """perturbative_spectrum and the static Hamiltonian it was derived from."""
-    hamiltonian = build_hamiltonian(sys)
     q0 = 3 * math.cos(sys.theta) ** 2 - 1
     energies = -sys.omega0 * M_VALUES + sys.omegaQ * q0 * (M_VALUES ** 2 - 21 / 4)
 
     # the mixing reads only the off-diagonal part, which is the quadrupole term's
     denom = sys.omega0 * _M_DIFFERENCES  # omega0 * (k - m)
     np.fill_diagonal(denom, 1.0)
-    raw = IDENTITY + hamiltonian * (1.0 / denom) * _OFF_DIAGONAL
+    raw = IDENTITY + _static_hamiltonian(sys) * (1.0 / denom) * _OFF_DIAGONAL
 
     ratio = sys.omegaQ / sys.omega0
     try:
@@ -90,8 +84,7 @@ def _first_order(sys: SpinSystem) -> tuple[Spectrum, np.ndarray]:
     if ratio >= PERTURBATIVE_RATIO_LIMIT:
         warning = (f"omegaQ/omega0 = {ratio:.3g} >= {PERTURBATIVE_RATIO_LIMIT}: "
                    "first-order perturbation theory is unreliable here")
-    return Spectrum(energies=energies, states=states,
-                    method=PERTURBATIVE, warning=warning), hamiltonian
+    return Spectrum(energies=energies, states=states, method=PERTURBATIVE, warning=warning)
 
 
 def exact_spectrum(sys: SpinSystem) -> Spectrum:
@@ -104,18 +97,23 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
     largest overlaps differ by less than a factor of two; either signals a
     level crossing / strong mixing regime where labels would be arbitrary.
     Under that dominance rule the row-wise best match is the unique optimal
-    assignment, so no assignment solver is needed.
+    assignment, so no assignment solver is needed.  The system holds its
+    spectrum: every call for it returns one read-only Spectrum, or raises.
     """
+    return _held(sys, "_exact_spectrum", _labeled)
+
+
+def _labeled(sys: SpinSystem) -> Spectrum:
+    """The labeled exact spectrum that exact_spectrum holds, computed."""
     # first, so its overflow check keeps a non-finite Hamiltonian from eigh
-    first_order, hamiltonian = _first_order(sys)
-    reference = first_order.states
-    evals, evecs = np.linalg.eigh(hamiltonian)
+    reference = perturbative_spectrum(sys).states
+    evals, evecs = _static_eigh(sys)
     overlap = np.abs(reference.conj().T @ evecs)  # overlap[M, j]
 
     assignment = overlap.argmax(axis=1)
-    shared = int(np.bincount(assignment, minlength=DIM).argmax())
-    rivals = np.flatnonzero(assignment == shared)
-    if rivals.size > 1:
+    if len(set(assignment.tolist())) < DIM:
+        shared = int(np.bincount(assignment, minlength=DIM).argmax())
+        rivals = np.flatnonzero(assignment == shared)
         raise AmbiguousLabelingError(
             f"cannot label exact eigenstates: perturbative states "
             f"M={rivals[0]} and M={rivals[1]} both overlap exact state {shared} most; "
@@ -132,11 +130,10 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
             f"(< {OVERLAP_DOMINANCE}:1); omegaQ/omega0 = "
             f"{sys.omegaQ / sys.omega0:.3g} is a level-mixing regime")
 
-    energies = evals[assignment]
     states = evecs[:, assignment]
     # fix gauge: overlap with the perturbative reference is real positive
     phases = np.angle(np.sum(reference.conj() * states, axis=0))
-    states = states * np.exp(-1j * phases)[None, :]
+    energies, states = _read_only(evals[assignment], states * np.exp(-1j * phases)[None, :])
     return Spectrum(energies=energies, states=states, method=EXACT)
 
 

@@ -173,3 +173,21 @@ def quadrupole_hamiltonian(sys: SpinSystem) -> np.ndarray:
 def build_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Full static Hamiltonian -omega0*Iz + quadrupole term (Hermitian 8x8)."""
     return -sys.omega0 * _IZ + quadrupole_hamiltonian(sys)
+
+
+def _held(sys: SpinSystem, name: str, make):
+    """make(sys), made once and held on the frozen sys beside its fields; an error holds nothing."""
+    held = sys.__dict__
+    if name not in held:
+        held[name] = make(sys)
+    return held[name]
+
+
+def _static_hamiltonian(sys: SpinSystem) -> np.ndarray:
+    """build_hamiltonian(sys), held on sys and only read: no caller is handed it."""
+    return _held(sys, "_hamiltonian", build_hamiltonian)
+
+
+def _static_eigh(sys: SpinSystem) -> tuple:
+    """np.linalg.eigh of _static_hamiltonian(sys), (energies, basis), held on sys and only read."""
+    return _held(sys, "_eigh", lambda s: np.linalg.eigh(_static_hamiltonian(s)))

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from dataclasses import replace
@@ -17,7 +18,7 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          forbidden_scaling, interaction_propagator,
                          make_spin_operators, pulse_propagator, rwa_deviation,
                          simulate_schedule)
-from virtualspin import dynamics
+from virtualspin import compiler, dynamics, spectrum
 from test_cli_contract import CONTRACT
 
 # weak-coupling system used by most drive tests
@@ -519,6 +520,36 @@ def test_propagators_without_drive_are_fresh_writable_arrays():
     # the writes above reach no array that a later call returns
     assert np.array_equal(evolve(SYS, DriveSpec(tones=(), duration=0.0)), np.eye(DIM))
     assert np.array_equal(simulate_schedule(SYS, empty, 1e-3).actual, np.eye(DIM))
+
+
+@pytest.mark.parametrize("tones", [((6, 7, "X"),), ((5, 6, "X"), (6, 7, "Y"))])
+def test_evolve_on_a_held_decomposition_matches_a_fresh_system(tones):
+    energies = exact_spectrum(SYS).energies   # fills SYS's hold, if no earlier test did
+    drive = DriveSpec(tones=tuple(DriveTone(float(energies[u] - energies[l]), 2e-3, 0.3, axis)
+                                  for u, l, axis in tones), duration=700.0)
+    fresh = replace(SYS)
+    assert np.array_equal(evolve(SYS, drive), evolve(fresh, drive))
+
+
+def test_simulate_schedule_takes_each_axis_drive_elements_once():
+    counted = []
+    original = compiler.drive_elements
+
+    def counting(spec, axis="X"):
+        counted.append(axis)
+        return original(spec, axis)
+
+    sched = compile_gate("CNOT:R->S;CCNOT:QR->S")
+    expected = simulate_schedule(SYS, sched, 5e-3)
+    # at every name a caller in the package could look it up by
+    with contextlib.ExitStack() as patches:
+        for module in (compiler, dynamics, spectrum):
+            patches.enter_context(mock.patch.object(module, "drive_elements", counting,
+                                                    create=True))
+        result = simulate_schedule(SYS, sched, 5e-3)
+    # the resolution takes them, and both groups' drive phases read the same elements
+    assert counted == ["X"]
+    assert np.array_equal(result.actual, expected.actual)
 
 
 def _midpoint_reference(system, drive, steps_per_period):

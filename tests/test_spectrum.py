@@ -1,10 +1,14 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from virtualspin import (DIM, SPIN, AmbiguousLabelingError, SpinSystem,
-                         build_hamiltonian, exact_spectrum, make_spin_operators,
-                         perturbative_spectrum, transition_table)
+from virtualspin import (DIM, SPIN, AmbiguousLabelingError, DriveSpec, DriveTone, InputError,
+                         SpinSystem, build_hamiltonian, compile_gate, evolve, exact_spectrum,
+                         make_spin_operators, perturbative_spectrum, simulate_schedule,
+                         transition_table)
 from virtualspin import system
 from virtualspin.spectrum import OVERLAP_DOMINANCE
 
@@ -97,8 +101,19 @@ def test_strong_mixing_is_labeled_or_fails_loudly():
     # omegaQ ~ omega0 is a level-mixing regime: the overlap matching either
     # resolves or raises the dedicated error, never silently permutes
     sys = SpinSystem(omega0=1.0, omegaQ=0.5, theta=np.pi / 3)
-    with pytest.raises(AmbiguousLabelingError):
-        exact_spectrum(sys)
+    # a failure is not held: the second call for the same system raises too
+    for _ in range(2):
+        with pytest.raises(AmbiguousLabelingError):
+            exact_spectrum(sys)
+
+
+def test_an_overflowing_coupling_is_refused_on_every_call_without_a_warning():
+    sys = SpinSystem(omegaQ=1e308, theta=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spectrum in (exact_spectrum, perturbative_spectrum, exact_spectrum):
+            with pytest.raises(InputError, match="overflows the first-order levels"):
+                spectrum(sys)
 
 
 def test_labels_match_optimal_assignment():
@@ -177,12 +192,42 @@ def test_exact_spectrum_builds_the_quadrupole_hamiltonian_once(monkeypatch):
     monkeypatch.setattr(system, "quadrupole_hamiltonian",
                         lambda sys: built.append(sys) or original(sys))
     sys = SpinSystem(omegaQ=0.05, theta=np.pi / 6, phi=0.4)
-    exact_spectrum(sys)
+    spectrum = exact_spectrum(sys)
+    assert built == [sys]
+    # the system holds its static problem: later spectra, drives and schedules on it
+    # build and diagonalize nothing more
+    assert exact_spectrum(sys) is spectrum
+    omega = float(spectrum.energies[6] - spectrum.energies[7])
+    evolve(sys, DriveSpec(tones=(DriveTone(omega, 2e-3),), duration=100.0))
+    sched = compile_gate("CNOT:R->S;CCNOT:QR->S", spectrum=spectrum, gamma_hrf=5e-3)
+    assert len(simulate_schedule(sys, sched, 5e-3).group_durations) == 2
+    assert exact_spectrum(sys) is spectrum
     assert built == [sys]
     # the first-order mixing reads the full Hamiltonian's off-diagonal part, which is
     # the quadrupole term's to the bit
     assert np.array_equal(perturbative_spectrum(sys).states,
                           _first_order_states(sys, original(sys)))
+    assert built == [sys]
+
+
+def test_the_held_spectrum_is_read_only_and_each_system_holds_its_own():
+    sys = SpinSystem(omegaQ=0.05, theta=np.pi / 6)
+    spectrum = exact_spectrum(sys)
+    for array in (spectrum.energies, spectrum.states):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # build_hamiltonian stays a fresh, writable array
+    build_hamiltonian(sys)[0, 0] = 0
+    # the hold is no field: the filled system prints as a fresh one does
+    assert repr(sys) == repr(SpinSystem(omegaQ=0.05, theta=np.pi / 6))
+    stronger = replace(sys, omegaQ=0.06)
+    assert exact_spectrum(stronger) is not spectrum
+    assert not np.array_equal(exact_spectrum(stronger).energies, spectrum.energies)
+    # an equal system built separately diagonalizes anew, to the same bits
+    twin = exact_spectrum(SpinSystem(omegaQ=0.05, theta=np.pi / 6))
+    assert twin is not spectrum
+    assert twin.energies.tobytes() == spectrum.energies.tobytes()
+    assert twin.states.tobytes() == spectrum.states.tobytes()
 
 
 def _first_order_states(sys, hq):
