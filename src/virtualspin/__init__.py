@@ -18,12 +18,10 @@ from .errors import (AmbiguousLabelingError, DegenerateFitError,
                      OverlappingTonesError, ResolutionError,
                      ScheduleFormatError, TruthTableError, VirtualSpinError)
 from .gates import GateSpec, parse_gate, parse_gate_sequence, target_gate
-from .pulses import (PulseParams, Projector, Tone, multi_tone_propagator,
-                     projector, pulse_duration, pulse_propagator)
+from .pulses import PulseParams, Tone, multi_tone_propagator, projector, pulse_duration
 from .spectrum import (ScalingFit, Spectrum, Transition, drive_elements, exact_spectrum,
                        forbidden_scaling, perturbative_spectrum, transition_table)
-from .system import (DIM, SPIN, SpinOperators, SpinSystem, build_hamiltonian,
-                     make_spin_operators, quadrupole_hamiltonian)
+from .system import DIM, SPIN, SpinOperators, SpinSystem, build_hamiltonian, quadrupole_hamiltonian
 
 __version__ = "0.1.0"
 
@@ -31,16 +29,15 @@ __all__ = [
     "AmbiguousLabelingError", "DegenerateFitError", "DIM", "DriveSpec",
     "DriveTone", "EquivalenceReport", "ForbiddenTransitionError",
     "GateGrammarError", "GateSpec", "InputError", "IntegrationConfig",
-    "OverlappingTonesError", "Projector", "PulseParams", "PulseSchedule",
+    "OverlappingTonesError", "PulseParams", "PulseSchedule",
     "ResolutionError", "ScalingFit", "ScheduleFormatError",
     "ScheduleSimulation", "SPIN", "SpinOperators", "SpinSystem", "Spectrum",
     "Tone", "Transition", "TruthTableError",
     "VirtualSpinError", "build_hamiltonian", "compile_gate",
     "drive_elements", "evolve", "exact_spectrum",
     "forbidden_scaling", "format_schedule", "interaction_propagator",
-    "make_spin_operators", "multi_tone_propagator",
-    "parse_gate", "parse_gate_sequence", "parse_schedule",
-    "perturbative_spectrum", "projector", "pulse_duration", "pulse_propagator",
+    "multi_tone_propagator", "parse_gate", "parse_gate_sequence", "parse_schedule",
+    "perturbative_spectrum", "projector", "pulse_duration",
     "quadrupole_hamiltonian", "resolve_schedule",
     "rwa_deviation", "schedule_propagator", "simulate_schedule", "target_gate",
     "transition_table", "truth_table", "verify",

@@ -112,10 +112,12 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
 
     One group per gate: 1 tone for CCNOT/CCUT, 2 for CNOT/CUT, 4 for
     NOT/UT, on the level pairs selected by the control/target structure.
-    With a Spectrum each tone is built resolved as resolve_schedule would
-    resolve it: its transition frequency, and with gamma_hrf its pulse duration.
+    With a Spectrum and gamma_hrf, given together or not at all, each tone is
+    built resolved as resolve_schedule would resolve it.
     """
     gates = _as_gates(gate)
+    if spectrum is None and gamma_hrf is not None:
+        raise InputError("gamma_hrf needs a spectrum to resolve the tones against")
     tone = Tone if spectrum is None else _resolver(spectrum, gamma_hrf, ("X",))[0]
     groups = []
     for g in gates:
@@ -126,11 +128,11 @@ def compile_gate(gate, spectrum: Spectrum | None = None,
 
 def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
                      gamma_hrf: float | None = None) -> PulseSchedule:
-    """The schedule with every tone resolved against `spectrum`.
+    """The schedule with every tone resolved against `spectrum` at drive amplitude gamma_hrf.
 
     Level pairs, angles, phases and axes stay fixed; each tone gets omega =
-    E_upper - E_lower and, when gamma_hrf is given, the duration realizing
-    its |angle| at that drive amplitude (else None).
+    E_upper - E_lower and the duration realizing its |angle| at gamma_hrf,
+    which must be given.
     """
     return _resolve(sched, spectrum, gamma_hrf)[0]
 
@@ -145,13 +147,14 @@ def _resolve(sched: PulseSchedule, spectrum: Spectrum, gamma_hrf: float | None) 
 
 def _resolver(spectrum: Spectrum, gamma_hrf: float | None, axes) -> tuple:
     """resolve_schedule's and compile_gate's tone rule, and the drive_elements it reads, by axis."""
-    params = PulseParams(gammaHrf=gamma_hrf) if gamma_hrf is not None else None
+    if gamma_hrf is None:
+        raise InputError("a spectrum needs gamma_hrf to give each tone its duration")
+    params = PulseParams(gammaHrf=gamma_hrf)
     elements = {axis: drive_elements(spectrum, axis) for axis in axes}
     moduli = {axis: np.abs(e) for axis, e in elements.items()}
 
     def resolved(upper: int, lower: int, angle, phase, axis: str) -> Tone:
-        duration = None if params is None else pulse_duration(
-            abs(angle), params, moduli[axis][upper, lower], axis)
+        duration = pulse_duration(abs(angle), params, moduli[axis][upper, lower], axis)
         omega = float(spectrum.energies[upper] - spectrum.energies[lower])
         return Tone(upper, lower, angle, phase, axis, omega, duration)
 

@@ -81,19 +81,6 @@ class GateSpec:
     def is_not_family(self) -> bool:
         return self.kind in NOT_FAMILY
 
-    def payload(self) -> np.ndarray:
-        """2x2 block applied to each control-satisfying target pair."""
-        return np.array(self._payload_entries(), dtype=complex).reshape(2, 2)
-
-    def _payload_entries(self) -> tuple:
-        """The payload's entries in row order, as Python scalars (math and cmath)."""
-        if self.is_not_family:
-            return 0, 1, 1, 0
-        half = self.phi / 2
-        cosine, sine = math.cos(half), math.sin(half)
-        return (cosine, 1j * cmath.exp(1j * self.f) * sine,
-                1j * cmath.exp(-1j * self.f) * sine, cosine)
-
     def level_pairs(self) -> list[tuple[int, int]]:
         """Level pairs (M_target-bit-0, M_target-bit-1) it acts on, ascending."""
         target_bit = BIT_OF_SPIN[self.target]
@@ -156,8 +143,15 @@ def parse_gate_sequence(text: str) -> tuple[GateSpec, ...]:
 
 
 def target_gate(spec: GateSpec) -> np.ndarray:
-    """Textbook 8x8 matrix of the gate in the M-ordered basis."""
-    a, b, c, d = spec._payload_entries()
+    """Textbook 8x8 matrix of the gate in the M-ordered basis: the payload, a 2x2 block
+    whose entries are Python scalars (math and cmath), on every pair of spec.level_pairs()."""
+    if spec.is_not_family:
+        a, b, c, d = 0, 1, 1, 0
+    else:
+        half = spec.phi / 2
+        sine = math.sin(half)
+        a = d = math.cos(half)
+        b, c = 1j * cmath.exp(1j * spec.f) * sine, 1j * cmath.exp(-1j * spec.f) * sine
     u = IDENTITY.astype(complex)
     for m0, m1 in spec.level_pairs():
         u[m0, m0], u[m0, m1], u[m1, m0], u[m1, m1] = a, b, c, d

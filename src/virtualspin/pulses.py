@@ -12,7 +12,7 @@ a = 2 (t - t0) gammaHrf |<n|Ix|m>|, which pulse_duration inverts.
 
 Multi-frequency pulses drive several level pairs at once; as long as the
 pairs are disjoint the total propagator is the (order-independent) product
-of the per-tone propagators: one helper writes each tone's 2x2 block into an identity.
+of the per-tone propagators, each tone's 2x2 block written into one identity.
 """
 
 import cmath
@@ -25,21 +25,13 @@ from .errors import ForbiddenTransitionError, InputError, OverlappingTonesError
 from .system import AXIS_OPERATORS, DIM, IDENTITY, level, one_of, positive, real
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Matrix unit P_mn: all entries zero except a single 1 at (m, n)."""
-
-    m: int
-    n: int
-    matrix: np.ndarray
-
-
-def projector(m: int, n: int) -> Projector:
-    """P_mn with P_kl P_mn = delta_lm P_kn and P_mn^dag = P_nm (exact)."""
+def projector(m: int, n: int) -> np.ndarray:
+    """The matrix unit P_mn, read-only: one 1 at (m, n), so P_kl P_mn = delta_lm P_kn and
+    P_mn^dag = P_nm (exact)."""
     mat = np.zeros((DIM, DIM), dtype=complex)
     mat[level(m, "projector m"), level(n, "projector n")] = 1.0
     mat.setflags(write=False)
-    return Projector(m=m, n=n, matrix=mat)
+    return mat
 
 
 AXES = tuple(AXIS_OPERATORS)
@@ -83,25 +75,6 @@ class PulseParams:
         positive(self.gammaHrf, "gammaHrf")
 
 
-def _write_tone(v: np.ndarray, tone: Tone) -> np.ndarray:
-    """v with the projector form of one tone written into its 2x2 block, entry by entry,
-    each computed with math and cmath on Python floats (the bits numpy's ufuncs give)."""
-    m, n = tone.upper, tone.lower
-    f_eff = float(tone.phase) + (math.pi / 2 if tone.axis == "Y" else 0.0)
-    half = tone.angle / 2
-    sine = math.sin(half)
-    # 1 + (cos - 1) rounds as the projector sum does; a plain cos would not
-    v[m, m] = v[n, n] = 1 + (math.cos(half) - 1)
-    v[m, n] = 1j * cmath.exp(1j * f_eff) * sine
-    v[n, m] = 1j * cmath.exp(-1j * f_eff) * sine
-    return v
-
-
-def pulse_propagator(tone: Tone) -> np.ndarray:
-    """Idealized unitary propagator of one resonant tone."""
-    return _write_tone(IDENTITY.astype(complex), tone)
-
-
 def check_disjoint(tones):
     """Raise OverlappingTonesError unless the simultaneous tones share no level."""
     seen: set[int] = set()
@@ -115,15 +88,25 @@ def check_disjoint(tones):
 
 
 def multi_tone_propagator(tones) -> np.ndarray:
-    """Propagator of simultaneous tones on pairwise-disjoint level pairs.
+    """Idealized propagator of simultaneous tones on pairwise-disjoint level pairs; of one
+    tone, multi_tone_propagator((tone,)).
 
-    Disjoint pairs commute and touch separate entries, so each tone's block is written
-    into one identity; overlapping pairs are rejected: the product form would be wrong there.
+    Disjoint pairs commute and touch separate entries, so the projector form of each tone
+    is written into its 2x2 block of one identity, entry by entry, each computed with math
+    and cmath on Python floats (the bits numpy's ufuncs give); overlapping pairs are
+    rejected: the product form would be wrong there.
     """
     check_disjoint(tones)
     u = IDENTITY.astype(complex)
     for tone in tones:
-        _write_tone(u, tone)
+        m, n = tone.upper, tone.lower
+        f_eff = float(tone.phase) + (math.pi / 2 if tone.axis == "Y" else 0.0)
+        half = tone.angle / 2
+        sine = math.sin(half)
+        # 1 + (cos - 1) rounds as the projector sum does; a plain cos would not
+        u[m, m] = u[n, n] = 1 + (math.cos(half) - 1)
+        u[m, n] = 1j * cmath.exp(1j * f_eff) * sine
+        u[n, m] = 1j * cmath.exp(-1j * f_eff) * sine
     return u
 
 

@@ -105,7 +105,6 @@ def exact_spectrum(sys: SpinSystem) -> Spectrum:
 
 def _labeled(sys: SpinSystem) -> Spectrum:
     """The labeled exact spectrum that exact_spectrum holds, computed."""
-    # first, so its overflow check keeps a non-finite Hamiltonian from eigh
     reference = perturbative_spectrum(sys).states
     evals, evecs = _static_eigh(sys)
     overlap = np.abs(reference.conj().T @ evecs)  # overlap[M, j]

@@ -124,11 +124,6 @@ _QUADRUPOLE_OPERATORS = _read_only(
     _IZ @ _IMINUS + _IMINUS @ _IZ, _IPLUS @ _IPLUS, _IMINUS @ _IMINUS)
 
 
-def make_spin_operators() -> SpinOperators:
-    """Ix, Iy, Iz and the ladder operators for I = 7/2: the one read-only set."""
-    return _OPERATORS
-
-
 @dataclass(frozen=True, eq=False)
 class SpinSystem:
     """Physical parameters of the spin-7/2 system (frequencies in units of omega0)."""
@@ -138,7 +133,7 @@ class SpinSystem:
     theta: float = 0.0
     phi: float = 0.0
     q2_form: str = "as-printed"
-    ops: ClassVar[SpinOperators] = _OPERATORS
+    ops: ClassVar[SpinOperators] = _OPERATORS   # the one operator set: Ix, Iy, Iz, I+, I-
 
     def __post_init__(self):
         # the Python float of each value: a numpy float32 would keep scalar arithmetic in float32
@@ -183,6 +178,8 @@ def _held(sys: SpinSystem, name: str, make):
     return held[name]
 
 
+# an overflowing coupling leaves it non-finite, which _static_eigh refuses, with no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _static_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """build_hamiltonian(sys), held on sys and only read: no caller is handed it."""
     return _held(sys, "_hamiltonian", build_hamiltonian)
@@ -190,4 +187,10 @@ def _static_hamiltonian(sys: SpinSystem) -> np.ndarray:
 
 def _static_eigh(sys: SpinSystem) -> tuple:
     """np.linalg.eigh of _static_hamiltonian(sys), (energies, basis), held on sys and only read."""
-    return _held(sys, "_eigh", lambda s: np.linalg.eigh(_static_hamiltonian(s)))
+    return _held(sys, "_eigh", _eigh)
+
+
+def _eigh(sys: SpinSystem) -> tuple:
+    if not np.isfinite(hamiltonian := _static_hamiltonian(sys)).all():
+        raise InputError(f"omegaQ/omega0 = {sys.omegaQ / sys.omega0:.3g} overflows the Hamiltonian")
+    return np.linalg.eigh(hamiltonian)

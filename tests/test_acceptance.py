@@ -12,9 +12,9 @@ import pytest
 
 from virtualspin import (DIM, PulseParams, SpinSystem, Tone, compile_gate,
                          evolve, exact_spectrum, interaction_propagator,
-                         forbidden_scaling, make_spin_operators, parse_gate,
+                         forbidden_scaling, parse_gate,
                          perturbative_spectrum, projector, pulse_duration,
-                         pulse_propagator, multi_tone_propagator,
+                         multi_tone_propagator,
                          rwa_deviation, schedule_propagator, transition_table,
                          truth_table, verify)
 from virtualspin.cli import main
@@ -110,7 +110,7 @@ def test_criterion_5_exact_dynamics_validation():
     sys = SpinSystem(omega0=1.0, omegaQ=0.05, theta=np.pi / 6)
     spectrum = exact_spectrum(sys)
     gamma = 1e-3
-    ops = make_spin_operators()
+    ops = SpinSystem.ops
     element = complex(spectrum.states[:, 6].conj() @ ops.Ix @ spectrum.states[:, 7])
     duration = pulse_duration(np.pi, PulseParams(gammaHrf=gamma), abs(element))
     drive = DriveTone(frequency=float(spectrum.energies[6] - spectrum.energies[7]),
@@ -121,7 +121,7 @@ def test_criterion_5_exact_dynamics_validation():
 
     u_int = interaction_propagator(spectrum, u_lab, duration)
     tone = Tone(upper=6, lower=7, angle=np.pi)
-    deviations = [float(np.abs(u_int - pulse_propagator(tone)).max())]
+    deviations = [float(np.abs(u_int - multi_tone_propagator((tone,))).max())]
     for weaker in (10 ** -3.5, 1e-4):
         deviations.append(rwa_deviation(sys, tone, PulseParams(gammaHrf=weaker)))
     assert deviations[0] > deviations[1] > deviations[2] > 0
@@ -134,7 +134,7 @@ def test_criterion_5_exact_dynamics_validation():
 
 def test_criterion_6_algebra_suites():
     """Projector algebra exact; unitarity, order independence, additivity."""
-    mats = [[projector(a, b).matrix for b in range(DIM)] for a in range(DIM)]
+    mats = [[projector(a, b) for b in range(DIM)] for a in range(DIM)]
     for k, l, m, n in itertools.product(range(DIM), repeat=4):
         expected = mats[k][n] if l == m else 0.0
         assert np.array_equal(mats[k][l] @ mats[m][n],
@@ -147,10 +147,10 @@ def test_criterion_6_algebra_suites():
     rng = np.random.default_rng(41)
     for _ in range(50):
         upper, lower = rng.choice(DIM, size=2, replace=False)
-        u = pulse_propagator(Tone(upper=int(upper), lower=int(lower),
-                                  angle=float(rng.uniform(-8, 8)),
-                                  phase=float(rng.uniform(-np.pi, np.pi)),
-                                  axis="X" if rng.random() < 0.5 else "Y"))
+        u = multi_tone_propagator((Tone(upper=int(upper), lower=int(lower),
+                                        angle=float(rng.uniform(-8, 8)),
+                                        phase=float(rng.uniform(-np.pi, np.pi)),
+                                        axis="X" if rng.random() < 0.5 else "Y"),))
         assert np.abs(u.conj().T @ u - eye).max() < 1e-12
 
     for _ in range(20):
@@ -166,9 +166,9 @@ def test_criterion_6_algebra_suites():
     for _ in range(20):
         a, b = rng.uniform(-4, 4, size=2)
         phase = float(rng.uniform(-np.pi, np.pi))
-        one = pulse_propagator(Tone(upper=2, lower=5, angle=float(a), phase=phase))
-        two = pulse_propagator(Tone(upper=2, lower=5, angle=float(b), phase=phase))
-        both = pulse_propagator(Tone(upper=2, lower=5, angle=float(a + b), phase=phase))
+        one = multi_tone_propagator((Tone(upper=2, lower=5, angle=float(a), phase=phase),))
+        two = multi_tone_propagator((Tone(upper=2, lower=5, angle=float(b), phase=phase),))
+        both = multi_tone_propagator((Tone(upper=2, lower=5, angle=float(a + b), phase=phase),))
         assert np.abs(two @ one - both).max() < 1e-12
     print("ACCEPTANCE 6 PASS: projector algebra exact on all 8^4 index "
           "combinations; propagators unitary < 1e-12; group order "

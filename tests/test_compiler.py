@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,8 +57,8 @@ def test_ccnot_propagator_projector_form():
     # 1 - (P77 + P66) + i (P67 + P76)
     u = schedule_propagator(compile_gate("CCNOT:QR->S"))
     expected = (np.eye(DIM, dtype=complex)
-                - projector(7, 7).matrix - projector(6, 6).matrix
-                + 1j * (projector(6, 7).matrix + projector(7, 6).matrix))
+                - projector(7, 7) - projector(6, 6)
+                + 1j * (projector(6, 7) + projector(7, 6)))
     assert np.abs(u - expected).max() < 1e-15
 
 
@@ -210,15 +212,35 @@ def test_resolve_schedule_against_both_spectra():
     assert pert_tone.duration is not None
 
 
+def test_a_spectrum_and_gamma_hrf_are_given_together_or_not_at_all():
+    spectrum = exact_spectrum(SpinSystem(omegaQ=0.01, theta=np.pi / 5))
+    unresolved = compile_gate("CNOT:R->S")
+    for half_resolved in (lambda: compile_gate("CNOT:R->S", spectrum=spectrum),
+                          lambda: resolve_schedule(unresolved, spectrum),
+                          lambda: resolve_schedule(unresolved, spectrum, gamma_hrf=None)):
+        with pytest.raises(InputError, match="needs gamma_hrf"):
+            half_resolved()
+    # NOT:S included: a drive amplitude is never silently dropped
+    for gate in ("NOT:S", "CNOT:R->S"):
+        with pytest.raises(InputError, match="gamma_hrf needs a spectrum"):
+            compile_gate(gate, gamma_hrf=1e-3)
+    assert all(t.omega is None and t.duration is None for t in unresolved.groups[0])
+    resolved = compile_gate("CNOT:R->S", spectrum=spectrum, gamma_hrf=1e-3)
+    assert all(t.omega is not None and t.duration is not None for t in resolved.groups[0])
+
+
 def test_schedule_round_trip_is_lossless():
     sys = SpinSystem(omega0=1.0, omegaQ=0.01, theta=np.pi / 5, phi=0.3)
     spectrum = exact_spectrum(sys)
+    ccut = compile_gate(f"CCUT:QR->S({3 * np.pi / 4},{np.pi / 3})", spectrum=spectrum,
+                        gamma_hrf=1e-3)
     cases = [
         compile_gate("CCNOT:QR->S", spectrum=spectrum, gamma_hrf=1e-3,
                      parameters={"omega0": 1.0, "omegaQ": 0.01,
                                  "theta": np.pi / 5, "phi": 0.3, "gammaHrf": 1e-3}),
         compile_gate("NOT:S"),
-        compile_gate(f"CCUT:QR->S({3 * np.pi / 4},{np.pi / 3})", spectrum=spectrum),
+        # a tone with a frequency and `duration: null`, as an edited file may hold
+        replace(ccut, groups=[[replace(t, duration=None) for t in g] for g in ccut.groups]),
         compile_gate("NOT:S;CCNOT:QR->S", spectrum=spectrum, gamma_hrf=2e-3),
         compile_gate("CNOT:R->S", parameters={}),
     ]

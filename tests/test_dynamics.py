@@ -16,8 +16,7 @@ from virtualspin import (DIM, DegenerateFitError, DriveSpec, DriveTone,
                          ResolutionError, SpinSystem, Tone, build_hamiltonian,
                          compile_gate, evolve, exact_spectrum,
                          forbidden_scaling, interaction_propagator,
-                         make_spin_operators, pulse_propagator, rwa_deviation,
-                         simulate_schedule)
+                         multi_tone_propagator, rwa_deviation, simulate_schedule)
 from virtualspin import compiler, dynamics, spectrum
 from test_cli_contract import CONTRACT
 
@@ -118,7 +117,7 @@ def test_a_float32_tone_phase_plays_as_its_float():
     for phase in (np.float32(0.3), np.float32(-1.1)):
         narrow, wide = (Tone(upper=6, lower=7, angle=np.pi, phase=p, axis="Y")
                         for p in (phase, float(phase)))
-        assert np.array_equal(pulse_propagator(narrow), pulse_propagator(wide))
+        assert np.array_equal(multi_tone_propagator((narrow,)), multi_tone_propagator((wide,)))
         played = (simulate_schedule(SYS, PulseSchedule(gates=(), groups=((tone,),)), 1e-3)
                   for tone in (narrow, wide))
         assert np.array_equal(next(played).actual, next(played).actual)
@@ -666,7 +665,7 @@ def test_pi_pulse_population_transfer():
     deviation = rwa_deviation(SYS, tone, PulseParams(gammaHrf=gamma))
     assert deviation < 0.1
     # explicit transfer check through the raw integrator
-    ix = make_spin_operators().Ix
+    ix = SpinSystem.ops.Ix
     element = spec.states[:, 6].conj() @ ix @ spec.states[:, 7]
     duration = np.pi / (2 * gamma * abs(element))
     drive = DriveTone(frequency=float(spec.energies[6] - spec.energies[7]),
@@ -690,7 +689,7 @@ def test_rabi_transfer_follows_sine_squared():
 
 
 def _realized(spec, tone, gamma):
-    ix = make_spin_operators().Ix
+    ix = SpinSystem.ops.Ix
     element = spec.states[:, tone.upper].conj() @ ix @ spec.states[:, tone.lower]
     duration = tone.angle / (2 * gamma * abs(element))
     drive = DriveTone(frequency=float(spec.energies[tone.upper] - spec.energies[tone.lower]),
@@ -756,7 +755,7 @@ def test_forbidden_scaling_theta_zero_degenerate():
 def test_theta_zero_null_elements_for_any_coupling():
     # at theta=0 there is no quadrupole mixing: every non-adjacent element
     # vanishes identically however large omegaQ is
-    ix = make_spin_operators().Ix
+    ix = SpinSystem.ops.Ix
     for omega_q in (0.01, 0.3):
         states = exact_spectrum(SpinSystem(omegaQ=omega_q, theta=0.0)).states
         elements = np.abs(states.conj().T @ ix @ states)
@@ -769,7 +768,7 @@ def test_strong_coupling_elements_become_comparable():
     # for omegaQ ~ omega0 the formerly forbidden elements reach the same
     # order of magnitude as the ladder ones (ratio within one decade);
     # label-free check on energy-sorted exact eigenvectors
-    ix = make_spin_operators().Ix
+    ix = SpinSystem.ops.Ix
 
     def element_ratio(omega_q):
         h = build_hamiltonian(SpinSystem(omegaQ=omega_q, theta=np.pi / 3))

@@ -89,8 +89,12 @@ def test_every_exported_name_resolves():
     exec("from virtualspin import *", namespace)
     assert set(virtualspin.__all__) <= set(namespace)
     assert {*virtualspin.__all__, "dynamics"} <= set(dir(virtualspin))
-    with pytest.raises(AttributeError, match="no attribute 'simulate'"):
-        virtualspin.simulate
+    # one public name per object: the operator set is SpinSystem.ops, a one-tone propagator
+    # multi_tone_propagator((tone,)), and a gate's payload the block target_gate writes
+    for retired in ("simulate", "Projector", "make_spin_operators", "pulse_propagator"):
+        with pytest.raises(AttributeError, match=f"no attribute '{retired}'"):
+            getattr(virtualspin, retired)
+    assert not hasattr(virtualspin.GateSpec, "payload")
 
 
 def test_integrator_names_are_looked_up_not_stored():

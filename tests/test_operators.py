@@ -1,8 +1,8 @@
 import numpy as np
 
-from virtualspin import DIM, SPIN, make_spin_operators
+from virtualspin import DIM, SPIN, SpinSystem
 
-ops = make_spin_operators()
+ops = SpinSystem.ops
 m = np.arange(DIM) - SPIN
 
 

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from virtualspin import (DIM, ForbiddenTransitionError, InputError,
                          OverlappingTonesError, PulseParams, PulseSchedule, Tone, compile_gate,
                          format_schedule, multi_tone_propagator, parse_gate, parse_schedule,
-                         projector, pulse_duration, pulse_propagator)
+                         projector, pulse_duration)
 from virtualspin.compiler import format_scalar
 from virtualspin.pulses import AXES
 from virtualspin.system import Q2_FORMS
@@ -21,7 +21,7 @@ from test_gates import ALL_NOT_FAMILY
 
 
 def test_projector_algebra_exhaustive():
-    mats = [[projector(a, b).matrix for b in range(DIM)] for a in range(DIM)]
+    mats = [[projector(a, b) for b in range(DIM)] for a in range(DIM)]
     for k, l, m, n in itertools.product(range(DIM), repeat=4):
         product = mats[k][l] @ mats[m][n]
         expected = mats[k][n] if l == m else np.zeros((DIM, DIM))
@@ -30,13 +30,18 @@ def test_projector_algebra_exhaustive():
 
 def test_projector_adjoint_and_completeness():
     for a, b in itertools.product(range(DIM), repeat=2):
-        assert np.array_equal(projector(a, b).matrix.conj().T, projector(b, a).matrix)
-    total = sum(projector(a, a).matrix for a in range(DIM))
+        assert np.array_equal(projector(a, b).conj().T, projector(b, a))
+    total = sum(projector(a, a) for a in range(DIM))
     assert np.array_equal(total, np.eye(DIM))
     # spelled-out cases
-    assert np.array_equal(projector(6, 7).matrix @ projector(7, 6).matrix,
-                          projector(6, 6).matrix)
-    assert np.abs(projector(0, 1).matrix @ projector(2, 3).matrix).max() == 0
+    assert np.array_equal(projector(6, 7) @ projector(7, 6), projector(6, 6))
+    assert np.abs(projector(0, 1) @ projector(2, 3)).max() == 0
+    # a projector is its matrix: complex, read-only, the unit at (m, n)
+    unit = projector(6, 7)
+    expected = np.zeros((DIM, DIM), dtype=complex)
+    expected[6, 7] = 1
+    assert type(unit) is np.ndarray and unit.dtype == complex and not unit.flags.writeable
+    assert np.array_equal(unit, expected)
 
 
 def test_projector_index_range():
@@ -47,22 +52,22 @@ def test_projector_index_range():
 
 
 def test_zero_angle_is_identity():
-    v = pulse_propagator(Tone(upper=3, lower=5, angle=0.0))
+    v = multi_tone_propagator((Tone(upper=3, lower=5, angle=0.0),))
     assert np.abs(v - np.eye(DIM)).max() == 0
 
 
 def test_pi_pulse_on_67():
-    v = pulse_propagator(Tone(upper=6, lower=7, angle=np.pi, phase=0.0, axis="X"))
+    v = multi_tone_propagator((Tone(upper=6, lower=7, angle=np.pi, phase=0.0, axis="X"),))
     expected = np.diag([1, 1, 1, 1, 1, 1, 0, 0]).astype(complex)
     expected[6, 7] = expected[7, 6] = 1j
     assert np.abs(v - expected).max() < 1e-15
 
 
 def test_y_axis_shifts_phase_by_half_pi():
-    v = pulse_propagator(Tone(upper=6, lower=7, angle=np.pi, phase=0.0, axis="Y"))
+    v = multi_tone_propagator((Tone(upper=6, lower=7, angle=np.pi, phase=0.0, axis="Y"),))
     assert abs(v[6, 7] - (-1)) < 1e-15
     assert abs(v[7, 6] - 1) < 1e-15
-    vx = pulse_propagator(Tone(upper=6, lower=7, angle=np.pi, phase=np.pi / 2, axis="X"))
+    vx = multi_tone_propagator((Tone(upper=6, lower=7, angle=np.pi, phase=np.pi / 2, axis="X"),))
     assert np.abs(v - vx).max() < 1e-15
 
 
@@ -75,11 +80,11 @@ def test_matches_two_level_block_exponential():
         phase = float(rng.uniform(-np.pi, np.pi))
         axis = "X" if rng.random() < 0.5 else "Y"
         f_eff = phase + (np.pi / 2 if axis == "Y" else 0.0)
-        generator = (np.exp(1j * f_eff) * projector(upper, lower).matrix
-                     + np.exp(-1j * f_eff) * projector(lower, upper).matrix)
+        generator = (np.exp(1j * f_eff) * projector(upper, lower)
+                     + np.exp(-1j * f_eff) * projector(lower, upper))
         expected = expm(1j * (angle / 2) * generator)
-        got = pulse_propagator(Tone(upper=int(upper), lower=int(lower),
-                                    angle=angle, phase=phase, axis=axis))
+        got = multi_tone_propagator((Tone(upper=int(upper), lower=int(lower),
+                                          angle=angle, phase=phase, axis=axis),))
         assert np.abs(got - expected).max() < 1e-12
 
 
@@ -91,14 +96,14 @@ def test_unitarity_over_random_tones():
                     angle=float(rng.uniform(-10, 10)),
                     phase=float(rng.uniform(-np.pi, np.pi)),
                     axis="X" if rng.random() < 0.5 else "Y")
-        u = pulse_propagator(tone)
+        u = multi_tone_propagator((tone,))
         assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
 
 
 def test_periodicity():
-    full = pulse_propagator(Tone(upper=2, lower=3, angle=4 * np.pi))
+    full = multi_tone_propagator((Tone(upper=2, lower=3, angle=4 * np.pi),))
     assert np.abs(full - np.eye(DIM)).max() < 1e-12
-    half = pulse_propagator(Tone(upper=2, lower=3, angle=2 * np.pi))
+    half = multi_tone_propagator((Tone(upper=2, lower=3, angle=2 * np.pi),))
     expected = np.eye(DIM, dtype=complex)
     expected[2, 2] = expected[3, 3] = -1
     assert np.abs(half - expected).max() < 1e-12
@@ -109,23 +114,23 @@ def test_composition_additivity():
     for _ in range(20):
         a, b = rng.uniform(-5, 5, size=2)
         phase = float(rng.uniform(-np.pi, np.pi))
-        first = pulse_propagator(Tone(upper=1, lower=4, angle=float(a), phase=phase))
-        second = pulse_propagator(Tone(upper=1, lower=4, angle=float(b), phase=phase))
-        combined = pulse_propagator(Tone(upper=1, lower=4, angle=float(a + b), phase=phase))
+        first, second, combined = (
+            multi_tone_propagator((Tone(upper=1, lower=4, angle=float(angle), phase=phase),))
+            for angle in (a, b, a + b))
         assert np.abs(second @ first - combined).max() < 1e-12
 
 
 def test_multi_tone_block_structure():
     tones = (Tone(upper=2, lower=3, angle=np.pi), Tone(upper=6, lower=7, angle=np.pi))
     combined = multi_tone_propagator(tones)
-    product = (pulse_propagator(tones[0]) @ pulse_propagator(tones[1]))
+    product = multi_tone_propagator(tones[:1]) @ multi_tone_propagator(tones[1:])
     assert np.abs(combined - product).max() < 1e-15
 
 
 def test_multi_tone_empty_and_commutation():
     assert np.array_equal(multi_tone_propagator(()), np.eye(DIM))
-    a = pulse_propagator(Tone(upper=0, lower=4, angle=1.1, phase=0.2))
-    b = pulse_propagator(Tone(upper=2, lower=6, angle=2.3, phase=-0.4, axis="Y"))
+    a = multi_tone_propagator((Tone(upper=0, lower=4, angle=1.1, phase=0.2),))
+    b = multi_tone_propagator((Tone(upper=2, lower=6, angle=2.3, phase=-0.4, axis="Y"),))
     assert np.abs(a @ b - b @ a).max() < 1e-14
 
 
@@ -199,10 +204,10 @@ def test_propagator_equals_projector_form():
         f_eff = tone.phase + (np.pi / 2 if tone.axis == "Y" else 0.0)
         half = tone.angle / 2
         reference = (np.eye(DIM, dtype=complex)
-                     + (projector(n, n).matrix + projector(m, m).matrix) * (np.cos(half) - 1)
-                     + 1j * (projector(m, n).matrix * np.exp(1j * f_eff)
-                             + projector(n, m).matrix * np.exp(-1j * f_eff)) * np.sin(half))
-        assert np.array_equal(pulse_propagator(tone), reference)
+                     + (projector(n, n) + projector(m, m)) * (np.cos(half) - 1)
+                     + 1j * (projector(m, n) * np.exp(1j * f_eff)
+                             + projector(n, m) * np.exp(-1j * f_eff)) * np.sin(half))
+        assert np.array_equal(multi_tone_propagator((tone,)), reference)
 
 
 # --- the schedule writer takes only what its reader reads back ----------------------

@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from virtualspin import (DIM, SPIN, AmbiguousLabelingError, DriveSpec, DriveTone, InputError,
                          SpinSystem, build_hamiltonian, compile_gate, evolve, exact_spectrum,
-                         make_spin_operators, perturbative_spectrum, simulate_schedule,
+                         perturbative_spectrum, simulate_schedule,
                          transition_table)
 from virtualspin import system
 from virtualspin.spectrum import OVERLAP_DOMINANCE
@@ -116,6 +116,23 @@ def test_an_overflowing_coupling_is_refused_on_every_call_without_a_warning():
                 spectrum(sys)
 
 
+def test_evolve_refuses_an_overflowing_coupling_like_the_spectra():
+    # the held Hamiltonian is built without a numpy warning by whichever caller asks first,
+    # and the held eigh refuses it before diagonalizing a non-finite matrix
+    drive = DriveSpec(tones=(DriveTone(1.0, 1e-3),), duration=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = SpinSystem(omegaQ=1e308, theta=0.5)
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"omegaQ/omega0 = 1e\+308 overflows"):
+                evolve(sys, drive)
+        sys = SpinSystem(omegaQ=1e308, theta=0.5)
+        with pytest.raises(InputError, match="overflows the first-order levels"):
+            exact_spectrum(sys)
+        with pytest.raises(InputError, match=r"omegaQ/omega0 = 1e\+308 overflows"):
+            evolve(sys, drive)
+
+
 def test_labels_match_optimal_assignment():
     # reference: the optimal assignment of perturbative to exact states,
     # trusted only where every chosen overlap dominates its row 2:1
@@ -169,7 +186,7 @@ def test_selection_rule_at_zero_coupling():
 
 def test_forbidden_element_is_first_order():
     # |<psi_5|Ix|psi_7>| should double when omegaQ doubles (within 5%)
-    ix = make_spin_operators().Ix
+    ix = SpinSystem.ops.Ix
     values = []
     for omega_q in (1e-3, 2e-3):
         states = exact_spectrum(SpinSystem(omegaQ=omega_q, theta=np.pi / 5)).states

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from virtualspin import (DIM, SPIN, DriveSpec, DriveTone, GateSpec, InputError, PulseParams,
                          SpinSystem, Tone, build_hamiltonian, forbidden_scaling,
-                         make_spin_operators, perturbative_spectrum, projector,
-                         quadrupole_hamiltonian)
+                         perturbative_spectrum, projector, quadrupole_hamiltonian)
 from virtualspin.system import level, one_of, positive, real
 from test_cli_contract import CONTRACT
 
@@ -20,7 +19,7 @@ m = np.arange(DIM) - SPIN
 def test_zeeman_only_limit():
     for theta in (0.0, np.pi / 4, 1.1):
         h = build_hamiltonian(SpinSystem(omega0=1.0, omegaQ=0.0, theta=theta, phi=0.3))
-        assert np.abs(h + make_spin_operators().Iz).max() == 0
+        assert np.abs(h + SpinSystem.ops.Iz).max() == 0
 
 
 def test_theta_zero_is_diagonal_with_q0_shifts():
@@ -103,10 +102,10 @@ def test_phi_whose_double_overflows_is_refused():
 
 def test_operator_set_is_fixed_not_a_parameter():
     with pytest.raises(TypeError):
-        SpinSystem(ops=make_spin_operators())
+        SpinSystem(ops=SpinSystem.ops)
     assert [f.name for f in dataclasses.fields(SpinSystem)] == [
         "omega0", "omegaQ", "theta", "phi", "q2_form"]
-    assert SpinSystem(theta=0.4).ops is make_spin_operators()
+    assert SpinSystem(theta=0.4).ops is SpinSystem.ops
 
 
 # --- the input rules: one per field kind, each naming the field it refuses ---------
