@@ -51,9 +51,12 @@ MAX_SLICES = 10**8
 # to _UNITARY_ROUNDING as unitary; from _POLAR_REACH, two steps get there
 _POLAR_REACH = 1e-6
 _UNITARY_ROUNDING = 1e-14
+# one step from at most this drift lands within _UNITARY_ROUNDING (see _polar_unitary)
+_ONE_STEP_DRIFT = 1e-8
 _POLAR_STEPS = 4
 # squarings between projections of _unitary_power's base: 2**16 * 1e-14 < 1e-9
 _PROJECTED_SQUARINGS = 16
+# a single (DIM, DIM) product is ndarray.dot: @'s BLAS call with less dispatch (1.3 vs 1.9 us)
 
 
 def _right_multiplier(m: np.ndarray) -> np.ndarray:
@@ -150,8 +153,8 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
         return _IDENTITY.astype(complex)
 
     energies, basis = _static_eigh(sys)
-    # max - min: eigh sorts energies, but a spectrum lists them by label
-    omega_max = max([float(energies.max() - energies.min()),
+    # eigh sorts energies in ascending order (a spectrum lists them by label)
+    omega_max = max([float(energies[-1] - energies[0]),
                      *(abs(t.frequency) for t in drive.tones)])
     dt_max = (2 * np.pi / omega_max) / cfg.steps_per_shortest_period
     if math.ulp(drive.duration) > dt_max:
@@ -187,26 +190,23 @@ def evolve(sys: SpinSystem, drive: DriveSpec,
             f"{cfg.steps_per_shortest_period}")
 
     # the remainder's product, the head's slices then the partial one, ends the power
-    u_span, u_rest = _slice_products(energies, basis, drive, span, n_span, head)
-    if partial > 0:
-        t_mid = head * dt + partial / 2
-        u_partial = _strang_slice(energies, basis, drive.tones[0], t_mid, partial)
-        u_rest = u_partial if u_rest is None else u_partial @ u_rest
+    u_span, u_rest = _slice_products(energies, basis, drive, span, n_span, head, partial)
     return _unitary_power(u_span, n_periods, u_rest)
 
 
 def _phase_conjugate(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """basis @ diag(phases) @ basis^dagger."""
-    return (basis * phases) @ basis.conj().T
+    """basis @ diag(phases) @ basis^dagger, for each row of phases."""
+    return (basis * phases[..., None, :]) @ basis.conj().T
 
 
 def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
-                    span: float, n_slices: int, head: int) -> tuple:
-    """The products of n_slices Strang-split midpoint slices over [0, span] and of the first head.
+                    span: float, n_slices: int, head: int, partial: float) -> tuple:
+    """The products of n_slices Strang-split midpoint slices over [0, span] and of a remainder.
 
-    The product of the first head slices (0 < head <= n_slices) comes from
-    the same pass (see _block_product), unprojected: the power it ends
-    projects it.  Without a head, the second product is None.
+    The remainder is the first head slices (0 <= head <= n_slices), whose
+    product comes from the same pass (see _block_product), then, if
+    partial > 0, one slice of a single tone partial wide after them; it is
+    unprojected, as the power it ends projects it, and None if empty.
 
     evolve hands the kernel H_static = basis diag(energies) basis^dagger, as
     the system holds it, and its slice count.  A slice is
@@ -241,15 +241,16 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     operand slowed a row kick of 256 runs from 12.7 to 29.1 us.
     """
     dt = span / n_slices
-    step = _phase_conjugate(basis, np.exp(-1j * energies * dt))
-    half = _phase_conjugate(basis, np.exp(-0.5j * energies * dt))
+    # e^{-i H_static w} for the step, its half and the partial slice's half: one table, one product
+    step, half, partial_half = _phase_conjugate(
+        basis, np.exp(np.multiply.outer([dt, 0.5 * dt, 0.5 * partial], -1j * energies)))
 
     axes = sorted({tone.axis for tone in drive.tones})
     mixed = len(axes) > 1
     # a mixed drive's turns are diagonal in the eigenbasis of Iz: the identity
     w = _IDENTITY if mixed else _AXIS_EIGENBASES[axes[0]]
-    frame = half @ w
-    step = _right_multiplier(_polar_unitary(w.conj().T @ step @ w))
+    frame = half.dot(w)
+    step = _right_multiplier(_polar_unitary(w.conj().T.dot(step).dot(w)))
 
     runs = _Runs(n_slices, len(axes))
     frequencies = np.array([tone.frequency for tone in drive.tones])
@@ -262,7 +263,7 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
                                               + tone_phases))
     coefficients = c_conj.view(float).transpose(0, 2, 1).copy()   # (axes, 2 tones, runs)
     angles = np.multiply.outer((np.arange(runs.padded) + 0.5) * dt, frequencies)
-    phasors = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(runs.padded, -1)
+    phasors = np.array([np.cos(angles), np.sin(angles)]).transpose(1, 2, 0).reshape(runs.padded, -1)
 
     def fill(k, planes):
         """Write the diagonals of steps k .. k + chunk - 1 into the stages' buffers."""
@@ -293,26 +294,29 @@ def _slice_products(energies: np.ndarray, basis: np.ndarray, drive: DriveSpec,
     if head == n_slices:
         head_product = product
     frame_h = frame.conj().T
-    return (frame @ product @ frame_h,
-            None if head_product is None else frame @ head_product @ frame_h)
+    rest = None if head_product is None else frame.dot(head_product).dot(frame_h)
+    if partial > 0:
+        u_partial = _strang_slice(partial_half, drive.tones[0], head * dt + partial / 2, partial)
+        rest = u_partial if rest is None else u_partial.dot(rest)
+    return frame.dot(product).dot(frame_h), rest
 
 
-def _strang_slice(energies: np.ndarray, basis: np.ndarray, tone: DriveTone,
-                  t_mid: float, width: float) -> np.ndarray:
-    """One Strang-split slice of a single tone, width wide about t_mid, by exact exponentials."""
-    half = _phase_conjugate(basis, np.exp(-0.5j * energies * width))
+def _strang_slice(half: np.ndarray, tone: DriveTone, t_mid: float, width: float) -> np.ndarray:
+    """One Strang-split slice of a single tone, width wide about t_mid; half = e^{-i H width/2}."""
     field = -tone.amplitude * math.cos(tone.frequency * t_mid + tone.phase)
     kick = _phase_conjugate(_AXIS_EIGENBASES[tone.axis], np.exp(-1j * width * field * M_VALUES))
-    return half @ kick @ half
+    return half.dot(kick).dot(half)
 
 
 class _Runs:
     """The lock-step layout of a span of slices, and the buffers of its one kernel pass.
 
     The count slices are cut into runs of `steps` consecutive slices,
-    max(min(_CHAIN, isqrt(count)), ceil(count / _MAX_RUNS)): about as many
-    runs as steps for a short span, at most _MAX_RUNS for a long one.  Run
-    r takes slice starts[r] + k at step k; slices left over form one more
+    max(min(_CHAIN, isqrt(count // 4)), ceil(count / _MAX_RUNS)): about four
+    runs a step for a short span, as a run costs one product of the tree and
+    a step one pass over the runs (a 312-slice period took 211 us at 8 steps
+    over 39 runs, 231 us at 16 over 20), _CHAIN steps from 1024 slices on,
+    and at most _MAX_RUNS runs for a long span.  Run r takes slice starts[r] + k at step k; slices left over form one more
     run over the last `steps` slices, started late at step late_start.
     phases, and a mixed drive's turns and inverse turns, hold `chunk`
     steps' diagonals, (chunk, runs, DIM), filled by way of fields (see
@@ -333,11 +337,10 @@ class _Runs:
     """
 
     def __init__(self, count: int, n_axes: int):
-        steps = max(min(_CHAIN, math.isqrt(count)), -(-count // _MAX_RUNS))
-        whole, rest = divmod(count, steps)
-        self.steps, self.late_start = steps, steps - rest
-        self.starts = np.arange(whole + (rest > 0)) * steps
-        self.starts[whole:] = count - steps
+        steps = max(min(_CHAIN, math.isqrt(count // 4)), -(-count // _MAX_RUNS))
+        self.steps, self.late_start = steps, steps - count % steps
+        self.starts = np.arange(0, count, steps)
+        self.starts[-1] = count - steps
         chunks = -(-steps // DIM)
         self.chunk = -(-steps // chunks)
         self.padded = chunks * self.chunk
@@ -369,8 +372,8 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
     restarts from the identity at step late_start (if there is one),
     dropping the slices before it.  The transposes are then copied, one
     contiguous (DIM, DIM) matrix a run, into the spare array and multiplied
-    pairwise, (P_{r+1} P_r)^T = X_r X_{r+1}, into new arrays; runs.work is
-    overwritten.
+    pairwise, (P_{r+1} P_r)^T = X_r X_{r+1}, each level into the other array;
+    runs.work is overwritten.
 
     Returns the span's product and, with 0 < cut < span, the product of its
     first cut slices (else None): the run that holds slice cut - 1, copied
@@ -399,19 +402,19 @@ def _block_product(stages, fill, runs: _Runs, cut: int = 0) -> tuple:
                 np.multiply(target, d, out=target)
         if k == step:
             head = held[0][:, run].copy()
-    tree = spare[2]
+    tree, nodes = spare[2], held[2]
     np.copyto(tree, held[0].transpose(1, 0, 2))
-    level = 0
-    while len(tree) > 1:
+    level, count = 0, len(tree)
+    while count > 1:
         # node i of this level is the product of runs i 2^level .. (i + 1) 2^level - 1 (or to
         # the last run), so the runs before `run` are one node for each set bit of `run`
         if run >> level & 1:
-            head = tree[(run >> level) - 1] @ head
-        half = len(tree) // 2
-        paired = tree[:2 * half:2] @ tree[1:2 * half:2]
-        tree = np.concatenate([paired, tree[2 * half:]]) if len(tree) % 2 else paired
-        level += 1
-    # a one-run span's tree is a view of runs.work: copy its product out
+            head = tree[(run >> level) - 1].dot(head)
+        half, odd = divmod(count, 2)
+        np.matmul(tree[:2 * half:2], tree[1:2 * half:2], out=nodes[:half])
+        nodes[half:half + odd] = tree[count - odd:count]
+        tree, nodes, level, count = nodes, tree, level + 1, half + odd
+    # the root is a view of runs.work: copy its product out
     return tree[0].T.copy(), (head.T if cut else None)
 
 
@@ -430,11 +433,11 @@ def _unitary_power(u: np.ndarray, n: int, left: np.ndarray | None = None) -> np.
     power = left
     for bit in range(n.bit_length()):
         if bit:
-            u = u @ u
+            u = u.dot(u)
             if not bit % _PROJECTED_SQUARINGS:
                 u = _polar_unitary(u)
         if n >> bit & 1:
-            power = u if power is None else power @ u
+            power = u if power is None else power.dot(u)
     return _polar_unitary(power)
 
 
@@ -444,13 +447,16 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     m must be unitary up to rounding, as a product of unitaries is.  With
     R = m^dagger m - I, each step m <- m - m R / 2 = m (3 I - m^dagger m) / 2
     squares the residual (Bjorck and Bowie, SIAM J. Numer. Anal. 8, 358,
-    1971), so one step takes a product of unitaries to rounding level.
-    Raises ResolutionError when max|R| exceeds _POLAR_REACH (1e-6), where the
+    1971): it leaves R' = -3/4 R^2 + 1/4 R^3, and as ||R||_2 <= DIM max|R|,
+    max|R'| <= 48 d^2 + 128 d^3 from d = max|R|.  From d <= _ONE_STEP_DRIFT
+    (1e-8) that is half of _UNITARY_ROUNDING, the rest left to the step's
+    rounding (~7e-16), so the stepped matrix is returned unchecked.  Raises
+    ResolutionError when max|R| exceeds _POLAR_REACH (1e-6), where the
     iteration can settle on the wrong unitary (2 I goes to -I), or when
     _POLAR_STEPS steps leave it above rounding (_UNITARY_ROUNDING).
     """
     for _ in range(_POLAR_STEPS):
-        residual = m.conj().T @ m
+        residual = m.conj().T.dot(m)
         residual -= _IDENTITY
         drift = np.abs(residual).max()
         if drift <= _UNITARY_ROUNDING:
@@ -459,7 +465,9 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
             raise ResolutionError(f"a propagator drifted from the unitaries by "
                                   f"max|U^dagger U - I| = {drift:.3g}, beyond the "
                                   f"{_POLAR_REACH:g} a projection can restore")
-        m = m - 0.5 * (m @ residual)
+        m = m - 0.5 * m.dot(residual)
+        if drift <= _ONE_STEP_DRIFT:
+            return m
     raise ResolutionError(f"a propagator did not settle onto the unitaries in {_POLAR_STEPS} "
                           f"Newton-Schulz steps; max|U^dagger U - I| = {drift:.3g} before the last")
 
@@ -468,7 +476,7 @@ def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
                            duration: float) -> np.ndarray:
     """Lab propagator re-expressed in the eigenbasis with free phases removed."""
     psi = spectrum.states
-    u_eig = psi.conj().T @ u_lab @ psi
+    u_eig = psi.conj().T.dot(u_lab).dot(psi)
     return np.exp(1j * spectrum.energies * duration)[:, None] * u_eig
 
 
@@ -483,7 +491,7 @@ def _play_group(sys: SpinSystem, spectrum: Spectrum, elements: dict, group,
     """
     duration = max((t.duration for t in group), default=0.0)
     if duration == 0:
-        return duration, _IDENTITY
+        return duration, _IDENTITY.astype(complex)
     drive = []
     for tone in group:
         if tone.angle == 0:
@@ -533,12 +541,12 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
     """
     spectrum = exact_spectrum(sys)
     sched, elements = _resolve(sched, spectrum, gamma_hrf)
-    u_actual = _IDENTITY.astype(complex)
-    durations = []
+    u_actual, durations = _IDENTITY.astype(complex), []
     for group in sched.groups:
         group_duration, u_group = _play_group(sys, spectrum, elements, group, cfg)
+        # the first group's propagator is the product so far: no product with the identity
+        u_actual = u_group.dot(u_actual) if durations else u_group
         durations.append(group_duration)
-        u_actual = u_group @ u_actual
 
     u_ideal = schedule_propagator(sched)
     deviation = float(np.abs(u_actual - u_ideal).max())

@@ -301,7 +301,7 @@ GATE = st.one_of(st.sampled_from(ALL_NOT_FAMILY), st.builds(
 @settings(CONTRACT, max_examples=200)
 @given(gates=st.lists(GATE, min_size=1, max_size=3), omega_q=st.floats(1e-3, 0.05),
        theta=st.floats(0.0, np.pi), phi=st.floats(-np.pi, np.pi),
-       gamma=st.one_of(st.none(), st.floats(1e-4, 1e-1)), exact=st.booleans())
+       gamma=st.floats(1e-4, 1e-1), exact=st.booleans())
 @example(gates=["CCNOT:QS->R"], omega_q=0.01, theta=0.0, phi=0.0, gamma=1e-3, exact=True)
 def test_one_pass_compile_equals_compile_then_resolve(gates, omega_q, theta, phi, gamma, exact):
     system = SpinSystem(omegaQ=omega_q, theta=theta, phi=phi)

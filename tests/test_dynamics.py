@@ -258,6 +258,8 @@ MIXED = (TONE, DriveTone(-2.5, 0.05, 1e6, "Y"), DriveTone(0.0, 1e-4, 1.1, "Y"),
 X_PAIR = (TONE, DriveTone(-1.7, 0.02, 2.0))
 XY_PAIR = (DriveTone(1.2, 0.03, -0.7, "X"), DriveTone(0.4, 0.01, 5.0, "Y"))
 Y_PAIR = (DriveTone(0.9, 4e-3, 0.4, "Y"), DriveTone(-1.3, 0.02, 1.0, "Y"))
+# the benchmark's one-tone shape: SYS's 6-7 transition, a period of 312 slices at 32 steps
+S_TONE = DriveTone(float(np.subtract(*exact_spectrum(SYS).energies[[6, 7]])), 2e-3, -0.77)
 
 
 @settings(CONTRACT, max_examples=40)
@@ -270,9 +272,9 @@ Y_PAIR = (DriveTone(0.9, 4e-3, 0.4, "Y"), DriveTone(-1.3, 0.02, 1.0, "Y"))
 @example(case=(20, DriveSpec(tones=MIXED, duration=4096.5 * _slice_width(MIXED, 20))))
 # 4100 slices: 17 steps in 3 fill chunks of 6, the last run started late at step 14
 @example(case=(32, DriveSpec(tones=X_PAIR, duration=4099.5 * _slice_width(X_PAIR, 32))))
-# 200 slices: 14 steps in 2 fill chunks of 7 that fill turns and phases; a late run from step 10
+# 200 slices: 7 steps in one fill chunk that fills turns and phases; a late run from step 3
 @example(case=(32, DriveSpec(tones=XY_PAIR, duration=199.5 * _slice_width(XY_PAIR, 32))))
-# 1000 slices in the Iy eigenframe: 16 steps in 2 fill chunks of 8; a late run from step 8
+# 1000 slices in the Iy eigenframe: 15 steps in 2 fill chunks of 8; a late run from step 5
 @example(case=(32, DriveSpec(tones=Y_PAIR, duration=999.5 * _slice_width(Y_PAIR, 32))))
 # 2040 slices: 128 runs, the fewest kicked row by row; a late run from step 8
 @example(case=(32, DriveSpec(tones=X_PAIR, duration=2039.5 * _slice_width(X_PAIR, 32))))
@@ -280,6 +282,17 @@ Y_PAIR = (DriveTone(0.9, 4e-3, 0.4, "Y"), DriveTone(-1.3, 0.02, 1.0, "Y"))
 @example(case=(32, DriveSpec(tones=Y_PAIR, duration=2031.5 * _slice_width(Y_PAIR, 32))))
 # 3001 slices of turns and phases: 188 runs kicked row by row; a late run from step 7
 @example(case=(32, DriveSpec(tones=XY_PAIR, duration=3000.5 * _slice_width(XY_PAIR, 32))))
+# the short-span layout, isqrt(slices // 4) steps: 300 slices in 8 steps over 38 runs, the
+# last started late at step 4
+@example(case=(32, DriveSpec(tones=X_PAIR, duration=299.5 * _slice_width(X_PAIR, 32))))
+# a period of 259 slices, the last of 33 runs started late at step 5; a head of 257 ends inside it
+@example(case=(32, _after_periods(TONE, 32, 2, 257, 0.5)))
+# 323 slices, the most in one fill chunk (8 steps), and 324, 9 steps in 2 chunks of 5
+@example(case=(32, DriveSpec(tones=Y_PAIR, duration=322.5 * _slice_width(Y_PAIR, 32))))
+@example(case=(32, DriveSpec(tones=XY_PAIR, duration=323.5 * _slice_width(XY_PAIR, 32))))
+# the benchmark's one-tone period: 8 steps over 39 runs, heads of 23 and 216 slices
+@example(case=(32, _after_periods(S_TONE, 32, 2, 23, 0.6)))
+@example(case=(32, _after_periods(S_TONE, 32, 2, 216, 0.3)))
 @given(case=drives())
 def test_evolve_is_its_slices_applied_one_at_a_time(case):
     _evolve_by_definition(*case)
@@ -387,7 +400,7 @@ def test_a_head_of_every_slice_is_the_span_product():
     energies, basis = np.linalg.eigh(build_hamiltonian(SYS))
     drive = DriveSpec(tones=(TONE,), duration=1.0)
     for n in (1, 259):
-        u, head = dynamics._slice_products(energies, basis, drive, n * 0.025, n, n)
+        u, head = dynamics._slice_products(energies, basis, drive, n * 0.025, n, n, 0.0)
         assert np.array_equal(head, u)
 
 
@@ -408,7 +421,7 @@ def test_block_products_do_not_alias_the_work_buffers(axes, n_slices):
 
     dt = 0.025
     with mock.patch.object(dynamics, "_block_product", recording):
-        u, _ = dynamics._slice_products(energies, basis, drive, n_slices * dt, n_slices, 0)
+        u, _ = dynamics._slice_products(energies, basis, drive, n_slices * dt, n_slices, 0, 0.0)
     assert aliased and not any(aliased)
     assert np.all(np.isfinite(u))
     expected = _slices_applied(tones, (np.arange(n_slices) + 0.5) * dt, np.full(n_slices, dt))
@@ -459,6 +472,60 @@ def test_polar_unitary_refuses_what_its_steps_leave_unsettled():
     with mock.patch.object(dynamics, "_POLAR_STEPS", 1):
         with pytest.raises(ResolutionError, match="did not settle"):
             dynamics._polar_unitary(m)
+
+
+def _always_rechecked(m):
+    """_polar_unitary with every step rechecked: the projection and the number of steps taken."""
+    for steps in range(dynamics._POLAR_STEPS + 1):
+        residual = m.conj().T @ m - np.eye(DIM)
+        if np.abs(residual).max() <= dynamics._UNITARY_ROUNDING:
+            return m, steps
+        m = m - 0.5 * (m @ residual)
+    raise AssertionError("no recheck passed")
+
+
+def _drifted(seed, drift):
+    """A random unitary times I + E, E scaled so that max|U^dagger U - I| is about drift."""
+    rng = np.random.default_rng(seed)
+    u = _random_unitary(rng)
+    e = 1e-9 * (rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM)))
+    m = u @ (np.eye(DIM) + e)
+    # the drift is linear in a small E: one rescaling lands within a percent of it
+    return u @ (np.eye(DIM) + drift / np.abs(m.conj().T @ m - np.eye(DIM)).max() * e)
+
+
+THRESHOLD_EXPONENT = math.log10(dynamics._ONE_STEP_DRIFT)
+
+
+@settings(CONTRACT, max_examples=300)
+# drifts of 0.85e-8 and 1.07e-8, either side of the threshold
+@example(exponent=THRESHOLD_EXPONENT - 0.05, seed=1)
+@example(exponent=THRESHOLD_EXPONENT + 0.05, seed=1)
+@example(exponent=math.log10(dynamics._POLAR_REACH) - 0.01, seed=2)
+@given(exponent=st.floats(-16, math.log10(dynamics._POLAR_REACH)), seed=st.integers(0, 2**32 - 1))
+def test_polar_unitary_returns_the_bits_of_a_rechecked_projection(exponent, seed):
+    # from a drift under _ONE_STEP_DRIFT one step is returned unchecked: the recheck it
+    # skips would have passed it unchanged, on either side of that threshold
+    m = _drifted(seed, 10.0 ** exponent / 1.05)
+    expected, steps = _always_rechecked(m)
+    assert np.array_equal(dynamics._polar_unitary(m), expected)
+    if np.abs(m.conj().T @ m - np.eye(DIM)).max() <= dynamics._ONE_STEP_DRIFT:
+        assert steps <= 1
+
+
+def test_polar_unitary_takes_two_steps_up_to_its_reach_and_refuses_beyond():
+    reach = dynamics._POLAR_REACH
+    for seed in range(20):
+        under, over = _drifted(seed, 0.98 * reach), _drifted(seed, 1.02 * reach)
+        assert np.abs(under.conj().T @ under - np.eye(DIM)).max() <= reach
+        assert np.abs(over.conj().T @ over - np.eye(DIM)).max() > reach
+        expected, steps = _always_rechecked(under)
+        assert steps == 2
+        projected = dynamics._polar_unitary(under)
+        assert np.array_equal(projected, expected)
+        assert np.abs(projected.conj().T @ projected - np.eye(DIM)).max() <= 1e-14
+        with pytest.raises(ResolutionError, match="drifted from the unitaries"):
+            dynamics._polar_unitary(over)
 
 
 def _svd_power(u, n):
