@@ -195,6 +195,9 @@ def cmd_verify(args) -> int:
     if args.schedule is not None:
         sched = parse_schedule(_read_text(args.schedule, "schedule"))
         gates = parse_gate_sequence(args.gate) if args.gate is not None else sched.gates
+        if not gates:
+            raise InputError(f"schedule file {args.schedule} has no gates; "
+                             "give a gate string to verify it against")
     else:
         gates = parse_gate_sequence(args.gate)
         sched = compile_gate(gates)

@@ -134,19 +134,15 @@ def resolve_schedule(sched: PulseSchedule, spectrum: Spectrum,
     E_upper - E_lower and the duration realizing its |angle| at gamma_hrf,
     which must be given.
     """
-    return _resolve(sched, spectrum, gamma_hrf)[0]
-
-
-def _resolve(sched: PulseSchedule, spectrum: Spectrum, gamma_hrf: float | None) -> tuple:
-    """resolve_schedule, and the drive_elements of spectrum it read, one per axis played."""
-    tone, elements = _resolver(spectrum, gamma_hrf, {t.axis for g in sched.groups for t in g})
+    tone = _resolver(spectrum, gamma_hrf, {t.axis for g in sched.groups for t in g})[0]
     return PulseSchedule(sched.gates, [[tone(t.upper, t.lower, t.angle, t.phase, t.axis)
                                         for t in group] for group in sched.groups],
-                         spectrum.method, sched.parameters), elements
+                         spectrum.method, sched.parameters)
 
 
 def _resolver(spectrum: Spectrum, gamma_hrf: float | None, axes) -> tuple:
-    """resolve_schedule's and compile_gate's tone rule, and the drive_elements it reads, by axis."""
+    """The tone rule of resolve_schedule, compile_gate and simulate_schedule, and the
+    drive_elements of spectrum it reads, by axis."""
     if gamma_hrf is None:
         raise InputError("a spectrum needs gamma_hrf to give each tone its duration")
     params = PulseParams(gammaHrf=gamma_hrf)

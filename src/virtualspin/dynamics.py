@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import PulseSchedule, _resolve, schedule_propagator
+from .compiler import PulseSchedule, _resolver, schedule_propagator
 from .errors import InputError, ResolutionError
 from .pulses import AXES, PulseParams, Tone
 from .spectrum import Spectrum, exact_spectrum
@@ -53,7 +53,6 @@ _POLAR_REACH = 1e-6
 _UNITARY_ROUNDING = 1e-14
 # one step from at most this drift lands within _UNITARY_ROUNDING (see _polar_unitary)
 _ONE_STEP_DRIFT = 1e-8
-_POLAR_STEPS = 4
 # squarings between projections of _unitary_power's base: 2**16 * 1e-14 < 1e-9
 _PROJECTED_SQUARINGS = 16
 # a single (DIM, DIM) product is ndarray.dot: @'s BLAS call with less dispatch (1.3 vs 1.9 us)
@@ -450,26 +449,25 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     1971): it leaves R' = -3/4 R^2 + 1/4 R^3, and as ||R||_2 <= DIM max|R|,
     max|R'| <= 48 d^2 + 128 d^3 from d = max|R|.  From d <= _ONE_STEP_DRIFT
     (1e-8) that is half of _UNITARY_ROUNDING, the rest left to the step's
-    rounding (~7e-16), so the stepped matrix is returned unchecked.  Raises
-    ResolutionError when max|R| exceeds _POLAR_REACH (1e-6), where the
-    iteration can settle on the wrong unitary (2 I goes to -I), or when
-    _POLAR_STEPS steps leave it above rounding (_UNITARY_ROUNDING).
+    rounding (~7e-16), so the stepped matrix is returned unchecked.  From
+    d <= _POLAR_REACH (1e-6) one step leaves at most 4.8e-11, so one more
+    pass settles it.  Raises ResolutionError when max|R| exceeds _POLAR_REACH,
+    where the iteration can settle on the wrong unitary (2 I goes to -I).
     """
-    for _ in range(_POLAR_STEPS):
-        residual = m.conj().T.dot(m)
-        residual -= _IDENTITY
-        drift = np.abs(residual).max()
-        if drift <= _UNITARY_ROUNDING:
-            return m
-        if not drift <= _POLAR_REACH:
-            raise ResolutionError(f"a propagator drifted from the unitaries by "
-                                  f"max|U^dagger U - I| = {drift:.3g}, beyond the "
-                                  f"{_POLAR_REACH:g} a projection can restore")
-        m = m - 0.5 * m.dot(residual)
-        if drift <= _ONE_STEP_DRIFT:
-            return m
-    raise ResolutionError(f"a propagator did not settle onto the unitaries in {_POLAR_STEPS} "
-                          f"Newton-Schulz steps; max|U^dagger U - I| = {drift:.3g} before the last")
+    residual = m.conj().T.dot(m) - _IDENTITY
+    drift = np.abs(residual).max()
+    if drift <= _UNITARY_ROUNDING:
+        return m
+    if not drift <= _POLAR_REACH:
+        raise ResolutionError(f"a propagator drifted from the unitaries by "
+                              f"max|U^dagger U - I| = {drift:.3g}, beyond the "
+                              f"{_POLAR_REACH:g} a projection can restore")
+    m = m - 0.5 * m.dot(residual)
+    if drift > _ONE_STEP_DRIFT:
+        residual = m.conj().T.dot(m) - _IDENTITY
+        if np.abs(residual).max() > _UNITARY_ROUNDING:
+            m = m - 0.5 * m.dot(residual)
+    return m
 
 
 def interaction_propagator(spectrum: Spectrum, u_lab: np.ndarray,
@@ -534,15 +532,17 @@ def simulate_schedule(sys: SpinSystem, sched: PulseSchedule, gamma_hrf: float,
                       cfg: IntegrationConfig = IntegrationConfig()) -> ScheduleSimulation:
     """Integrate the physical drive realizing a schedule and compare to the ideal.
 
-    The schedule is re-resolved at sys and gamma_hrf first.  Tones within a
-    group play simultaneously for a common duration (see _play_group).
-    Each group is analyzed in its own interaction picture and the groups
-    compose in order.
+    Every tone is resolved at sys and gamma_hrf before any group plays; a
+    group's tones play simultaneously for a common duration (see _play_group)
+    in its own interaction picture, and the groups compose in order.  The
+    ideal is sched's own: it reads no omega or duration.
     """
     spectrum = exact_spectrum(sys)
-    sched, elements = _resolve(sched, spectrum, gamma_hrf)
+    tone, elements = _resolver(spectrum, gamma_hrf, {t.axis for g in sched.groups for t in g})
+    groups = [[tone(t.upper, t.lower, t.angle, t.phase, t.axis) for t in group]
+              for group in sched.groups]
     u_actual, durations = _IDENTITY.astype(complex), []
-    for group in sched.groups:
+    for group in groups:
         group_duration, u_group = _play_group(sys, spectrum, elements, group, cfg)
         # the first group's propagator is the product so far: no product with the identity
         u_actual = u_group.dot(u_actual) if durations else u_group

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from virtualspin import (SpinSystem, dynamics, exact_spectrum, parse_schedule,
-                         perturbative_spectrum, simulate_schedule, transition_table)
+from virtualspin import (PulseSchedule, SpinSystem, compile_gate, dynamics, exact_spectrum,
+                         format_schedule, parse_schedule, perturbative_spectrum,
+                         simulate_schedule, transition_table)
 from virtualspin.cli import main
 from test_gates import ALL_NOT_FAMILY
 
@@ -139,6 +140,20 @@ def test_verify_needs_gate_or_schedule(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert "gate" in err.lower()
+
+
+def test_verify_gateless_schedule_asks_for_a_gate_string(capsys, tmp_path):
+    # the writer emits a schedule without gates as `gate: ""`, and it reads back
+    path = tmp_path / "gateless.st"
+    groups = compile_gate("CCNOT:QR->S").groups
+    path.write_text(format_schedule(PulseSchedule(gates=(), groups=groups)))
+    assert 'gate: ""' in path.read_text() and parse_schedule(path.read_text()).groups == groups
+    code, out, err = run(capsys, "verify", "--schedule", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: schedule file {path} has no gates; "
+                   "give a gate string to verify it against\n")
+    # against a gate string the same file verifies
+    assert run(capsys, "verify", "CCNOT:QR->S", "--schedule", str(path))[0] == 0
 
 
 def test_verify_machine_formats(capsys):
